@@ -27,7 +27,6 @@ import os
 import random
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -356,22 +355,14 @@ def cmd_dominance(args, config: RunConfig, parser) -> int:
         emit(doc, config)
         return EXIT_EMPTY
 
-    def one(ef):
-        e, f = ef
+    rows = []
+    for e, f in strata:
         rng = None
         if config.seed is not None:
             rng = _rng(config, "dominance", e, f, cls.m, cls.k, cls.delta, config.p)
-        rep = dominance_rank(e, f, cls, trials=config.trials, rng=rng, p=config.p)
-        rep = dict(rep)
+        rep = dict(dominance_rank(e, f, cls, trials=config.trials, rng=rng, p=config.p))
         rep["e"], rep["f"] = list(e), list(f)
-        return rep
-
-    # trials fan out to a small pool; row order follows submission order
-    if len(strata) > 1:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            rows = list(pool.map(one, strata))
-    else:
-        rows = [one(strata[0])]
+        rows.append(rep)
     doc = {
         "command": "dominance",
         "class": {"m": cls.m, "k": cls.k, "delta": cls.delta},

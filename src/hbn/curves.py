@@ -470,9 +470,10 @@ def curve_points(
 
     Points are {'st': (s,t), 'xy': (x,y), 'ext': 1 or 2}; ext-2
     coordinates are pairs (a, b) meaning a + b*w with w^2 the standard
-    nonresidue.  Fibers are scanned in random order; each fiber
-    contributes its rational roots, the point at x-infinity when the top
-    coefficient vanishes, and roots of quadratic factors when want_fp2.
+    nonresidue.  Fibers are drawn in random order without replacement,
+    lazily, so the cost does not grow with p; each fiber contributes its
+    rational roots, the point at x-infinity when the top coefficient
+    vanishes, and roots of quadratic factors when want_fp2.
     """
     p = curve.p
     k = curve.cls.k
@@ -485,11 +486,14 @@ def curve_points(
             return [form.coeffs[-1] if form.coeffs else 0 for form in curve.P]
         return [peval(c, t0, p) for c in by_t]
 
-    fibers: list[Optional[int]] = [None] + list(range(p))
-    rng.shuffle(fibers)
-    for t0 in fibers:
-        if len(pts) >= n_points:
-            break
+    # fibers are drawn without replacement as needed; draw p is s = 0
+    seen: set[int] = set()
+    while len(pts) < n_points and len(seen) <= p:
+        draw = rng.randrange(p + 1)
+        if draw in seen:
+            continue
+        seen.add(draw)
+        t0 = None if draw == p else draw
         st = (0, 1) if t0 is None else (1, t0)
         fib = fiber_poly(t0)
         trimmed = ptrim(list(fib))

@@ -14,7 +14,6 @@ from hbn.exact.field import (
 from hbn.exact.forms import BinaryForm, DualForm, form_mul
 from hbn.exact.linalg import batch_det_mod, matrix_rank, nullspace_vector
 from hbn.exact.birkhoff import TransitionMatrix, birkhoff_splitting
-from hbn.exact.poly2 import BiPoly, resultant
 
 __all__ = [
     "DEFAULT_PRIME",
@@ -30,6 +29,4 @@ __all__ = [
     "nullspace_vector",
     "TransitionMatrix",
     "birkhoff_splitting",
-    "BiPoly",
-    "resultant",
 ]

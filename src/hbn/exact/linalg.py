@@ -1,8 +1,15 @@
 """Exact linear algebra mod p on numpy int64 matrices.
 
 Entries are reduced into [0, p).  All pivoting is exact; products of two
-reduced entries stay below 2^63 for any prime below 2^31, so int64
-arithmetic never overflows between reductions.
+reduced entries stay below 2^62 for any prime below 2^31, and every
+product is reduced before anything is summed, so int64 arithmetic never
+overflows between reductions.  Every kernel here assumes p < 2^31.
+
+Determinants have one engine, `batch_det_mod`: it row-reduces a whole
+stack (n, r, r) at once.  Each matrix picks its own pivot row (the first
+nonzero entry at or below the diagonal), and elimination is division
+free, so the only inverse is one vectorised Fermat power at the end.
+`det_mod` is the one-matrix case of it.
 """
 
 from __future__ import annotations
@@ -98,32 +105,54 @@ def solve(mat, rhs, p: int) -> np.ndarray | None:
 
 def det_mod(mat, p: int) -> int:
     a = _as_mod_array(mat, p)
-    n = a.shape[0]
-    if a.shape[1] != n:
+    if a.shape[0] != a.shape[1]:
         raise ValueError("determinant needs a square matrix")
-    det = 1
-    for c in range(n):
-        nz = np.nonzero(a[c:, c])[0]
-        if nz.size == 0:
-            return 0
-        r = c + int(nz[0])
-        if r != c:
-            a[[c, r]] = a[[r, c]]
-            det = -det
-        piv = int(a[c, c])
-        det = det * piv % p
-        inv = inv_mod(piv, p)
-        rows = np.nonzero(a[c + 1 :, c])[0] + c + 1
-        if rows.size:
-            factors = a[rows, c] * inv % p
-            a[rows] = (a[rows] - np.outer(factors, a[c])) % p
-    return det % p
+    return int(batch_det_mod(a[None], p)[0])
+
+
+def _pow_vec(x: np.ndarray, e: int, p: int) -> np.ndarray:
+    """Elementwise x^e mod p by square and multiply over the whole vector."""
+    out = np.ones_like(x)
+    base = x % p
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
 
 
 def batch_det_mod(mats, p: int) -> np.ndarray:
-    """Determinants of a stack of square matrices (n_mats, n, n) mod p."""
-    stack = np.asarray(mats, dtype=np.int64) % p
-    return np.array([det_mod(m, p) for m in stack], dtype=np.int64)
+    """Determinants of a stack of square matrices (n_mats, r, r) mod p.
+
+    Column c swaps each matrix's first nonzero row at or below c into
+    place (negating the sign), then replaces every lower row R by
+    piv * R - R[c] * (pivot row).  That scales the determinant by
+    piv^(r-1-c), which is divided out once at the end.  A matrix with no
+    pivot in some column gets a zero pivot, so its determinant is 0.
+    """
+    a = np.array(mats, dtype=np.int64) % p
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError("expected a stack of square matrices")
+    n, r, _ = a.shape
+    num = np.ones(n, dtype=np.int64)
+    den = np.ones(n, dtype=np.int64)
+    for c in range(r):
+        piv_row = c + np.argmax(a[:, c:, c] != 0, axis=1)
+        swap = np.nonzero(piv_row != c)[0]
+        if swap.size:
+            rows = a[swap, c].copy()
+            a[swap, c] = a[swap, piv_row[swap]]
+            a[swap, piv_row[swap]] = rows
+            num[swap] = (p - num[swap]) % p
+        piv = a[:, c, c].copy()
+        num = num * piv % p
+        if c + 1 < r:
+            below = a[:, c + 1 :, c:]
+            scaled = below * piv[:, None, None] % p
+            a[:, c + 1 :, c:] = (scaled - below[:, :, :1] * a[:, None, c, c:] % p) % p
+            den = den * _pow_vec(piv, r - 1 - c, p) % p
+    return num * _pow_vec(den, p - 2, p) % p
 
 
 def fp2_matrix_rank(re, im, p: int, nr: int) -> int:

@@ -2,8 +2,11 @@
 
 A polynomial is a python list of ints in [0, p), coefficient of t^i at
 index i; the zero polynomial is [].  Leading zeros are trimmed.  Long
-products go through numpy int64 convolution, which is exact here since
-(p-1)^2 * length stays far below 2^63 for the word-sized primes in use.
+products go through numpy int64 convolution, which sums up to
+min(len f, len g) unreduced products; `pmul` takes that path only when
+the sum cannot reach 2^63 and falls back to a reduced Python loop
+otherwise.  Interpolation is one mat-vec with an inverse Vandermonde
+matrix cached per node tuple.
 
 Also provides a quotient-field engine F_p[x]/(q) for q irreducible, so
 callers can run gcds of polynomials whose coefficients live in an
@@ -12,11 +15,13 @@ extension field of arbitrary degree.
 
 from __future__ import annotations
 
+import functools
 import random
 
 import numpy as np
 
 from hbn.exact.field import inv_mod, sqrt_mod
+from hbn.exact.linalg import rref
 
 Poly = list[int]
 
@@ -58,7 +63,7 @@ def pscale(f: Poly, c: int, p: int) -> Poly:
 def pmul(f: Poly, g: Poly, p: int) -> Poly:
     if not f or not g:
         return []
-    if len(f) + len(g) < 16:
+    if len(f) + len(g) < 16 or min(len(f), len(g)) * (p - 1) ** 2 >= 2**63:
         out = [0] * (len(f) + len(g) - 1)
         for i, a in enumerate(f):
             if a:
@@ -112,32 +117,36 @@ def peval(f: Poly, x: int, p: int) -> int:
     return acc
 
 
-def peval_batch(f: Poly, xs: np.ndarray, p: int) -> np.ndarray:
-    """Horner over a whole int64 array of evaluation points."""
-    acc = np.zeros_like(xs)
-    for c in reversed(f):
-        acc = (acc * xs + c) % p
-    return acc
-
-
 def pderiv(f: Poly, p: int) -> Poly:
     return ptrim([i * c % p for i, c in enumerate(f)][1:])
 
 
-def pinterp(xs: list[int], ys: list[int], p: int) -> Poly:
-    """Newton interpolation through distinct nodes xs."""
-    n = len(xs)
-    coef = [y % p for y in ys]
+@functools.lru_cache(maxsize=16)
+def _inverse_vandermonde(nodes: tuple[int, ...], p: int) -> np.ndarray:
+    """Inverse mod p of V[i, j] = nodes[i]^j."""
+    n = len(nodes)
+    vander = np.ones((n, n), dtype=np.int64)
+    xs = np.array(nodes, dtype=np.int64)
     for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            num = (coef[i] - coef[i - 1]) % p
-            den = (xs[i] - xs[i - j]) % p
-            coef[i] = num * inv_mod(den, p) % p
-    # expand Newton form back to the monomial basis
-    out: Poly = []
-    for i in range(n - 1, -1, -1):
-        out = padd(pmul(out, [-xs[i] % p, 1], p), [coef[i]], p)
-    return out
+        vander[:, j] = vander[:, j - 1] * xs % p
+    aug, pivots = rref(np.hstack([vander, np.eye(n, dtype=np.int64)]), p)
+    if pivots[-1] >= n:
+        raise ValueError("interpolation nodes must be distinct mod p")
+    inv = aug[:, n:].copy()
+    inv.flags.writeable = False
+    return inv
+
+
+def pinterp(xs, ys, p: int) -> Poly:
+    """Interpolation through distinct nodes xs: one mat-vec with the
+    inverse Vandermonde matrix, cached per node tuple (callers reuse the
+    nodes 0..n-1).  Each product is reduced before the sum, so p < 2^31
+    keeps int64 exact."""
+    nodes = tuple(int(x) % p for x in xs)
+    if not nodes:
+        return []
+    terms = _inverse_vandermonde(nodes, p) * (np.asarray(ys, dtype=np.int64) % p) % p
+    return ptrim([int(c) for c in terms.sum(axis=1) % p])
 
 
 def ppowmod(base: Poly, e: int, mod: Poly, p: int) -> Poly:

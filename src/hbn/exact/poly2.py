@@ -1,156 +1,43 @@
-"""Bivariate polynomials over F_p and resultants by evaluation.
+"""Resultants in v of polynomials with F_p[u] coefficients, by evaluation.
 
-A BiPoly stores a dense coefficient grid coeffs[i, j] = coefficient of
-u^i v^j.  Resultants are computed through the Sylvester matrix with the
-*declared* degrees of the inputs: specialization then commutes with the
-determinant, so evaluation-interpolation stays valid even when leading
-coefficients vanish at individual points.
+A polynomial in v is a coefficient list (index = power of v) whose
+entries are univariate polys in u.  Resultants are computed through the
+Sylvester matrix with the *declared* degrees of the inputs:
+specialization then commutes with the determinant, so
+evaluation-interpolation stays valid even when leading coefficients
+vanish at individual points.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from hbn.exact.linalg import batch_det_mod
-from hbn.exact.poly import Poly, peval, pinterp, ptrim
+from hbn.exact.linalg import batch_det_mod, det_mod
+from hbn.exact.poly import Poly, pinterp
 
 
-class BiPoly:
-    """Dense bivariate polynomial mod p, variables (u, v)."""
+def sylvester(f, g) -> np.ndarray:
+    """Sylvester matrix using the declared degrees len(f)-1, len(g)-1.
 
-    __slots__ = ("coeffs", "p")
-
-    def __init__(self, coeffs, p: int):
-        a = np.asarray(coeffs, dtype=np.int64) % p
-        if a.ndim != 2:
-            raise ValueError("expected a 2d coefficient grid")
-        self.coeffs = _trim2(a)
-        self.p = p
-
-    @classmethod
-    def zero(cls, p: int) -> "BiPoly":
-        return cls(np.zeros((1, 1), dtype=np.int64), p)
-
-    @classmethod
-    def from_univariate(cls, f: Poly, var: int, p: int) -> "BiPoly":
-        """Lift a univariate poly into variable 0 (u) or 1 (v)."""
-        if not f:
-            return cls.zero(p)
-        a = np.asarray(f, dtype=np.int64).reshape(-1, 1)
-        if var == 1:
-            a = a.T
-        return cls(a, p)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
-    def deg_u(self) -> int:
-        return -1 if self.is_zero() else self.coeffs.shape[0] - 1
-
-    def deg_v(self) -> int:
-        return -1 if self.is_zero() else self.coeffs.shape[1] - 1
-
-    def add(self, other: "BiPoly") -> "BiPoly":
-        n0 = max(self.coeffs.shape[0], other.coeffs.shape[0])
-        n1 = max(self.coeffs.shape[1], other.coeffs.shape[1])
-        out = np.zeros((n0, n1), dtype=np.int64)
-        out[: self.coeffs.shape[0], : self.coeffs.shape[1]] += self.coeffs
-        out[: other.coeffs.shape[0], : other.coeffs.shape[1]] += other.coeffs
-        return BiPoly(out % self.p, self.p)
-
-    def mul(self, other: "BiPoly") -> "BiPoly":
-        if self.is_zero() or other.is_zero():
-            return BiPoly.zero(self.p)
-        a, b = self.coeffs, other.coeffs
-        out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1), dtype=np.int64)
-        # row-by-row 1d convolutions keep intermediates below 2^63
-        for i in range(a.shape[0]):
-            for j in range(b.shape[0]):
-                out[i + j] = (out[i + j] + np.convolve(a[i], b[j]) % self.p) % self.p
-        return BiPoly(out, self.p)
-
-    def scale(self, c: int) -> "BiPoly":
-        return BiPoly(self.coeffs * (c % self.p) % self.p, self.p)
-
-    def deriv_u(self) -> "BiPoly":
-        if self.coeffs.shape[0] == 1:
-            return BiPoly.zero(self.p)
-        mult = np.arange(1, self.coeffs.shape[0], dtype=np.int64).reshape(-1, 1)
-        return BiPoly(self.coeffs[1:] * mult % self.p, self.p)
-
-    def deriv_v(self) -> "BiPoly":
-        if self.coeffs.shape[1] == 1:
-            return BiPoly.zero(self.p)
-        mult = np.arange(1, self.coeffs.shape[1], dtype=np.int64).reshape(1, -1)
-        return BiPoly(self.coeffs[:, 1:] * mult % self.p, self.p)
-
-    def eval_u(self, u0: int) -> Poly:
-        """Substitute u = u0, returning a univariate poly in v."""
-        acc = np.zeros(self.coeffs.shape[1], dtype=np.int64)
-        for row in self.coeffs[::-1]:
-            acc = (acc * u0 + row) % self.p
-        return ptrim([int(c) for c in acc])
-
-    def eval_v(self, v0: int) -> Poly:
-        acc = np.zeros(self.coeffs.shape[0], dtype=np.int64)
-        for col in self.coeffs.T[::-1]:
-            acc = (acc * v0 + col) % self.p
-        return ptrim([int(c) for c in acc])
-
-    def eval(self, u0: int, v0: int) -> int:
-        return peval(self.eval_u(u0), v0, self.p)
-
-    def as_v_poly(self) -> list[Poly]:
-        """Coefficient list in v, each entry a univariate poly in u."""
-        return [ptrim([int(c) for c in self.coeffs[:, j]]) for j in range(self.coeffs.shape[1])]
-
-    def content_u(self) -> Poly:
-        """gcd over F_p[u] of the v-coefficients."""
-        from hbn.exact.poly import pgcd
-
-        g: Poly = []
-        for coeff in self.as_v_poly():
-            g = pgcd(g, coeff, self.p)
-        return g
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BiPoly)
-            and self.p == other.p
-            and self.coeffs.shape == other.coeffs.shape
-            and bool((self.coeffs == other.coeffs).all())
-        )
-
-    def __repr__(self) -> str:
-        return f"BiPoly(deg_u={self.deg_u()}, deg_v={self.deg_v()}, p={self.p})"
-
-
-def _trim2(a: np.ndarray) -> np.ndarray:
-    if not a.any():
-        return np.zeros((1, 1), dtype=np.int64)
-    rows = np.nonzero(a.any(axis=1))[0]
-    cols = np.nonzero(a.any(axis=0))[0]
-    return a[: rows[-1] + 1, : cols[-1] + 1].copy()
-
-
-def sylvester(f: list[int], g: list[int]) -> np.ndarray:
-    """Sylvester matrix using the declared degrees len(f)-1, len(g)-1."""
-    n, m = len(f) - 1, len(g) - 1
+    f and g may also be stacks of shape (n, len): the result is then the
+    stack (n, size, size) of their Sylvester matrices, filled by slicing.
+    """
+    f = np.asarray(f, dtype=np.int64)
+    g = np.asarray(g, dtype=np.int64)
+    n, m = f.shape[-1] - 1, g.shape[-1] - 1
     if n < 0 or m < 0:
         raise ValueError("both polynomials must be nonempty coefficient lists")
     size = n + m
-    out = np.zeros((size, size), dtype=np.int64)
+    out = np.zeros(f.shape[:-1] + (size, size), dtype=np.int64)
     for i in range(m):
-        out[i, i : i + n + 1] = f[::-1]
+        out[..., i, i : i + n + 1] = f[..., ::-1]
     for i in range(n):
-        out[m + i, i : i + m + 1] = g[::-1]
+        out[..., m + i, i : i + m + 1] = g[..., ::-1]
     return out
 
 
 def resultant_univariate(f: Poly, g: Poly, p: int) -> int:
     """Resultant of two univariate polys (declared degrees = lengths - 1)."""
-    from hbn.exact.linalg import det_mod
-
     if not f or not g:
         return 0
     if len(f) == 1 and len(g) == 1:
@@ -158,12 +45,40 @@ def resultant_univariate(f: Poly, g: Poly, p: int) -> int:
     return det_mod(sylvester(f, g), p)
 
 
+def _eval_at_nodes(f: list[Poly], n: int, p: int) -> np.ndarray:
+    """Every u-coefficient of f at u = 0..n-1, one 2-D Horner pass.
+
+    Returns shape (n, len(f)): row i holds f's v-coefficients at u = i.
+    """
+    width = max(len(c) for c in f)
+    grid = np.zeros((len(f), max(width, 1)), dtype=np.int64)
+    for j, c in enumerate(f):
+        grid[j, : len(c)] = c
+    grid %= p
+    nodes = np.arange(n, dtype=np.int64)
+    acc = np.zeros((n, len(f)), dtype=np.int64)
+    for col in grid.T[::-1]:
+        acc = (acc * nodes[:, None] + col) % p
+    return acc
+
+
+def _node_count(npts: int, p: int) -> int:
+    """npts rounded up to a power of two, capped at p.
+
+    Extra nodes cost next to nothing in the stacked kernel, and the
+    rounding keeps the interpolation tables cached per prime to a few.
+    """
+    return min(1 << (npts - 1).bit_length(), p)
+
+
 def resultant_v(f: list[Poly], g: list[Poly], p: int) -> Poly:
     """Res_v of polys in v with F_p[u] coefficients, via evaluation.
 
     f, g are coefficient lists in v (index = power of v), entries are
     univariate polys in u.  Declared v-degrees are len-1 even when the
-    leading coefficient polynomial vanishes at a sample point.
+    leading coefficient polynomial vanishes at a sample point.  All the
+    Sylvester matrices at the nodes u = 0..n-1 go through one
+    determinant kernel call, then one interpolation on those nodes.
     """
     if not f or not g:
         raise ValueError("resultant of the zero polynomial")
@@ -176,53 +91,6 @@ def resultant_v(f: list[Poly], g: list[Poly], p: int) -> Poly:
     npts = bound + 1
     if npts > p:
         raise ValueError("prime too small for interpolation")
-    xs = list(range(npts))
-    mats = np.zeros((npts, dv_f + dv_g, dv_f + dv_g), dtype=np.int64)
-    for idx, u0 in enumerate(xs):
-        fe = [peval(c, u0, p) for c in f]
-        ge = [peval(c, u0, p) for c in g]
-        mats[idx] = sylvester(fe, ge)
-    ys = [int(d) for d in batch_det_mod(mats, p)]
-    return pinterp(xs, ys, p)
-
-
-def resultant(f: list[BiPoly], g: list[BiPoly], p: int) -> BiPoly:
-    """Res_v of polys in an auxiliary variable with bivariate coefficients.
-
-    Evaluation-interpolation on a 2d grid; the output degree bounds come
-    from the Sylvester expansion term by term.
-    """
-    if not f or not g:
-        raise ValueError("resultant of the zero polynomial")
-    dv_f, dv_g = len(f) - 1, len(g) - 1
-    if dv_f == 0 and dv_g == 0:
-        raise ValueError("both inputs are constant in the auxiliary variable")
-    max_fu = max((c.deg_u() for c in f if not c.is_zero()), default=0)
-    max_fv = max((c.deg_v() for c in f if not c.is_zero()), default=0)
-    max_gu = max((c.deg_u() for c in g if not c.is_zero()), default=0)
-    max_gv = max((c.deg_v() for c in g if not c.is_zero()), default=0)
-    du = dv_g * max_fu + dv_f * max_gu
-    dvv = dv_g * max_fv + dv_f * max_gv
-    if (du + 1) > p or (dvv + 1) > p:
-        raise ValueError("prime too small for interpolation")
-    grid = np.zeros((du + 1, dvv + 1), dtype=np.int64)
-    size = dv_f + dv_g
-    for u0 in range(du + 1):
-        mats = np.zeros((dvv + 1, size, size), dtype=np.int64)
-        fe = [c.eval_u(u0) for c in f]
-        ge = [c.eval_u(u0) for c in g]
-        for v0 in range(dvv + 1):
-            fs = [peval(c, v0, p) for c in fe]
-            gs = [peval(c, v0, p) for c in ge]
-            mats[v0] = sylvester(fs, gs)
-        grid[u0] = batch_det_mod(mats, p)
-    rows = [pinterp(list(range(dvv + 1)), [int(c) for c in grid[u0]], p) for u0 in range(du + 1)]
-    width = max((len(r) for r in rows), default=1)
-    tmp = np.zeros((du + 1, max(width, 1)), dtype=np.int64)
-    for u0, r in enumerate(rows):
-        tmp[u0, : len(r)] = r
-    out = np.zeros_like(tmp)
-    for j in range(tmp.shape[1]):
-        col = pinterp(list(range(du + 1)), [int(c) for c in tmp[:, j]], p)
-        out[: len(col), j] = col
-    return BiPoly(out, p)
+    n = _node_count(npts, p)
+    mats = sylvester(_eval_at_nodes(f, n, p), _eval_at_nodes(g, n, p))
+    return pinterp(range(n), batch_det_mod(mats, p), p)

@@ -1,9 +1,15 @@
 """End to end command line checks, run in process via main(argv)."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hbn.cli
 from hbn.cli import main
 from hbn.splitting import HirzebruchClass, enumerate_strata
 
@@ -47,6 +53,27 @@ def test_sample_smooth_exit_zero(tmp_path):
     cert = doc["certification"]
     assert cert["verdict"] == "SMOOTH"
     assert cert["connected_components_h0"] == 1
+    assert cert["discriminant"] == {"degree": 26, "expected": 26, "ok": True}
+
+
+def test_sample_at_p_2_31_minus_1_stays_small(tmp_path):
+    # fibers are drawn lazily, so the largest int64-safe prime needs no
+    # O(p) memory; the address-space cap turns a regression into a quick
+    # MemoryError in the child instead of exhausting the host
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(hbn.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "out.json"
+    argv = ["sample", *TRIG, "--e", "-8,-4,-1", "--f", "-7,-4,0", "--seed", "1", "--p", str(2**31 - 1)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hbn.cli", *argv, "--out", str(out)],
+        env=env, preexec_fn=cap, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    cert = json.loads(out.read_text())["certification"]
+    assert cert["verdict"] == "SMOOTH"
     assert cert["discriminant"] == {"degree": 26, "expected": 26, "ok": True}
 
 

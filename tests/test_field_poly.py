@@ -182,3 +182,29 @@ def test_eval_is_ring_hom(f, c, x):
     scaled = pscale(f, c, P)
     assert peval(scaled, x, P) == c * peval(f, x, P) % P
     assert peval(psub(f, f, P), x, P) == 0
+
+
+def _python_product(f, g, p):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return ptrim([c % p for c in out])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([P, 2**31 - 1]),
+    st.lists(st.integers(0, 2**31 - 2), min_size=1, max_size=24),
+    st.lists(st.integers(0, 2**31 - 2), min_size=1, max_size=24),
+)
+def test_pmul_matches_python_product(p, f, g):
+    # lengths cross the 16-term switch to numpy convolution
+    f, g = [c % p for c in f], [c % p for c in g]
+    assert pmul(f, g, p) == _python_product(f, g, p)
+
+
+def test_pmul_exact_where_int64_convolution_overflows():
+    p = 2**31 - 1
+    f = [p - 1] * 10
+    assert pmul(f, f, p) == _python_product(f, f, p)

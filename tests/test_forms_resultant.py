@@ -1,4 +1,4 @@
-"""Binary forms, dual numbers, and the bivariate resultant stack.
+"""Binary forms, dual numbers, and the resultant stack.
 
 The resultant route is load bearing for the smoothness and discriminant
 certificates, so it is checked against sympy on small instances and
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hbn.exact.field import DEFAULT_PRIME
 from hbn.exact.forms import BinaryForm, DualForm
 from hbn.exact.poly import pmul, ptrim
-from hbn.exact.poly2 import BiPoly, resultant, resultant_v, resultant_univariate, sylvester
+from hbn.exact.poly2 import resultant_v, resultant_univariate, sylvester
 
 P = DEFAULT_PRIME
 rng = random.Random(20240817)
@@ -114,19 +114,62 @@ def test_resultant_v_linear_case():
     assert r in (diff, neg)
 
 
-@settings(max_examples=15, deadline=None)
-@given(st.integers(0, P - 1), st.integers(0, P - 1))
-def test_bipoly_resultant_matches_sympy(u0, v0):
-    u, v, w = sympy.symbols("u v w")
-    # fixed small pair of bivariate polys in (u, w), resultant in w
+def _sympy_res_v(f, g, p):
+    """sympy.resultant in v of coefficient lists over Z[u], reduced mod p.
+
+    The leading v-coefficients here are nonzero polynomials, so sympy's
+    degrees are the declared ones.  sympy (1.14) drops the sign
+    (-1)^(deg f * deg g) when deg f < deg g, e.g. it gives -1 for
+    Res(v + 1, v^3 + 2) = 1, so the larger degree goes first and the
+    sign is restored by hand.
+    """
+    u, v = sympy.symbols("u v")
+    fs = sum(sum(c * u**i for i, c in enumerate(cf)) * v**j for j, cf in enumerate(f))
+    gs = sum(sum(c * u**i for i, c in enumerate(cg)) * v**j for j, cg in enumerate(g))
+    n, m = len(f) - 1, len(g) - 1
+    if n >= m:
+        res = sympy.resultant(fs, gs, v)
+    else:
+        res = (-1) ** (n * m) * sympy.resultant(gs, fs, v)
+    res = sympy.Poly(res, u)
+    return ptrim([int(c) % p for c in res.all_coeffs()[::-1]])
+
+
+def test_resultant_v_matches_sympy_on_bivariate_pair():
+    # f = 3 + u + (2 + u^2) w + 5 w^2 and g = 1 + 4u + (7 + u) w, Res_w
+    u, w = sympy.symbols("u w")
     f_s = 3 + u + (2 + u**2) * w + 5 * w**2
     g_s = 1 + 4 * u + (7 + u) * w
-    f = [
-        BiPoly.from_univariate([3, 1], 0, P),
-        BiPoly.from_univariate([2, 0, 1], 0, P),
-        BiPoly.from_univariate([5], 0, P),
-    ]
-    g = [BiPoly.from_univariate([1, 4], 0, P), BiPoly.from_univariate([7, 1], 0, P)]
-    r = resultant(f, g, P)
-    want = sympy.Poly(sympy.resultant(f_s, g_s, w), u).eval(u0)
-    assert r.eval(u0, v0) == int(want) % P
+    want = sympy.Poly(sympy.resultant(f_s, g_s, w), u).all_coeffs()[::-1]
+    r = resultant_v([[3, 1], [2, 0, 1], [5]], [[1, 4], [7, 1]], P)
+    assert ptrim(r) == ptrim([int(c) % P for c in want])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(0, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_resultant_v_matches_sympy_on_random_inputs(dv_f, dv_g, du, seed):
+    r = random.Random(seed)
+
+    def rand_coeffs(dv, lead_vanishes):
+        # lower coefficients may be [] (the zero poly)
+        out = [[r.randrange(P) for _ in range(r.randrange(du + 2))] for _ in range(dv)]
+        if lead_vanishes:
+            # leading u-coefficient (u - a)(u - b): zero at the nodes a, b
+            a, b = r.randrange(4), r.randrange(4)
+            out.append(pmul([(-a) % P, 1], [(-b) % P, 1], P))
+        else:
+            out.append([r.randrange(1, P)])
+        return out
+
+    f = rand_coeffs(dv_f, r.random() < 0.5)
+    g = rand_coeffs(dv_g, r.random() < 0.5)
+    assert ptrim(resultant_v(f, g, P)) == _sympy_res_v(f, g, P)
+    # v-degree 0 on one side: Res(f, c(u)) = c(u)^deg f
+    c = [r.randrange(P) for _ in range(du)] + [r.randrange(1, P)]
+    assert ptrim(resultant_v(f, [c], P)) == _sympy_res_v(f, [c], P)
+    assert ptrim(resultant_v([c], g, P)) == _sympy_res_v([c], g, P)

@@ -12,6 +12,7 @@ import random
 from itertools import permutations
 
 import numpy as np
+import pytest
 
 from hbn.exact.birkhoff import (
     TransitionMatrix,
@@ -104,6 +105,30 @@ def test_batch_det_matches_scalar():
     batch = batch_det_mod(mats, P)
     for i in range(7):
         assert int(batch[i]) == det_mod(mats[i], P)
+
+
+@pytest.mark.parametrize("p", [P, 2**31 - 1])
+def test_batch_det_matches_permutation_expansion(p):
+    # _perm_det works in Python ints, so it is exact at any p; each stack
+    # mixes generic, row-swapping and singular matrices, 1x1 included
+    r_ = random.Random(p)
+    for r in range(1, 6):
+        mats = []
+        for i in range(16):
+            M = np.array([[r_.randrange(p) for _ in range(r)] for _ in range(r)], dtype=np.int64)
+            if i % 4 == 1:
+                M[:-1, 0] = 0  # only the last row can pivot column 0
+                M[-1, 0] = r_.randrange(1, p)
+            elif i % 4 == 2 and r > 1:
+                M[-1] = M[0] * r_.randrange(p) % p  # dependent rows
+            elif i % 4 == 3:
+                M[:, r_.randrange(r)] = 0
+            mats.append(M)
+        got = batch_det_mod(np.stack(mats), p)
+        want = [_perm_det(M, p) for M in mats]
+        assert [int(d) for d in got] == want
+        assert [det_mod(M, p) for M in mats] == want
+        assert want[3] == 0 and (r == 1 or want[2] == 0)
 
 
 def test_fp2_rank_embeds_and_detects_dependence():
