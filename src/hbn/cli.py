@@ -12,7 +12,8 @@ JSON is dumped with sorted keys and no timestamps; when --seed is absent the
 HBN_SEED environment variable is used, and failing that a seed derived from
 the arguments themselves, so plain reruns also reproduce.
 
-Exit codes: 0 success, 2 empty or forced-reducible stratum, 3 certification
+Exit codes: 0 success, 2 empty or forced-reducible stratum or a usage error
+(including a --p below a degree bound the computation needs), 3 certification
 inconclusive (sampling retries exhausted, rank target not reached, or a lemma
 harness returning False).
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -50,7 +52,7 @@ from hbn.differential import (
     lemma_main_check,
     lemma_sq_check,
 )
-from hbn.exact.field import DEFAULT_PRIME, is_prime
+from hbn.exact.field import DEFAULT_PRIME, PrimeTooSmallError, is_prime
 from hbn.scrollar import (
     abundance_verdict,
     general_bound_check,
@@ -538,6 +540,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process; parsing leaves the parser unchanged."""
+    return build_parser()
+
+
 _NUMLIST = re.compile(r"^-\d+(,-?\d+)*$")
 
 
@@ -561,7 +569,7 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_merge_negative_values(list(argv)))
@@ -581,7 +589,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
-    return args.func(args, config, parser)
+    try:
+        return args.func(args, config, parser)
+    except PrimeTooSmallError as exc:
+        parser.error(f"--p {config.p}: {exc}")
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from itertools import permutations
 from typing import Optional
 
 from hbn.exact.birkhoff import _perm_sign
+from hbn.exact.field import PrimeTooSmallError
 from hbn.exact.forms import BinaryForm
 from hbn.splitting import HirzebruchClass
 
@@ -172,7 +173,9 @@ def sample_is_point(
         raise ValueError("grid does not admit the inductive point pattern")
     total_roots = sum(f_degrees.values()) + g_degree
     if total_roots > p:
-        raise ValueError("not enough distinct field elements; use a larger p")
+        raise PrimeTooSmallError(
+            f"the inductive point needs {total_roots} distinct roots, so p >= {total_roots}"
+        )
     pool = rng.sample(range(p), total_roots)
     pos = 0
     Fs = {}

@@ -8,6 +8,17 @@ Ax + By at (r, c), so one cofactor pass per pair yields every column of
 the differential; a literal dual-number determinant per column is kept
 as a slow cross-check.
 
+Cofactors come by evaluation and interpolation (von zur Gathen and
+Gerhard, Modern Computer Algebra, ch. 5).  With s = y = 1, every entry
+of A and B is evaluated at the nodes t = 0..n-1, the matrices A(t)x + B(t)
+are formed at x = 0..k-1, and all k^2 minors at all n*k points go
+through one batched determinant call mod p.  Each cofactor has x-degree
+at most k - 1, and an entry with b_rc >= 0 (the only entries with
+tangent coordinates) has a cofactor of t-degree at most delta + k*m, so
+n = delta + k*m + 1 nodes (rounded up as for resultants) interpolate it
+exactly.  This needs p > delta + k*m and p >= k; a smaller prime raises
+PrimeTooSmallError.
+
 Tangent subspaces are named selectors over an ambient entry pattern.
 FULL_PRIME takes every coordinate the pattern and degree grid admit.
 T_PRIME kills the anti-diagonal of A' and the super-anti-diagonal of B';
@@ -34,16 +45,22 @@ from hbn.determinantal import (
     DegreeGrid,
     MatrixPair,
     degree_grid,
-    det_xy,
     pattern_allows,
     sample_is_point,
     sample_pair,
 )
 from hbn.exact.birkhoff import _perm_sign
-from hbn.exact.field import DEFAULT_PRIME
+from hbn.exact.field import DEFAULT_PRIME, PrimeTooSmallError
 from hbn.exact.forms import BinaryForm, DualForm
-from hbn.exact.linalg import matrix_rank
-from hbn.exact.poly import pdeg, pdivmod, ptrim
+from hbn.exact.linalg import batch_det_mod, matrix_rank
+from hbn.exact.poly import (
+    _eval_at_nodes,
+    _inverse_vandermonde,
+    _node_count,
+    pdeg,
+    pdivmod,
+    ptrim,
+)
 from hbn.seeds import derive_seed
 from hbn.splitting import HirzebruchClass
 
@@ -157,23 +174,40 @@ def _block_layout(grid: DegreeGrid, include_p0: bool) -> tuple[tuple[int, ...], 
     return blocks, sizes
 
 
-def cofactor_forms(pair: MatrixPair) -> tuple:
-    """Signed cofactors of Ax + By, each graded by x-power (k forms apiece)."""
-    k = pair.k
-    if k == 1:
-        return (((BinaryForm.constant(1, pair.p),),),)
-    out = []
-    for r in range(k):
-        rows = [i for i in range(k) if i != r]
-        out_row = []
-        for c in range(k):
-            cols = [j for j in range(k) if j != c]
-            dets = det_xy(pair, rows, cols)
-            if (r + c) % 2:
-                dets = [q.neg() for q in dets]
-            out_row.append(tuple(dets))
-        out.append(tuple(out_row))
-    return tuple(out)
+def cofactor_forms(pair: MatrixPair) -> np.ndarray:
+    """Signed cofactors of Ax + By by evaluation and interpolation.
+
+    Returns an int64 array coef[r, c, xpow, tpow] in [0, p): the
+    coefficient of x^xpow t^tpow (s = y = 1) in the signed cofactor C_rc,
+    for tpow = 0..delta + k*m.  Exact for every entry with b_rc >= 0.  The
+    cofactor of an entry with b_rc < 0 may exceed that t-degree and then
+    aliases; such entries carry no tangent coordinates and must never be
+    read.
+    """
+    grid, p, k = pair.grid, pair.p, pair.k
+    bound = grid.delta + k * grid.m
+    if p <= bound or p < k:
+        raise PrimeTooSmallError(
+            f"prime too small for cofactor interpolation: needs p > delta + k*m = {bound} "
+            f"and p >= k = {k}"
+        )
+    n = _node_count(bound + 1, p)
+    entries = [form.coeffs for mat in (pair.A, pair.B) for row in mat for form in row]
+    at_t = _eval_at_nodes(entries, n, p).reshape(n, 2, 1, k, k)
+    xs = np.arange(k, dtype=np.int64)[None, :, None, None]
+    mats = (at_t[:, 0] * xs + at_t[:, 1]) % p  # (t, x, row, col)
+    keep = np.array([[j for j in range(k) if j != i] for i in range(k)], dtype=np.intp)
+    keep = keep.reshape(k, k - 1)
+    minors = mats[:, :, keep[:, None, :, None], keep[None, :, None, :]]
+    dets = batch_det_mod(minors.reshape(n * k**3, k - 1, k - 1), p).reshape(n, k, k, k)
+    odd = np.add.outer(range(k), range(k)) % 2 == 1
+    dets[:, :, odd] = (p - dets[:, :, odd]) % p
+    # dets[t, x, r, c] -> coefficients, x first, then the t-rows we read
+    inv_x = _inverse_vandermonde(tuple(range(k)), p)[None, :, :, None, None]
+    by_x = (inv_x * dets[:, None] % p).sum(axis=2) % p  # (t, xpow, r, c)
+    inv_t = _inverse_vandermonde(tuple(range(n)), p)[: bound + 1, :, None, None, None]
+    coef = (inv_t * by_x[None] % p).sum(axis=1) % p  # (tpow, xpow, r, c)
+    return coef.transpose(2, 3, 1, 0)
 
 
 def dphi_matrix(pair: MatrixPair, selector: str, include_p0: bool = False) -> DifferentialMatrix:
@@ -181,29 +215,26 @@ def dphi_matrix(pair: MatrixPair, selector: str, include_p0: bool = False) -> Di
 
     A coordinate t^j in entry (r, c) of A' contributes the cofactor's
     x-power-i part, shifted by j, to block i + 1; the same coordinate of
-    B' feeds block i.
+    B' feeds block i.  One gather fills the matrix:
+    entries[row, col] = coef[r, c, xpow, row_local - j], 0 out of range.
     """
     grid = pair.grid
-    p = pair.p
     basis = tangent_basis(grid, selector, pattern=pair.pattern)
     blocks, sizes = _block_layout(grid, include_p0)
-    offsets = {}
-    total = 0
-    for blk, size in zip(blocks, sizes):
-        offsets[blk] = total
-        total += size
-    mat = np.zeros((total, basis.cardinality), dtype=np.int64)
-    cof = cofactor_forms(pair)
-    for col, (mname, r, c, jj) in enumerate(basis.coords):
-        for xpow, form in enumerate(cof[r][c]):
-            blk = xpow + 1 if mname == "A" else xpow
-            if blk not in offsets or form.is_zero():
-                continue
-            off = offsets[blk] + jj
-            for idx, coeff in enumerate(form.coeffs):
-                if coeff:
-                    mat[off + idx, col] = coeff
-    return DifferentialMatrix(entries=mat, basis=basis, blocks=blocks, sizes=sizes, p=p)
+    coef = cofactor_forms(pair)
+    k, tlen = coef.shape[2], coef.shape[3]
+    cols = np.array(
+        [(mat == "A", r, c, jj) for mat, r, c, jj in basis.coords], dtype=np.intp
+    ).reshape(-1, 4)
+    is_a, r, c, jj = cols.T
+    row_block = np.repeat(blocks, sizes)[:, None]
+    row_local = np.concatenate([np.arange(size) for size in sizes])[:, None]
+    xpow = row_block - is_a
+    tpow = row_local - jj
+    inside = (xpow >= 0) & (xpow < k) & (tpow >= 0) & (tpow < tlen)
+    gathered = coef[r, c, np.clip(xpow, 0, k - 1), np.clip(tpow, 0, tlen - 1)]
+    mat = np.where(inside, gathered, 0)
+    return DifferentialMatrix(entries=mat, basis=basis, blocks=blocks, sizes=sizes, p=pair.p)
 
 
 def dphi_column_dual(pair: MatrixPair, coord: tuple, include_p0: bool = False) -> np.ndarray:
@@ -395,13 +426,17 @@ def lemma_main_containment(pair: MatrixPair) -> bool:
     """Image of the T_PRIME restriction always lands in the subspace where
     the super-anti-diagonal product divides P_1 and P_k vanishes."""
     _require_triangular(pair)
+    return _main_containment(pair, dphi_matrix(pair, "T_PRIME"))
+
+
+def _main_containment(pair: MatrixPair, M: DifferentialMatrix) -> bool:
+    """lemma_main_containment on the pair's T_PRIME differential M."""
     grid = pair.grid
     k = grid.k
     p = pair.p
     prod = super_anti_product(pair)
     if prod.is_zero():
         return False
-    M = dphi_matrix(pair, "T_PRIME")
     if np.any(M.block_rows(k) % p):
         return False
     g = prod.dehomogenize_s()
@@ -425,11 +460,12 @@ def lemma_main_check(pair: MatrixPair, rng: random.Random | None = None) -> bool
     _require_triangular(pair)
     grid = pair.grid
     k = grid.k
-    if not lemma_main_containment(pair):
+    M = dphi_matrix(pair, "T_PRIME")
+    if not _main_containment(pair, M):
         return False
     dim_w = grid.a[k - 1][k - 1] + 1
     dim_w += sum(grid.delta + (k - i) * grid.m + 1 for i in range(2, k))
-    return dphi_matrix(pair, "T_PRIME").rank() == dim_w
+    return M.rank() == dim_w
 
 
 def lemma_is_check(

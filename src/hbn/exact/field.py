@@ -13,6 +13,12 @@ from dataclasses import dataclass, field
 
 DEFAULT_PRIME = 10007
 
+
+class PrimeTooSmallError(ValueError):
+    """p does not exceed a degree bound that interpolation or
+    factorization over F_p needs; the message names the bound."""
+
+
 # small witnesses make Miller-Rabin deterministic below 3.3 * 10^24
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 

@@ -20,7 +20,7 @@ import random
 
 import numpy as np
 
-from hbn.exact.field import inv_mod, sqrt_mod
+from hbn.exact.field import PrimeTooSmallError, inv_mod, sqrt_mod
 from hbn.exact.linalg import rref
 
 Poly = list[int]
@@ -149,6 +149,31 @@ def pinterp(xs, ys, p: int) -> Poly:
     return ptrim([int(c) for c in terms.sum(axis=1) % p])
 
 
+def _eval_at_nodes(f: list[Poly], n: int, p: int) -> np.ndarray:
+    """Every polynomial in the list f at the nodes 0..n-1, one 2-D Horner
+    pass.  Returns shape (n, len(f)): row i holds the values at node i.
+    """
+    width = max(len(c) for c in f)
+    grid = np.zeros((len(f), max(width, 1)), dtype=np.int64)
+    for j, c in enumerate(f):
+        grid[j, : len(c)] = c
+    grid %= p
+    nodes = np.arange(n, dtype=np.int64)
+    acc = np.zeros((n, len(f)), dtype=np.int64)
+    for col in grid.T[::-1]:
+        acc = (acc * nodes[:, None] + col) % p
+    return acc
+
+
+def _node_count(npts: int, p: int) -> int:
+    """npts rounded up to a power of two, capped at p.
+
+    Extra nodes cost next to nothing in the stacked kernel, and the
+    rounding keeps the interpolation tables cached per prime to a few.
+    """
+    return min(1 << (npts - 1).bit_length(), p)
+
+
 def ppowmod(base: Poly, e: int, mod: Poly, p: int) -> Poly:
     result: Poly = [1]
     base = pmod(base, mod, p)
@@ -247,7 +272,7 @@ def irreducible_factors(f: Poly, p: int, rng: random.Random) -> list[tuple[Poly,
     if pdeg(f) < 1:
         return []
     if p <= pdeg(f):
-        raise ValueError("factorization requires p > deg f")
+        raise PrimeTooSmallError(f"factoring a degree-{pdeg(f)} polynomial needs p > {pdeg(f)}")
     sf = squarefree_part(f, p)
     factors: list[Poly] = []
     for block, d in distinct_degree_factor(sf, p):

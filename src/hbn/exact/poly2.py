@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from hbn.exact.field import PrimeTooSmallError
 from hbn.exact.linalg import batch_det_mod, det_mod
-from hbn.exact.poly import Poly, pinterp
+from hbn.exact.poly import Poly, _eval_at_nodes, _node_count, pinterp
 
 
 def sylvester(f, g) -> np.ndarray:
@@ -45,32 +46,6 @@ def resultant_univariate(f: Poly, g: Poly, p: int) -> int:
     return det_mod(sylvester(f, g), p)
 
 
-def _eval_at_nodes(f: list[Poly], n: int, p: int) -> np.ndarray:
-    """Every u-coefficient of f at u = 0..n-1, one 2-D Horner pass.
-
-    Returns shape (n, len(f)): row i holds f's v-coefficients at u = i.
-    """
-    width = max(len(c) for c in f)
-    grid = np.zeros((len(f), max(width, 1)), dtype=np.int64)
-    for j, c in enumerate(f):
-        grid[j, : len(c)] = c
-    grid %= p
-    nodes = np.arange(n, dtype=np.int64)
-    acc = np.zeros((n, len(f)), dtype=np.int64)
-    for col in grid.T[::-1]:
-        acc = (acc * nodes[:, None] + col) % p
-    return acc
-
-
-def _node_count(npts: int, p: int) -> int:
-    """npts rounded up to a power of two, capped at p.
-
-    Extra nodes cost next to nothing in the stacked kernel, and the
-    rounding keeps the interpolation tables cached per prime to a few.
-    """
-    return min(1 << (npts - 1).bit_length(), p)
-
-
 def resultant_v(f: list[Poly], g: list[Poly], p: int) -> Poly:
     """Res_v of polys in v with F_p[u] coefficients, via evaluation.
 
@@ -88,9 +63,11 @@ def resultant_v(f: list[Poly], g: list[Poly], p: int) -> Poly:
     max_f = max((len(c) - 1 for c in f if c), default=0)
     max_g = max((len(c) - 1 for c in g if c), default=0)
     bound = dv_g * max_f + dv_f * max_g
-    npts = bound + 1
-    if npts > p:
-        raise ValueError("prime too small for interpolation")
-    n = _node_count(npts, p)
+    if p <= bound:
+        raise PrimeTooSmallError(
+            f"prime too small for interpolation: a resultant of degree up to {bound} "
+            f"needs p > {bound}"
+        )
+    n = _node_count(bound + 1, p)
     mats = sylvester(_eval_at_nodes(f, n, p), _eval_at_nodes(g, n, p))
     return pinterp(range(n), batch_det_mod(mats, p), p)

@@ -246,3 +246,43 @@ def test_csv_and_pretty_renderers(tmp_path, capsys):
 def test_nonprime_p_rejected():
     with pytest.raises(SystemExit):
         main(["enumerate", *TRIG, "--e", "-8,-4,-1", "--p", "10"])
+
+
+def test_sample_prime_below_resultant_bound_is_usage_error(capsys):
+    argv = ["sample", "--m", "1", "--k", "2", "--delta", "1", "--e=0,0", "--f=0,1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--p", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--p 3: prime too small for interpolation" in err
+    assert "degree up to 6 needs p > 6" in err
+
+
+def test_dominance_prime_below_cofactor_bound_is_usage_error(capsys):
+    argv = ["dominance", *TRIG, "--e", "-8,-4,-1", "--f", "-7,-4,0"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--p", "11"])
+    assert exc.value.code == 2
+    assert "needs p > delta + k*m = 11" in capsys.readouterr().err
+    assert main(argv + ["--p", "13", "--out", os.devnull]) == 0
+
+
+def test_main_twice_leaks_no_parsed_state(tmp_path):
+    dom = ["dominance", *TRIG, "--e", "-8,-4,-1", "--f", "-7,-4,0"]
+    first = tmp_path / "first.csv"
+    argv = dom + ["--p", "10009", "--trials", "2", "--format", "csv", "--seed", "4"]
+    assert main(argv + ["--out", str(first)]) == 0
+    assert first.read_text().startswith("e,f,target_dim,")
+    code, doc = run(tmp_path, dom)
+    assert code == 0
+    assert doc["p"] == 10007
+    assert "among 5" in doc["provenance"]["verdict"]
+    code, doc = run(tmp_path, ["enumerate", *TRIG, "--e", "-8,-4,-1"])
+    assert code == 0 and doc["command"] == "enumerate"
+    # the cached parser parses like a fresh one, with no attribute carried over
+    fresh = vars(hbn.cli.build_parser().parse_args(["enumerate", *TRIG]))
+    again = vars(hbn.cli._parser().parse_args(["enumerate", *TRIG]))
+    assert again.keys() == fresh.keys() and "lemma" not in again
+    assert {k: v for k, v in again.items() if k != "func"} == {
+        k: v for k, v in fresh.items() if k != "func"
+    }

@@ -3,7 +3,9 @@
 The central invariant: every column of the fast cofactor-assembled
 differential must equal the epsilon part of a literal dual-number
 determinant expansion (dphi_column_dual).  The two routes share no code
-beyond the form arithmetic.
+beyond the form arithmetic.  The cofactors themselves, computed by
+evaluation and interpolation, are checked against det_xy permutation
+expansions of the minors.
 """
 
 import random
@@ -11,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from hbn.determinantal import degree_grid, sample_pair
+from hbn.determinantal import degree_grid, det_xy, sample_is_point, sample_pair
 from hbn.differential import (
     SELECTORS,
     bottom_row_scale,
@@ -27,7 +29,7 @@ from hbn.differential import (
     super_anti_product,
     tangent_basis,
 )
-from hbn.exact.field import DEFAULT_PRIME
+from hbn.exact.field import DEFAULT_PRIME, PrimeTooSmallError
 from hbn.exact.forms import BinaryForm
 from hbn.splitting import HirzebruchClass
 
@@ -190,5 +192,110 @@ def test_bottom_row_scale_semicontinuity():
 
 def test_cofactor_forms_k1():
     pair = _pair((-1,), (0,), 2, "FULL", seed=6)
-    forms = cofactor_forms(pair)
-    assert len(forms) == 1 and len(forms[0]) == 1
+    coef = cofactor_forms(pair)
+    # the empty minor: C_11 = 1, with t-coefficients up to delta + k*m = 3
+    assert coef.shape == (1, 1, 1, 4)
+    assert coef.dtype == np.int64
+    assert coef[0, 0, 0].tolist() == [1, 0, 0, 0]
+
+
+# k = 1..5 grids with negative a- and b-degrees, and whether each admits
+# the special inductive point
+KERNEL_CONFIGS = [
+    ((-1,), (0,), 2, False),
+    ((-2, -1), (-2, 0), 2, False),
+    ((-8, -4, -1), (-7, -4, 0), 3, True),
+    ((-8, -4, -1), (-8, -2, -1), 3, False),
+    ((-5, -3, -2, -1), (-5, -3, -2, 0), 1, False),
+    ((-8, -6, -3, -1), (-7, -5, -3, 0), 3, True),
+    ((-3, -2, -1, -1, 0), (-3, -2, -1, 0, 0), 1, True),
+]
+
+
+def _kernel_pairs(p):
+    for idx, (e, f, m, is_point) in enumerate(KERNEL_CONFIGS):
+        grid = degree_grid(e, f, m)
+        rng = random.Random(100 + idx)
+        yield sample_pair(grid, "FULL", p, rng)
+        yield sample_pair(grid, "SUT", p, rng)
+        if is_point:
+            yield sample_is_point(grid, p, rng)[0]
+
+
+def _signed_cofactor(pair, r, c):
+    """C_rc as x-graded forms, by permutation expansion of the minor."""
+    k = pair.k
+    rows = [i for i in range(k) if i != r]
+    cols = [j for j in range(k) if j != c]
+    forms = det_xy(pair, rows, cols)
+    return [q.neg() for q in forms] if (r + c) % 2 else forms
+
+
+@pytest.mark.parametrize("p", [P, 2**31 - 1])
+def test_cofactor_kernel_matches_det_xy_minors(p):
+    seen_negative = False
+    for pair in _kernel_pairs(p):
+        grid, k = pair.grid, pair.k
+        coef = cofactor_forms(pair)
+        assert coef.shape == (k, k, k, grid.delta + k * grid.m + 1)
+        assert coef.dtype == np.int64
+        for r in range(k):
+            for c in range(k):
+                if grid.b[r][c] < 0:
+                    seen_negative = True
+                    continue  # no tangent coordinates; may alias
+                want = np.zeros(coef.shape[2:], dtype=np.int64)
+                for xpow, form in enumerate(_signed_cofactor(pair, r, c)):
+                    want[xpow, : len(form.coeffs)] = form.coeffs
+                assert np.array_equal(coef[r, c], want), (pair.pattern, grid.a, r, c)
+    assert seen_negative
+
+
+def _reference_dphi(pair, selector, include_p0):
+    """dphi_matrix filled coefficient by coefficient from det_xy cofactors."""
+    M = dphi_matrix(pair, selector, include_p0=include_p0)
+    offsets = dict(zip(M.blocks, np.cumsum((0,) + M.sizes[:-1])))
+    ref = np.zeros_like(M.entries)
+    for col, (mname, r, c, jj) in enumerate(M.basis.coords):
+        for xpow, form in enumerate(_signed_cofactor(pair, r, c)):
+            blk = xpow + 1 if mname == "A" else xpow
+            if blk not in offsets:
+                continue
+            for idx, coeff in enumerate(form.coeffs):
+                ref[offsets[blk] + jj + idx, col] = coeff
+    return M.entries, ref
+
+
+@pytest.mark.parametrize("include_p0", [False, True])
+def test_dphi_matrix_matches_det_xy_reference_fill(include_p0):
+    for pair in _kernel_pairs(P):
+        selectors = ("FULL_PRIME",) if pair.pattern == "FULL" else SELECTORS
+        for selector in selectors:
+            got, ref = _reference_dphi(pair, selector, include_p0)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, ref), (pair.pattern, selector, pair.grid.a)
+
+
+def test_cofactor_forms_rejects_small_primes():
+    # delta + k*m = 2 + 3*3 = 11: p = 11 cannot interpolate, p = 13 can
+    grid = degree_grid((-8, -4, -1), (-7, -4, 0), 3)
+    with pytest.raises(PrimeTooSmallError, match="p > delta \\+ k\\*m = 11"):
+        cofactor_forms(sample_pair(grid, "FULL", 11, random.Random(0)))
+    assert cofactor_forms(sample_pair(grid, "FULL", 13, random.Random(0))).shape[3] == 12
+
+
+@pytest.mark.parametrize(
+    "e, f, m, delta",
+    [
+        ((-8, -4, -1), (-7, -4, 0), 3, 2),
+        ((-2, 1, 1), (-1, 1, 1), 3, 1),
+        ((-7, -5, -3, -1), (-7, -4, -2, -1), 2, 2),
+        ((-6, -3, 1, 2), (-6, -2, 1, 2), 3, 1),
+    ],
+)
+def test_dominance_rank_at_largest_supported_prime(e, f, m, delta):
+    cls = HirzebruchClass(m=m, k=len(e), delta=delta)
+    small = dominance_rank(e, f, cls, p=P)
+    large = dominance_rank(e, f, cls, p=2**31 - 1)
+    assert small["verdict"] == large["verdict"] == "DOMINANT"
+    assert large["max_rank"] == small["max_rank"] == small["target_dim"]

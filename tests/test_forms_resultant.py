@@ -71,17 +71,19 @@ def test_dual_form_product_rule():
 
 
 def test_resultant_univariate_matches_sylvester_and_sympy():
-    x = sympy.symbols("x")
+    # degrees (1, 3) always run the sign path: Res(v + 1, v^3 + 2) = 1
+    cases = [([1, 1], [2, 0, 0, 1])]
     for _ in range(8):
         f = [rng.randrange(P) for _ in range(rng.randrange(2, 5))]
         g = [rng.randrange(P) for _ in range(rng.randrange(2, 5))]
-        f, g = ptrim(f), ptrim(g)
+        cases.append((ptrim(f), ptrim(g)))
+    assert resultant_univariate(*cases[0], P) == 1
+    for f, g in cases:
         if len(f) < 2 or len(g) < 2:
             continue
         r = resultant_univariate(f, g, P)
-        fs = sum(c * x**i for i, c in enumerate(f))
-        gs = sum(c * x**i for i, c in enumerate(g))
-        assert r == int(sympy.resultant(fs, gs, x)) % P
+        want = _sympy_res_v([[c] for c in f], [[c] for c in g], P)
+        assert r == (want[0] if want else 0)
         syl = sylvester(f, g)
         assert syl.shape == (len(f) + len(g) - 2, len(f) + len(g) - 2)
 
