@@ -13,9 +13,9 @@ HBN_SEED environment variable is used, and failing that a seed derived from
 the arguments themselves, so plain reruns also reproduce.
 
 Exit codes: 0 success, 2 empty or forced-reducible stratum or a usage error
-(including a --p below a degree bound the computation needs), 3 certification
-inconclusive (sampling retries exhausted, rank target not reached, or a lemma
-harness returning False).
+(including a --p that is not an odd prime or is below a degree bound the
+computation needs), 3 certification inconclusive (sampling retries
+exhausted, rank target not reached, or a lemma harness returning False).
 """
 
 from __future__ import annotations
@@ -90,8 +90,9 @@ class RunConfig:
     format: str = "json"
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"--p must be prime, got {self.p}")
+        # F_p^2 = F_p[w]/(w^2 - nonresidue) needs a nonresidue: p odd
+        if not is_prime(self.p) or self.p == 2:
+            raise ValueError(f"--p must be an odd prime, got {self.p}")
         if self.format not in ("json", "csv", "pretty"):
             raise ValueError(f"unknown format {self.format!r}")
 
@@ -268,14 +269,7 @@ def cmd_sample(args, config: RunConfig, parser) -> int:
         "verdict": "SMOOTH" if success else "INCONCLUSIVE",
         "attempts": attempts,
         "connected_components_h0": connectedness(cls),
-        "smoothness": None
-        if cert is None
-        else {
-            "verdict": cert.verdict,
-            "chart": cert.chart,
-            "witness": cert.witness,
-            "method": cert.method,
-        },
+        "smoothness": None if cert is None else cert.to_json_dict(),
         "discriminant": {"degree": disc[0], "expected": disc[1], "ok": disc[2]},
         "cokernel_rank_ok": coker,
     }
@@ -298,12 +292,6 @@ def cmd_sample(args, config: RunConfig, parser) -> int:
 
 
 def _lemma_run(args, config: RunConfig, parser) -> int:
-    expected = LEMMA_SELECTOR[args.lemma]
-    if args.selector is not None and args.selector != expected:
-        parser.error(
-            f"--lemma {args.lemma} is a statement about selector {expected}, "
-            f"not {args.selector}"
-        )
     _require(args, parser, "m", "k", "delta", "e", "f")
     cls = HirzebruchClass(m=args.m, k=args.k, delta=args.delta)
     rng = _rng(config, "lemma", args.lemma, args.e, args.f, cls.m, config.p)
@@ -317,7 +305,7 @@ def _lemma_run(args, config: RunConfig, parser) -> int:
     doc = {
         "command": "dominance",
         "lemma": args.lemma,
-        "selector": expected,
+        "selector": LEMMA_SELECTOR[args.lemma],
         "e": list(args.e),
         "f": list(args.f),
         "ok": bool(ok),
@@ -500,11 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=5)
         p.add_argument(
             "--pattern", choices=("FULL", "SUT"), default="FULL", help="sampling pattern"
-        )
-        p.add_argument(
-            "--selector",
-            choices=("FULL_PRIME", "T_PRIME", "T_DOUBLE_PRIME", "T_CORNER", "T_INDUCTIVE"),
-            default=None,
         )
         p.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
         p.add_argument("--out", default=None, help="write output to this path")

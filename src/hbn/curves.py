@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from hbn.determinantal import BinaryFormCurve, MatrixPair
-from hbn.exact.field import fp2_add, fp2_is_zero, fp2_mul, fp2_pow, quadratic_nonresidue
-from hbn.exact.linalg import fp2_matrix_rank, matrix_rank
+from hbn.exact.field import fp2_add, fp2_is_zero, fp2_mul, quadratic_nonresidue
+from hbn.exact.linalg import fp2_matrix_rank
 from hbn.exact.poly import (
     Poly,
     QuotientField,
@@ -147,12 +147,12 @@ class SmoothnessCertificate:
     method: str = "RESULTANT"
 
     def to_json_dict(self) -> dict:
-        out = {"verdict": self.verdict, "method": self.method}
-        if self.chart is not None:
-            out["chart"] = self.chart
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
+        return {
+            "verdict": self.verdict,
+            "chart": self.chart,
+            "witness": self.witness,
+            "method": self.method,
+        }
 
 
 def _vtrim(fv: list[Poly]) -> list[Poly]:
@@ -160,13 +160,6 @@ def _vtrim(fv: list[Poly]) -> list[Poly]:
     while fv and not fv[-1]:
         fv.pop()
     return fv
-
-
-def chart_eval(fv: list[Poly], u0: int, v0: int, p: int) -> int:
-    acc = 0
-    for j, c in enumerate(fv):
-        acc = (acc + peval(c, u0, p) * pow(v0, j, p)) % p
-    return acc
 
 
 def _deriv_u(fv: list[Poly], p: int) -> list[Poly]:
@@ -445,35 +438,18 @@ def discriminant_check(curve: BinaryFormCurve) -> tuple[int, int, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _fp2_embed(a: int) -> tuple[int, int]:
-    return (a, 0)
+def curve_points(curve: BinaryFormCurve, n_points: int, rng: random.Random) -> list[dict]:
+    """Up to n_points points of the curve over F_p^2.
 
-
-def _form_eval_fp2(form, s0, t0, p: int, nr: int):
-    if form.is_zero():
-        return (0, 0)
-    acc = (0, 0)
-    d = form.degree
-    for i, c in enumerate(form.coeffs):
-        term = fp2_mul(fp2_pow(s0, d - i, p, nr), fp2_pow(t0, i, p, nr), p, nr)
-        acc = fp2_add(acc, fp2_mul((c, 0), term, p, nr), p)
-    return acc
-
-
-def curve_points(
-    curve: BinaryFormCurve,
-    n_points: int,
-    rng: random.Random,
-    want_fp2: bool = True,
-) -> list[dict]:
-    """Up to n_points points of the curve, over F_p and (optionally) F_p2.
-
-    Points are {'st': (s,t), 'xy': (x,y), 'ext': 1 or 2}; ext-2
-    coordinates are pairs (a, b) meaning a + b*w with w^2 the standard
-    nonresidue.  Fibers are drawn in random order without replacement,
-    lazily, so the cost does not grow with p; each fiber contributes its
-    rational roots, the point at x-infinity when the top coefficient
-    vanishes, and roots of quadratic factors when want_fp2.
+    A point is {'st': (s, t), 'xy': (x, y)}.  The base point (s, t) is a
+    pair of F_p ints: every fiber drawn is F_p-rational.  x is an F_p^2
+    pair (a, b) meaning a + b*w, with w^2 the standard nonresidue and
+    b = 0 for a rational root; y is an F_p int, 1 except at the point
+    x = infinity ((1, 0), 0).  Fibers are drawn in random order without
+    replacement, lazily, so the cost does not grow with p.  Each fiber is
+    factored once and contributes the point at x = infinity when the top
+    coefficient vanishes, the root of each linear factor and the two
+    roots of each quadratic factor.
     """
     p = curve.p
     k = curve.cls.k
@@ -500,75 +476,41 @@ def curve_points(
         if not trimmed:
             continue  # the whole fiber lies on the curve; skip as non-reduced data
         if fib[k] % p == 0:
-            pts.append({"st": st, "xy": (1, 0), "ext": 1})
-        for x0 in roots_fp(trimmed, p, rng):
-            if len(pts) >= n_points:
-                break
-            pts.append({"st": st, "xy": (x0, 1), "ext": 1})
-        if want_fp2 and len(pts) < n_points:
-            for q, _ in irreducible_factors(trimmed, p, rng):
-                if pdeg(q) == 2:
-                    for x0 in quadratic_roots_fp2(pmonic(q, p), p, nr):
-                        if len(pts) >= n_points:
-                            break
-                        pts.append(
-                            {
-                                "st": (_fp2_embed(st[0]), _fp2_embed(st[1])),
-                                "xy": (x0, _fp2_embed(1)),
-                                "ext": 2,
-                            }
-                        )
+            pts.append({"st": st, "xy": ((1, 0), 0)})
+        for q, _ in irreducible_factors(trimmed, p, rng):
+            if pdeg(q) == 1:
+                pts.append({"st": st, "xy": (((-q[0]) % p, 0), 1)})
+            elif pdeg(q) == 2:
+                pts.extend({"st": st, "xy": (x0, 1)} for x0 in quadratic_roots_fp2(q, p, nr))
     return pts[:n_points]
 
 
 def point_on_curve(curve: BinaryFormCurve, pt: dict) -> bool:
+    """sum P_i(s,t) x^i y^(k-i) vanishes: Horner in x over F_p^2."""
     p = curve.p
     k = curve.cls.k
-    if pt["ext"] == 1:
-        s0, t0 = pt["st"]
-        x0, y0 = pt["xy"]
-        acc = 0
-        for i, form in enumerate(curve.P):
-            acc = (acc + form.eval(s0, t0) * pow(x0, i, p) * pow(y0, k - i, p)) % p
-        return acc == 0
     nr = quadratic_nonresidue(p)
-    s0, t0 = pt["st"]
-    x0, y0 = pt["xy"]
+    (s0, t0), (x0, y0) = pt["st"], pt["xy"]
     acc = (0, 0)
-    for i, form in enumerate(curve.P):
-        val = _form_eval_fp2(form, s0, t0, p, nr)
-        term = fp2_mul(fp2_pow(x0, i, p, nr), fp2_pow(y0, k - i, p, nr), p, nr)
-        acc = fp2_add(acc, fp2_mul(val, term, p, nr), p)
+    for i in range(k, -1, -1):
+        c = curve.P[i].eval(s0, t0) * pow(y0, k - i, p) % p
+        acc = fp2_add(fp2_mul(acc, x0, p, nr), (c, 0), p)
     return fp2_is_zero(acc)
 
 
 def pair_rank_at_point(pair: MatrixPair, pt: dict) -> int:
-    """Rank of A*x + B*y evaluated at the point."""
+    """Rank over F_p^2 of A*x + B*y at the point.
+
+    A and B are evaluated at the F_p base point; with x = a + b*w the
+    matrix is (A*a + B*y) + w*(A*b).
+    """
     p = pair.p
-    k = pair.k
-    if pt["ext"] == 1:
-        s0, t0 = pt["st"]
-        x0, y0 = pt["xy"]
-        M = [
-            [
-                (pair.A[i][j].eval(s0, t0) * x0 + pair.B[i][j].eval(s0, t0) * y0) % p
-                for j in range(k)
-            ]
-            for i in range(k)
-        ]
-        return matrix_rank(M, p)
-    nr = quadratic_nonresidue(p)
-    s0, t0 = pt["st"]
-    x0, y0 = pt["xy"]
-    re = [[0] * k for _ in range(k)]
-    im = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            va = _form_eval_fp2(pair.A[i][j], s0, t0, p, nr)
-            vb = _form_eval_fp2(pair.B[i][j], s0, t0, p, nr)
-            cell = fp2_add(fp2_mul(va, x0, p, nr), fp2_mul(vb, y0, p, nr), p)
-            re[i][j], im[i][j] = cell
-    return fp2_matrix_rank(re, im, p, nr)
+    (s0, t0), ((a, b), y0) = pt["st"], pt["xy"]
+    va = [[form.eval(s0, t0) for form in row] for row in pair.A]
+    vb = [[form.eval(s0, t0) for form in row] for row in pair.B]
+    re = [[(u * a + v * y0) % p for u, v in zip(ra, rb)] for ra, rb in zip(va, vb)]
+    im = [[u * b % p for u in ra] for ra in va]
+    return fp2_matrix_rank(re, im, p, quadratic_nonresidue(p))
 
 
 def cokernel_rank_check(

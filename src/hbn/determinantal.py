@@ -255,28 +255,6 @@ class BinaryFormCurve:
     def p(self) -> int:
         return self.P[0].p
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "m": self.cls.m,
-            "k": self.cls.k,
-            "delta": self.cls.delta,
-            "P": [list(form.coeffs) if form.coeffs else [] for form in self.P],
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "BinaryFormCurve":
-        hcls = HirzebruchClass(m=doc["m"], k=doc["k"], delta=doc["delta"])
-        p = doc["p"]
-        forms = []
-        for i, coeffs in enumerate(doc["P"]):
-            deg = hcls.delta + (hcls.k - i) * hcls.m
-            if coeffs:
-                forms.append(BinaryForm(deg, tuple(coeffs), p))
-            else:
-                forms.append(BinaryForm.zero(deg, p))
-        return cls(cls=hcls, P=tuple(forms))
-
 
 def det_xy(pair: MatrixPair, rows: list[int], cols: list[int]) -> list[BinaryForm]:
     """det of the submatrix of Ax + By on given rows/cols, graded by x-power.
@@ -496,15 +474,11 @@ def curve_to_json_dict(curve: BinaryFormCurve) -> dict:
 
 
 def curve_from_json_dict(doc: dict) -> BinaryFormCurve:
-    from hbn.splitting import HirzebruchClass
-
+    """Inverse of curve_to_json_dict; each degree comes from the class."""
     p = doc["p"]
     cls = HirzebruchClass(m=doc["m"], k=doc["k"], delta=doc["delta"])
-    forms = []
-    for i, coeffs in enumerate(doc["P"]):
-        deg = cls.delta + (cls.k - i) * cls.m
-        if coeffs:
-            forms.append(BinaryForm(len(coeffs) - 1, tuple(coeffs), p))
-        else:
-            forms.append(BinaryForm.zero(deg, p))
-    return BinaryFormCurve(cls=cls, P=forms)
+    P = tuple(
+        BinaryForm(cls.delta + (cls.k - i) * cls.m, tuple(coeffs), p)
+        for i, coeffs in enumerate(doc["P"])
+    )
+    return BinaryFormCurve(cls=cls, P=P)

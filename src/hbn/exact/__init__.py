@@ -6,24 +6,21 @@ randomness is injected through explicit ``random.Random`` instances.
 
 from hbn.exact.field import (
     DEFAULT_PRIME,
-    PrimeFieldConfig,
     inv_mod,
     is_prime,
     sqrt_mod,
 )
-from hbn.exact.forms import BinaryForm, DualForm, form_mul
+from hbn.exact.forms import BinaryForm, DualForm
 from hbn.exact.linalg import batch_det_mod, matrix_rank, nullspace_vector
 from hbn.exact.birkhoff import TransitionMatrix, birkhoff_splitting
 
 __all__ = [
     "DEFAULT_PRIME",
-    "PrimeFieldConfig",
     "inv_mod",
     "is_prime",
     "sqrt_mod",
     "BinaryForm",
     "DualForm",
-    "form_mul",
     "matrix_rank",
     "batch_det_mod",
     "nullspace_vector",

@@ -8,9 +8,6 @@ on ints and numpy arrays.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-
 DEFAULT_PRIME = 10007
 
 
@@ -103,31 +100,6 @@ def quadratic_nonresidue(p: int) -> int:
     raise ValueError(f"no nonresidue mod {p}")  # unreachable for p > 2
 
 
-@dataclass(frozen=True)
-class PrimeFieldConfig:
-    """Field of definition for all finite-field computation.
-
-    Attributes:
-        p: an odd prime.  Default 10007.
-        nonresidue: a fixed quadratic non-residue mod p, used to present
-            F_p^2 as F_p[w]/(w^2 - nonresidue).
-    """
-
-    p: int = DEFAULT_PRIME
-    nonresidue: int = field(default=-1)
-
-    def __post_init__(self):
-        if not is_prime(self.p) or self.p == 2:
-            raise ValueError(f"p = {self.p} is not an odd prime")
-        if self.nonresidue == -1:
-            object.__setattr__(self, "nonresidue", quadratic_nonresidue(self.p))
-        elif legendre(self.nonresidue, self.p) != -1:
-            raise ValueError(f"{self.nonresidue} is a residue mod {self.p}")
-
-    def rng(self, seed: int) -> random.Random:
-        return random.Random(seed)
-
-
 # ---------------------------------------------------------------------------
 # F_p^2 as pairs (a, b) = a + b*w, w^2 = nr
 # ---------------------------------------------------------------------------
@@ -137,10 +109,6 @@ Fp2 = tuple[int, int]
 
 def fp2_add(x: Fp2, y: Fp2, p: int) -> Fp2:
     return ((x[0] + y[0]) % p, (x[1] + y[1]) % p)
-
-
-def fp2_sub(x: Fp2, y: Fp2, p: int) -> Fp2:
-    return ((x[0] - y[0]) % p, (x[1] - y[1]) % p)
 
 
 def fp2_mul(x: Fp2, y: Fp2, p: int, nr: int) -> Fp2:
@@ -155,16 +123,6 @@ def fp2_inv(x: Fp2, p: int, nr: int) -> Fp2:
     n = (a * a - nr * b * b % p) % p
     ni = inv_mod(n, p)
     return (a * ni % p, -b * ni % p)
-
-
-def fp2_pow(x: Fp2, e: int, p: int, nr: int) -> Fp2:
-    r: Fp2 = (1, 0)
-    while e:
-        if e & 1:
-            r = fp2_mul(r, x, p, nr)
-        x = fp2_mul(x, x, p, nr)
-        e >>= 1
-    return r
 
 
 def fp2_is_zero(x: Fp2) -> bool:

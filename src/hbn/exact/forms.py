@@ -42,11 +42,6 @@ class BinaryForm:
         return cls(degree, (), p)
 
     @classmethod
-    def from_coeffs(cls, coeffs, p: int) -> "BinaryForm":
-        coeffs = tuple(int(c) % p for c in coeffs)
-        return cls(len(coeffs) - 1, coeffs, p)
-
-    @classmethod
     def constant(cls, c: int, p: int) -> "BinaryForm":
         return cls(0, (c % p,), p) if c % p else cls.zero(0, p)
 
@@ -114,10 +109,6 @@ class BinaryForm:
         if len(f) - 1 > degree:
             raise ValueError("polynomial degree exceeds declared degree")
         return cls(degree, tuple(f + [0] * (degree + 1 - len(f))), p)
-
-
-def form_mul(a: BinaryForm, b: BinaryForm) -> BinaryForm:
-    return a.mul(b)
 
 
 @dataclass(frozen=True)

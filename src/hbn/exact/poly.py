@@ -321,15 +321,6 @@ class QuotientField:
         self.zero = (0,) * self.deg
         self.one = (1,) + (0,) * (self.deg - 1)
 
-    def embed(self, a: int) -> tuple[int, ...]:
-        return (a % self.p,) + (0,) * (self.deg - 1)
-
-    def generator(self) -> tuple[int, ...]:
-        """The class of x."""
-        if self.deg == 1:
-            return ((-self.q[0]) % self.p,)
-        return (0, 1) + (0,) * (self.deg - 2)
-
     def add(self, a, b):
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
@@ -379,18 +370,6 @@ def qtrim(f: list, K) -> list:
     while n > 0 and K.is_zero(f[n - 1]):
         n -= 1
     return f[:n]
-
-
-def qmul(f: list, g: list, K) -> list:
-    if not f or not g:
-        return []
-    out = [K.zero] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if K.is_zero(a):
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = K.add(out[i + j], K.mul(a, b))
-    return qtrim(out, K)
 
 
 def qdivmod(f: list, g: list, K) -> tuple[list, list]:

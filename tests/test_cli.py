@@ -1,5 +1,6 @@
 """End to end command line checks, run in process via main(argv)."""
 
+import hashlib
 import json
 import os
 import resource
@@ -183,13 +184,16 @@ def test_lemma_harness_inconclusive_on_violating_stratum(tmp_path):
 
 
 def test_lemma_selector_mismatch_errors():
-    with pytest.raises(SystemExit):
+    # each lemma fixes its selector (the document's "selector" field), so
+    # there is no --selector flag to contradict it
+    with pytest.raises(SystemExit) as exc:
         main(
             [
-                "dominance", "--lemma", "sq", "--selector", "T_CORNER", *TRIG,
+                "dominance", "--lemma", "sq", "--selector", "FULL_PRIME", *TRIG,
                 "--e", "-8,-4,-1", "--f", "-7,-4,0",
             ]
         )
+    assert exc.value.code == 2
 
 
 def test_section5_abundance_witness(tmp_path):
@@ -210,6 +214,50 @@ def test_section5_requires_exactly_one_mode():
         main(["section5", "--m", "1", "--delta", "1", "--k", "4"])
     with pytest.raises(SystemExit):
         main(["section5", "--abundance", "--oo", "--m", "1", "--delta", "1", "--k", "4", "--bound", "3"])
+
+
+# sha256 of fixed-seed documents; a change to any of these bytes must be
+# explained, since certificates are meant to be reproducible across changes
+GOLDEN = {
+    "sample_trig": (
+        ["sample", *TRIG, "--e=-8,-4,-1", "--f=-7,-4,0", "--seed", "7"],
+        0, "b9292cf168d44b3a402e399fca0e15e780e53dcf9030935d85731849f588e3b8",
+    ),
+    "sample_k2": (
+        ["sample", "--m", "1", "--k", "2", "--delta", "1", "--e=0,0", "--f=0,1", "--seed", "1"],
+        0, "20177b98ff1b6f398f9556a16db5be6cca7c5cdea275d8f3fa9f6640c95f8bd0",
+    ),
+    "sample_k4": (
+        ["sample", "--m", "1", "--k", "4", "--delta", "2",
+         "--e=-8,-8,-8,-7", "--f=-8,-8,-7,-6", "--seed", "2"],
+        0, "9a35ff5374d5dd78f5af49a2b6e72ccf17bc29c48d277e668e8f59dbf7ba509e",
+    ),
+    "sample_singular": (
+        ["sample", *TRIG, "--e=-8,-4,-1", "--f=-7,-4,0",
+         "--p", "101", "--seed", "35", "--retries", "1"],
+        3, "5f98af0c33483d98f2c2b3955ac41f4f623aad3d229d12328100aa591211e55d",
+    ),
+    "dominance_companions": (
+        ["dominance", *TRIG, "--e=-8,-4,-1", "--seed", "0"],
+        0, "4c2dd61ad0334ae66104042a3bda4ba84420258505c5ea9ae5c654325a3015e0",
+    ),
+    "lemma_main": (
+        ["dominance", "--lemma", "main", *TRIG, "--e=-8,-4,-1", "--f=-7,-4,0", "--seed", "0"],
+        0, "9d6032163d8d7a98f55aadc4ffd93e2493a0daeb0e191cf26c596c862425075c",
+    ),
+    "enumerate": (
+        ["enumerate", *TRIG, "--e=-8,-4,-1"],
+        0, "7531d4aaf2f5d41df665ab0307db6c5faa10241aa2b6b3705ded4cdd238a07dd",
+    ),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_fixed_seed_documents_match_pinned_digests(tmp_path, name):
+    argv, code, digest = GOLDEN[name]
+    out = tmp_path / "doc.json"
+    assert main(argv + ["--out", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_fixed_seed_output_is_byte_identical(tmp_path):
@@ -243,9 +291,16 @@ def test_csv_and_pretty_renderers(tmp_path, capsys):
     assert "dim" in shown and "-7 -4 0" in shown
 
 
-def test_nonprime_p_rejected():
-    with pytest.raises(SystemExit):
+def test_nonprime_p_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
         main(["enumerate", *TRIG, "--e", "-8,-4,-1", "--p", "10"])
+    assert exc.value.code == 2
+    # p = 2 is prime but has no quadratic nonresidue for F_p^2
+    argv = ["sample", "--m", "1", "--k", "2", "--delta", "1", "--e=0,0", "--f=0,1", "--p", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--p must be an odd prime, got 2" in capsys.readouterr().err
 
 
 def test_sample_prime_below_resultant_bound_is_usage_error(capsys):

@@ -30,7 +30,7 @@ from hbn.curves import (
     smoothness,
 )
 from hbn.determinantal import BinaryFormCurve, degree_grid, phi, sample_pair
-from hbn.exact.field import DEFAULT_PRIME
+from hbn.exact.field import DEFAULT_PRIME, fp2_add, fp2_inv, fp2_mul, quadratic_nonresidue
 from hbn.exact.forms import BinaryForm
 from hbn.splitting import HirzebruchClass, genus, structure_sheaf_type
 
@@ -146,6 +146,59 @@ def test_curve_points_lie_on_curve_and_drop_rank():
     for pt in pts:
         assert point_on_curve(curve, pt)
         assert pair_rank_at_point(pair, pt) == 2
+
+
+def _fp2_rank_reference(rows, p, nr):
+    """Rank of a matrix of F_p^2 pairs by plain Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c] != (0, 0)), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = fp2_inv(rows[rank][c], p, nr)
+        for r in range(rank + 1, len(rows)):
+            f = fp2_mul(rows[r][c], inv, p, nr)
+            rows[r] = [
+                ((u[0] - w[0]) % p, (u[1] - w[1]) % p)
+                for u, w in zip(rows[r], (fp2_mul(f, v, p, nr) for v in rows[rank]))
+            ]
+        rank += 1
+    return rank
+
+
+def _rank_at_point_reference(pair, pt):
+    """Rank of A(s,t)*x + B(s,t)*y over F_p^2, entry by entry."""
+    nr = quadratic_nonresidue(P)
+    (s0, t0), (x0, y0) = pt["st"], pt["xy"]
+    rows = [
+        [
+            fp2_add(fp2_mul((a.eval(s0, t0), 0), x0, P, nr), (b.eval(s0, t0) * y0 % P, 0), P)
+            for a, b in zip(ra, rb)
+        ]
+        for ra, rb in zip(pair.A, pair.B)
+    ]
+    return _fp2_rank_reference(rows, P, nr)
+
+
+def test_fp2_points_rank_matches_reference():
+    rng = random.Random(14)
+    grid = degree_grid((-8, -4, -1), (-7, -4, 0), 3)
+    pair = sample_pair(grid, "FULL", P, rng)
+    other = sample_pair(grid, "FULL", P, rng)
+    curve = phi(pair)
+    pts = curve_points(curve, 20, rng)
+    assert any(pt["xy"][0][1] != 0 for pt in pts)
+    assert any(pt["xy"][0][1] == 0 for pt in pts)
+    ranks_other = []
+    for pt in pts:
+        assert point_on_curve(curve, pt)
+        assert pair_rank_at_point(pair, pt) == _rank_at_point_reference(pair, pt) == 2
+        ranks_other.append(pair_rank_at_point(other, pt))
+        assert ranks_other[-1] == _rank_at_point_reference(other, pt)
+    # the mismatched pair does not cut out this curve
+    assert 3 in ranks_other
 
 
 def test_profile_matches_structure_sheaf_type():

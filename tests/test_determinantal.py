@@ -231,6 +231,5 @@ def test_curve_json_round_trip():
     doc = json.loads(json.dumps(curve_to_json_dict(curve)))
     assert doc["k"] == 3 and doc["delta"] == 2 and doc["m"] == 3
     back = curve_from_json_dict(doc)
-    assert back.cls == curve.cls
-    for fb, fa in zip(curve.P, back.P):
-        assert fb.coeffs == fa.coeffs and fb.degree == fa.degree
+    assert back == curve
+    assert hash(back) == hash(curve)
