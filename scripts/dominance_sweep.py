@@ -16,6 +16,7 @@ import sys
 import time
 
 from hbn.differential import dominance_rank
+from hbn.exact.field import check_prime
 from hbn.sweeps import WINDOW, desk_classes, iter_window_strata, passes
 
 
@@ -30,6 +31,10 @@ def main() -> int:
     ap.add_argument("--p", type=int, default=10007)
     ap.add_argument("--out", default=None, help="write failing strata as JSON")
     args = ap.parse_args()
+    try:
+        check_prime(args.p, "--p")
+    except ValueError as exc:
+        ap.error(str(exc))
 
     t0 = time.time()
     total = first_trial = 0

@@ -13,9 +13,10 @@ HBN_SEED environment variable is used, and failing that a seed derived from
 the arguments themselves, so plain reruns also reproduce.
 
 Exit codes: 0 success, 2 empty or forced-reducible stratum or a usage error
-(including a --p that is not an odd prime or is below a degree bound the
-computation needs), 3 certification inconclusive (sampling retries
-exhausted, rank target not reached, or a lemma harness returning False).
+(including a --p that is not an odd prime, is above 2^31 - 1, or is
+below a degree bound the computation needs), 3 certification
+inconclusive (sampling retries exhausted, rank target not reached, or a
+lemma harness returning False).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from hbn.differential import (
     lemma_main_check,
     lemma_sq_check,
 )
-from hbn.exact.field import DEFAULT_PRIME, PrimeTooSmallError, is_prime
+from hbn.exact.field import DEFAULT_PRIME, PrimeTooSmallError, check_prime
 from hbn.scrollar import (
     abundance_verdict,
     general_bound_check,
@@ -90,9 +91,7 @@ class RunConfig:
     format: str = "json"
 
     def __post_init__(self):
-        # F_p^2 = F_p[w]/(w^2 - nonresidue) needs a nonresidue: p odd
-        if not is_prime(self.p) or self.p == 2:
-            raise ValueError(f"--p must be an odd prime, got {self.p}")
+        check_prime(self.p, "--p")
         if self.format not in ("json", "csv", "pretty"):
             raise ValueError(f"unknown format {self.format!r}")
 

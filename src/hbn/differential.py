@@ -11,13 +11,14 @@ as a slow cross-check.
 Cofactors come by evaluation and interpolation (von zur Gathen and
 Gerhard, Modern Computer Algebra, ch. 5).  With s = y = 1, every entry
 of A and B is evaluated at the nodes t = 0..n-1, the matrices A(t)x + B(t)
-are formed at x = 0..k-1, and all k^2 minors at all n*k points go
-through one batched determinant call mod p.  Each cofactor has x-degree
-at most k - 1, and an entry with b_rc >= 0 (the only entries with
-tangent coordinates) has a cofactor of t-degree at most delta + k*m, so
-n = delta + k*m + 1 nodes (rounded up as for resultants) interpolate it
-exactly.  This needs p > delta + k*m and p >= k; a smaller prime raises
-PrimeTooSmallError.
+are formed at x = 0..k-1, and the Faddeev-LeVerrier recurrence gives
+all k^2 signed cofactors at all n*k points in k - 1 batched products.
+Each cofactor has x-degree at most k - 1, and an entry with b_rc >= 0
+(the only entries with tangent coordinates) has a cofactor of t-degree
+at most delta + k*m, so n = delta + k*m + 1 nodes (rounded up as for
+resultants) interpolate it exactly.  This needs p > delta + k*m, and
+p >= k for the x-nodes and the recurrence's divisions by 1..k-1; a
+smaller prime raises PrimeTooSmallError.
 
 Tangent subspaces are named selectors over an ambient entry pattern.
 FULL_PRIME takes every coordinate the pattern and degree grid admit.
@@ -50,9 +51,9 @@ from hbn.determinantal import (
     sample_pair,
 )
 from hbn.exact.birkhoff import _perm_sign
-from hbn.exact.field import DEFAULT_PRIME, PrimeTooSmallError
+from hbn.exact.field import DEFAULT_PRIME, PrimeTooSmallError, inv_mod
 from hbn.exact.forms import BinaryForm, DualForm
-from hbn.exact.linalg import batch_det_mod, matrix_rank
+from hbn.exact.linalg import matrix_rank
 from hbn.exact.poly import (
     _eval_at_nodes,
     _inverse_vandermonde,
@@ -174,6 +175,31 @@ def _block_layout(grid: DegreeGrid, include_p0: bool) -> tuple[tuple[int, ...], 
     return blocks, sizes
 
 
+def _cofactors(mats: np.ndarray, p: int) -> np.ndarray:
+    """Signed cofactors C[..., r, c] = C_rc of a stack (..., k, k) mod p.
+
+    Faddeev-LeVerrier: M_1 = I and M_{j+1} = A M_j + c_j I with
+    c_j = -tr(A M_j) / j give adj A = (-1)^(k-1) M_k, and C = adj^T.
+    The loop carries T_j = M_j^T (T_{j+1} = T_j A^T + c_j I), so both
+    factors are summed over their last axis.  Dividing by j <= k - 1
+    needs p >= k.  Every product is reduced before it is summed.
+    """
+    k = mats.shape[-1]
+    diag = np.arange(k)
+    t = np.zeros_like(mats)
+    t[..., diag, diag] = 1
+    for j in range(1, k):
+        prod = t[..., :, None, :] * mats[..., None, :, :] % p
+        t = prod[..., 0].copy()  # k - 1 adds beat .sum() over a length-k axis
+        for col in range(1, k):
+            t += prod[..., col]
+        t %= p
+        tr = t.diagonal(axis1=-2, axis2=-1)
+        c = -tr.sum(axis=-1) % p * inv_mod(j, p) % p
+        t[..., diag, diag] = (tr + c[..., None]) % p
+    return t if k % 2 else (p - t) % p
+
+
 def cofactor_forms(pair: MatrixPair) -> np.ndarray:
     """Signed cofactors of Ax + By by evaluation and interpolation.
 
@@ -182,7 +208,8 @@ def cofactor_forms(pair: MatrixPair) -> np.ndarray:
     for tpow = 0..delta + k*m.  Exact for every entry with b_rc >= 0.  The
     cofactor of an entry with b_rc < 0 may exceed that t-degree and then
     aliases; such entries carry no tangent coordinates and must never be
-    read.
+    read.  The cofactors at each node come from the Faddeev-LeVerrier
+    recurrence (`_cofactors`), which needs p >= k.
     """
     grid, p, k = pair.grid, pair.p, pair.k
     bound = grid.delta + k * grid.m
@@ -196,15 +223,10 @@ def cofactor_forms(pair: MatrixPair) -> np.ndarray:
     at_t = _eval_at_nodes(entries, n, p).reshape(n, 2, 1, k, k)
     xs = np.arange(k, dtype=np.int64)[None, :, None, None]
     mats = (at_t[:, 0] * xs + at_t[:, 1]) % p  # (t, x, row, col)
-    keep = np.array([[j for j in range(k) if j != i] for i in range(k)], dtype=np.intp)
-    keep = keep.reshape(k, k - 1)
-    minors = mats[:, :, keep[:, None, :, None], keep[None, :, None, :]]
-    dets = batch_det_mod(minors.reshape(n * k**3, k - 1, k - 1), p).reshape(n, k, k, k)
-    odd = np.add.outer(range(k), range(k)) % 2 == 1
-    dets[:, :, odd] = (p - dets[:, :, odd]) % p
-    # dets[t, x, r, c] -> coefficients, x first, then the t-rows we read
+    cof = _cofactors(mats, p)
+    # cof[t, x, r, c] = C_rc -> coefficients, x first, then the t-rows we read
     inv_x = _inverse_vandermonde(tuple(range(k)), p)[None, :, :, None, None]
-    by_x = (inv_x * dets[:, None] % p).sum(axis=2) % p  # (t, xpow, r, c)
+    by_x = (inv_x * cof[:, None] % p).sum(axis=2) % p  # (t, xpow, r, c)
     inv_t = _inverse_vandermonde(tuple(range(n)), p)[: bound + 1, :, None, None, None]
     coef = (inv_t * by_x[None] % p).sum(axis=1) % p  # (tpow, xpow, r, c)
     return coef.transpose(2, 3, 1, 0)

@@ -9,6 +9,9 @@ on ints and numpy arrays.
 from __future__ import annotations
 
 DEFAULT_PRIME = 10007
+# the largest supported prime: the int64 kernels need every product of
+# two reduced entries below 2^62 (see hbn.exact.linalg)
+MAX_PRIME = 2**31 - 1
 
 
 class PrimeTooSmallError(ValueError):
@@ -44,12 +47,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_prime(p: int, name: str) -> None:
+    """Raise ValueError, naming p as `name`, unless p is an odd prime
+    <= MAX_PRIME; F_p^2 = F_p[w]/(w^2 - nonresidue) needs p odd."""
+    if not is_prime(p) or p == 2:
+        raise ValueError(f"{name} must be an odd prime, got {p}")
+    if p > MAX_PRIME:
+        raise ValueError(f"{name} must be at most 2^31 - 1 = {MAX_PRIME}, got {p}")
+
+
 def inv_mod(a: int, p: int) -> int:
     """Inverse of a mod p.  Raises ZeroDivisionError on a = 0 mod p."""
     a %= p
     if a == 0:
         raise ZeroDivisionError(f"inverse of 0 mod {p}")
-    return pow(a, p - 2, p)
+    return pow(a, -1, p)
 
 
 def legendre(a: int, p: int) -> int:

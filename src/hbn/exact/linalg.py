@@ -1,9 +1,19 @@
 """Exact linear algebra mod p on numpy int64 matrices.
 
-Entries are reduced into [0, p).  All pivoting is exact; products of two
-reduced entries stay below 2^62 for any prime below 2^31, and every
-product is reduced before anything is summed, so int64 arithmetic never
-overflows between reductions.  Every kernel here assumes p < 2^31.
+Inputs are reduced into [0, p).  All pivoting is exact.  Every kernel
+here assumes p <= MAX_PRIME = 2^31 - 1 (`hbn.exact.field`), which the
+CLI and the sweep scripts enforce: a product of two reduced entries is
+then below 2^62, and every product is reduced before anything is summed,
+so int64 arithmetic never overflows between reductions.
+
+`matrix_rank` reduces mod p only the values it reads.  Invariant: every
+entry of the active block (rows not yet used as pivots, columns not yet
+eliminated) has absolute value at most `bound`, a Python int.  A pivot
+step reduces the pivot column and row into [0, p) and subtracts their
+outer product unreduced, adding at most (p - 1)^2 to `bound`; the block
+is reduced first whenever `bound + (p - 1)^2` would reach 2^62.  At
+p = 10007 that would take over 10^10 pivots; at p = 2^31 - 1 it happens
+before every update but the first.
 
 Determinants have one engine, `batch_det_mod`: it row-reduces a whole
 stack (n, r, r) at once.  Each matrix picks its own pivot row (the first
@@ -18,6 +28,8 @@ import numpy as np
 
 from hbn.exact.field import inv_mod
 
+_LAZY_LIMIT = 1 << 62  # matrix_rank keeps |entries| below this
+
 
 def _as_mod_array(mat, p: int) -> np.ndarray:
     a = np.asarray(mat, dtype=np.int64)
@@ -27,24 +39,34 @@ def _as_mod_array(mat, p: int) -> np.ndarray:
 
 
 def matrix_rank(mat, p: int) -> int:
-    """Rank over F_p by Gaussian elimination."""
+    """Rank over F_p by Gaussian elimination, reducing lazily (module doc).
+
+    Column c pivots on the largest entry of its reduced active part.  The
+    update also zeroes the pivot row mod p, so instead of a swap the top
+    active row is copied into the pivot row's slot, right of c only.
+    """
     a = _as_mod_array(mat, p)
     rows, cols = a.shape
+    step = (p - 1) ** 2
+    bound = p - 1
     rank = 0
     for c in range(cols):
         if rank == rows:
             break
-        pivots = np.nonzero(a[rank:, c])[0]
-        if pivots.size == 0:
+        col = a[rank:, c] % p
+        r = int(col.argmax())
+        piv = int(col[r])
+        if not piv:
             continue
-        r = rank + int(pivots[0])
-        if r != rank:
-            a[[rank, r]] = a[[r, rank]]
-        inv = inv_mod(int(a[rank, c]), p)
-        a[rank] = a[rank] * inv % p
-        rest = np.nonzero(a[rank + 1 :, c])[0] + rank + 1
-        if rest.size:
-            a[rest] = (a[rest] - np.outer(a[rest, c], a[rank])) % p
+        scaled = col * inv_mod(piv, p) % p
+        prow = a[rank + r, c + 1 :] % p
+        if bound + step >= _LAZY_LIMIT:
+            a[rank:, c + 1 :] %= p
+            bound = p - 1
+        a[rank:, c + 1 :] -= scaled[:, None] * prow
+        bound += step
+        if r:
+            a[rank + r, c + 1 :] = a[rank, c + 1 :]
         rank += 1
     return rank
 
@@ -89,20 +111,6 @@ def nullspace_vector(mat, p: int) -> np.ndarray | None:
     return v
 
 
-def solve(mat, rhs, p: int) -> np.ndarray | None:
-    """One solution of mat @ x = rhs over F_p, or None if inconsistent."""
-    a = _as_mod_array(mat, p)
-    b = np.asarray(rhs, dtype=np.int64).reshape(-1, 1) % p
-    aug, pivots = rref(np.hstack([a, b]), p)
-    cols = a.shape[1]
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for row, pc in enumerate(pivots):
-        x[pc] = aug[row, cols]
-    return x
-
-
 def det_mod(mat, p: int) -> int:
     a = _as_mod_array(mat, p)
     if a.shape[0] != a.shape[1]:
@@ -128,8 +136,10 @@ def batch_det_mod(mats, p: int) -> np.ndarray:
     Column c swaps each matrix's first nonzero row at or below c into
     place (negating the sign), then replaces every lower row R by
     piv * R - R[c] * (pivot row).  That scales the determinant by
-    piv^(r-1-c), which is divided out once at the end.  A matrix with no
-    pivot in some column gets a zero pivot, so its determinant is 0.
+    piv^(r-1-c), which is divided out once at the end: the divisor is the
+    running product of the prefix products piv_0 * ... * piv_c.  A matrix
+    with no pivot in some column gets a zero pivot, so its determinant
+    is 0.
     """
     a = np.array(mats, dtype=np.int64) % p
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
@@ -137,6 +147,7 @@ def batch_det_mod(mats, p: int) -> np.ndarray:
     n, r, _ = a.shape
     num = np.ones(n, dtype=np.int64)
     den = np.ones(n, dtype=np.int64)
+    pre = np.ones(n, dtype=np.int64)
     for c in range(r):
         piv_row = c + np.argmax(a[:, c:, c] != 0, axis=1)
         swap = np.nonzero(piv_row != c)[0]
@@ -151,7 +162,8 @@ def batch_det_mod(mats, p: int) -> np.ndarray:
             below = a[:, c + 1 :, c:]
             scaled = below * piv[:, None, None] % p
             a[:, c + 1 :, c:] = (scaled - below[:, :, :1] * a[:, None, c, c:] % p) % p
-            den = den * _pow_vec(piv, r - 1 - c, p) % p
+            pre = pre * piv % p
+            den = den * pre % p
     return num * _pow_vec(den, p - 2, p) % p
 
 

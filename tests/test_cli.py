@@ -303,6 +303,32 @@ def test_nonprime_p_rejected(capsys):
     assert "--p must be an odd prime, got 2" in capsys.readouterr().err
 
 
+BIG_P_ERROR = "--p must be at most 2^31 - 1 = 2147483647, got 2305843009213693951"
+
+
+def test_prime_above_int64_bound_is_usage_error(capsys):
+    # 2^61 - 1 is prime, but products of reduced entries overflow int64
+    # there: matrix_rank would certify a rank-2 matrix as rank 4
+    argv = ["dominance", "--m", "1", "--k", "3", "--delta", "2", "--e=-2,-1,0", "--f=-2,-1,2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--p", str(2**61 - 1)])
+    assert exc.value.code == 2
+    assert BIG_P_ERROR in capsys.readouterr().err
+    assert main(argv + ["--p", str(2**31 - 1), "--out", os.devnull]) == 0
+
+
+def test_dominance_sweep_rejects_prime_above_int64_bound():
+    root = Path(hbn.cli.__file__).resolve().parents[2]
+    src = str(root / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "dominance_sweep.py"), "--p", str(2**61 - 1)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 2
+    assert BIG_P_ERROR in proc.stderr
+
+
 def test_sample_prime_below_resultant_bound_is_usage_error(capsys):
     argv = ["sample", "--m", "1", "--k", "2", "--delta", "1", "--e=0,0", "--f=0,1"]
     with pytest.raises(SystemExit) as exc:

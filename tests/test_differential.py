@@ -5,10 +5,12 @@ differential must equal the epsilon part of a literal dual-number
 determinant expansion (dphi_column_dual).  The two routes share no code
 beyond the form arithmetic.  The cofactors themselves, computed by
 evaluation and interpolation, are checked against det_xy permutation
-expansions of the minors.
+expansions of the minors, and the Faddeev-LeVerrier cofactor recurrence
+against signed minors expanded in Python ints.
 """
 
 import random
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ import pytest
 from hbn.determinantal import degree_grid, det_xy, sample_is_point, sample_pair
 from hbn.differential import (
     SELECTORS,
+    _cofactors,
     bottom_row_scale,
     cofactor_forms,
     dominance_rank,
@@ -29,7 +32,7 @@ from hbn.differential import (
     super_anti_product,
     tangent_basis,
 )
-from hbn.exact.field import DEFAULT_PRIME, PrimeTooSmallError
+from hbn.exact.field import DEFAULT_PRIME, PrimeTooSmallError, is_prime
 from hbn.exact.forms import BinaryForm
 from hbn.splitting import HirzebruchClass
 
@@ -212,14 +215,26 @@ KERNEL_CONFIGS = [
 ]
 
 
+def _smallest_admissible_prime(grid):
+    """The least prime cofactor_forms accepts: p > delta + k*m and p >= k."""
+    q = max(grid.delta + grid.k * grid.m + 1, grid.k)
+    while not is_prime(q):
+        q += 1
+    return q
+
+
 def _kernel_pairs(p):
+    """Pairs over every kernel config at p, or at each config's smallest
+    admissible prime when p is None (p = 7 for the k = 5 config, where
+    the cofactor recurrence divides by 2, 3 and 4 mod 7)."""
     for idx, (e, f, m, is_point) in enumerate(KERNEL_CONFIGS):
         grid = degree_grid(e, f, m)
         rng = random.Random(100 + idx)
-        yield sample_pair(grid, "FULL", p, rng)
-        yield sample_pair(grid, "SUT", p, rng)
+        q = _smallest_admissible_prime(grid) if p is None else p
+        yield sample_pair(grid, "FULL", q, rng)
+        yield sample_pair(grid, "SUT", q, rng)
         if is_point:
-            yield sample_is_point(grid, p, rng)[0]
+            yield sample_is_point(grid, q, rng)[0]
 
 
 def _signed_cofactor(pair, r, c):
@@ -231,10 +246,49 @@ def _signed_cofactor(pair, r, c):
     return [q.neg() for q in forms] if (r + c) % 2 else forms
 
 
-@pytest.mark.parametrize("p", [P, 2**31 - 1])
+def _python_det(M, p):
+    """Determinant by permutation expansion in Python ints (1 when empty)."""
+    n = len(M)
+    total = 0
+    for perm in permutations(range(n)):
+        term = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        for i in range(n):
+            term *= M[i][perm[i]]
+        total += term
+    return total % p
+
+
+@pytest.mark.parametrize("p", [7, P, 2**31 - 1])
+def test_faddeev_leverrier_cofactors_match_signed_minors(p):
+    # p = 7 >= k for every k here, so the recurrence may divide by 1..k-1
+    rng_ = random.Random(p)
+    for k in range(1, 7):
+        mats = []
+        for i in range(6):
+            M = [[rng_.randrange(p) for _ in range(k)] for _ in range(k)]
+            if i == 1:
+                M[-1] = [3 * x % p for x in M[0]]  # rank k - 1 (k > 1)
+            elif i == 2 and k > 2:
+                M[-1] = M[-2] = M[0]  # rank <= k - 2: adjugate 0
+            elif i == 3:
+                M = [[0] * k for _ in range(k)]
+            mats.append(M)
+        # two leading stack axes, as cofactor_forms passes (t, x, k, k)
+        got = _cofactors(np.array(mats, dtype=np.int64).reshape(2, 3, k, k), p)
+        got = got.reshape(6, k, k)
+        for M, C in zip(mats, got):
+            for r in range(k):
+                for c in range(k):
+                    minor = [[M[i][j] for j in range(k) if j != c] for i in range(k) if i != r]
+                    assert int(C[r, c]) == (-1) ** (r + c) * _python_det(minor, p) % p
+
+
+@pytest.mark.parametrize("p", [P, 2**31 - 1, None], ids=["10007", "2147483647", "smallest"])
 def test_cofactor_kernel_matches_det_xy_minors(p):
     seen_negative = False
+    primes = set()
     for pair in _kernel_pairs(p):
+        primes.add((pair.k, pair.p))
         grid, k = pair.grid, pair.k
         coef = cofactor_forms(pair)
         assert coef.shape == (k, k, k, grid.delta + k * grid.m + 1)
@@ -249,6 +303,7 @@ def test_cofactor_kernel_matches_det_xy_minors(p):
                     want[xpow, : len(form.coeffs)] = form.coeffs
                 assert np.array_equal(coef[r, c], want), (pair.pattern, grid.a, r, c)
     assert seen_negative
+    assert p is not None or (5, 7) in primes
 
 
 def _reference_dphi(pair, selector, include_p0):
