@@ -14,9 +14,10 @@ the arguments themselves, so plain reruns also reproduce.
 
 Exit codes: 0 success, 2 empty or forced-reducible stratum or a usage error
 (including a --p that is not an odd prime, is above 2^31 - 1, or is
-below a degree bound the computation needs), 3 certification
-inconclusive (sampling retries exhausted, rank target not reached, or a
-lemma harness returning False).
+below a degree bound the computation needs, --trials or --retries below
+1, and --lemma is on a grid without the inductive point), 3
+certification inconclusive (sampling retries exhausted, rank target not
+reached, or a lemma harness returning False).
 """
 
 from __future__ import annotations
@@ -33,16 +34,13 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from hbn.curves import (
-    cokernel_rank_check,
-    connectedness,
-    discriminant_check,
-    smoothness,
-)
+from hbn.curves import connectedness, discriminant_check, smoothness
 from hbn.determinantal import (
+    DegenerateCurveError,
     curve_to_json_dict,
     degree_grid,
     forced_reducibility,
+    is_point_obstruction,
     pair_to_json_dict,
     phi,
     sample_pair,
@@ -74,6 +72,13 @@ from hbn.splitting import (
 EXIT_OK = 0
 EXIT_EMPTY = 2
 EXIT_INCONCLUSIVE = 3
+
+# SMOOTH already proves the cokernel rank, so no point is sampled for it
+COKERNEL_PROVENANCE = (
+    "rank k-1 at every curve point, implied by SMOOTH: by Jacobi's formula "
+    "d det M = tr(adj M dM) for M = Ax + By, and adj M = 0 where rank M <= k-2, "
+    "so such a point would be singular"
+)
 
 # each lemma harness is a statement about one fixed selector
 LEMMA_SELECTOR = {"sq": "FULL_PRIME", "main": "T_PRIME", "is": "T_CORNER"}
@@ -107,6 +112,16 @@ def _parse_tuple(text: str) -> tuple[int, ...]:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -188,13 +203,31 @@ def _require(args, parser, *names):
             parser.error(f"--{name} is required for this command")
 
 
+def _class(args, parser) -> HirzebruchClass:
+    _require(args, parser, "m", "k", "delta")
+    try:
+        return HirzebruchClass(m=args.m, k=args.k, delta=args.delta)
+    except ValueError as exc:
+        parser.error(f"{exc}: needs m >= 0, k >= 1 and delta >= 0")
+
+
+def _check_types(args, cls: HirzebruchClass, parser) -> None:
+    """--e and --f, where given, have k entries and spend delta."""
+    for name in ("e", "f"):
+        given = getattr(args, name)
+        if given is not None and len(given) != cls.k:
+            parser.error(f"--{name} must have k = {cls.k} entries, got {len(given)}")
+    if args.e is not None and args.f is not None and sum(args.f) - sum(args.e) != cls.delta:
+        parser.error("sum(f) - sum(e) must equal delta")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_enumerate(args, config: RunConfig, parser) -> int:
-    _require(args, parser, "m", "k", "delta")
-    cls = HirzebruchClass(m=args.m, k=args.k, delta=args.delta)
+    cls = _class(args, parser)
+    _check_types(args, cls, parser)
     reports = enumerate_strata(
         cls,
         window=config.window,
@@ -220,12 +253,9 @@ def cmd_enumerate(args, config: RunConfig, parser) -> int:
 
 
 def cmd_sample(args, config: RunConfig, parser) -> int:
-    _require(args, parser, "m", "k", "delta", "e", "f")
-    cls = HirzebruchClass(m=args.m, k=args.k, delta=args.delta)
-    if len(args.e) != cls.k or len(args.f) != cls.k:
-        parser.error("--e and --f must each have k entries")
-    if sum(args.f) - sum(args.e) != cls.delta:
-        parser.error("sum(f) - sum(e) must equal delta")
+    _require(args, parser, "e", "f")
+    cls = _class(args, parser)
+    _check_types(args, cls, parser)
     grid = degree_grid(args.e, args.f, cls.m)
     verdict = forced_reducibility(grid)
     report = stratum_report(args.e, args.f, cls).to_json_dict()
@@ -246,31 +276,32 @@ def cmd_sample(args, config: RunConfig, parser) -> int:
         return EXIT_EMPTY
 
     rng = _rng(config, "sample", args.e, args.f, cls.m, cls.k, cls.delta, config.p)
-    g = genus(cls)
     pair = curve = cert = None
     disc = (None, None, False)
-    coker = False
     attempts = 0
+    # a degenerate draw (det identically zero, or P_k = 0 so that the
+    # discriminant is undefined) is a failed attempt like a singular one
     for attempts in range(1, args.retries + 1):
         pair = sample_pair(grid, args.pattern, config.p, rng)
-        curve = phi(pair)
+        try:
+            curve = phi(pair)
+        except DegenerateCurveError:
+            curve = cert = None
+            continue
         cert = smoothness(curve, rng)
-        if cert.verdict != "SMOOTH":
+        if cert.verdict != "SMOOTH" or curve.P[cls.k].is_zero():
             continue
         disc = discriminant_check(curve)
-        if not disc[2]:
-            continue
-        coker = cokernel_rank_check(pair, curve, 20, rng)
-        if coker:
+        if disc[2]:
             break
-    success = cert is not None and cert.verdict == "SMOOTH" and disc[2] and coker
+    success = cert is not None and cert.verdict == "SMOOTH" and disc[2]
     certification = {
         "verdict": "SMOOTH" if success else "INCONCLUSIVE",
         "attempts": attempts,
         "connected_components_h0": connectedness(cls),
         "smoothness": None if cert is None else cert.to_json_dict(),
         "discriminant": {"degree": disc[0], "expected": disc[1], "ok": disc[2]},
-        "cokernel_rank_ok": coker,
+        "cokernel_rank_ok": success,
     }
     doc = {
         "command": "sample",
@@ -278,12 +309,12 @@ def cmd_sample(args, config: RunConfig, parser) -> int:
         "pattern": args.pattern,
         "certification": certification,
         "pair": pair_to_json_dict(pair),
-        "curve": curve_to_json_dict(curve),
+        "curve": None if curve is None else curve_to_json_dict(curve),
         "provenance": {
             "smoothness": "chart Jacobian elimination over F_p and F_p^2 points",
             "connected_components_h0": "h0 of the structure sheaf from class numerics",
             "discriminant": "resultant degree versus 2g + 2k - 2",
-            "cokernel_rank_ok": f"matrix rank k-1 at 20 sampled curve points, {attempts} attempt(s)",
+            "cokernel_rank_ok": COKERNEL_PROVENANCE,
         },
     }
     emit(doc, config)
@@ -291,13 +322,17 @@ def cmd_sample(args, config: RunConfig, parser) -> int:
 
 
 def _lemma_run(args, config: RunConfig, parser) -> int:
-    _require(args, parser, "m", "k", "delta", "e", "f")
-    cls = HirzebruchClass(m=args.m, k=args.k, delta=args.delta)
+    _require(args, parser, "e", "f")
+    cls = _class(args, parser)
+    _check_types(args, cls, parser)
+    grid = degree_grid(args.e, args.f, cls.m)
+    reason = is_point_obstruction(grid) if args.lemma == "is" else None
+    if reason is not None:
+        parser.error(f"--lemma is: {reason}")
     rng = _rng(config, "lemma", args.lemma, args.e, args.f, cls.m, config.p)
     if args.lemma == "is":
         ok = lemma_is_check(cls.k, args.e, args.f, cls.m, rng=rng, p=config.p)
     else:
-        grid = degree_grid(args.e, args.f, cls.m)
         pair = sample_pair(grid, "SUT", config.p, rng)
         check = lemma_sq_check if args.lemma == "sq" else lemma_main_check
         ok = check(pair, rng=rng)
@@ -323,11 +358,10 @@ def _lemma_run(args, config: RunConfig, parser) -> int:
 def cmd_dominance(args, config: RunConfig, parser) -> int:
     if args.lemma is not None:
         return _lemma_run(args, config, parser)
-    _require(args, parser, "m", "k", "delta", "e")
-    cls = HirzebruchClass(m=args.m, k=args.k, delta=args.delta)
+    _require(args, parser, "e")
+    cls = _class(args, parser)
+    _check_types(args, cls, parser)
     if args.f is not None:
-        if sum(args.f) - sum(args.e) != cls.delta:
-            parser.error("sum(f) - sum(e) must equal delta")
         strata = [(args.e, args.f)]
     else:
         strata = [
@@ -384,8 +418,7 @@ def cmd_section5(args, config: RunConfig, parser) -> int:
     mode = modes[0]
 
     if mode == "abundance":
-        _require(args, parser, "m", "k", "delta")
-        cls = HirzebruchClass(m=args.m, k=args.k, delta=args.delta)
+        cls = _class(args, parser)
         res = abundance_verdict(cls, e_bound=args.bound)
         doc = {
             "command": "section5",
@@ -415,8 +448,7 @@ def cmd_section5(args, config: RunConfig, parser) -> int:
             "provenance": {"rows": "a_{i+j} <= a_i + a_j with 0 < a_1 <= ... <= a_{k-1} <= bound"},
         }
     elif mode == "ol":
-        _require(args, parser, "m", "k", "delta")
-        cls = HirzebruchClass(m=args.m, k=args.k, delta=args.delta)
+        cls = _class(args, parser)
         a = scrollar_from_class(cls)
         bound = args.bound if args.bound is not None else a.a[-1] + 2
         rows = [{"e": list(e)} for e in ol_polytope(a, bound)]
@@ -484,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--e", type=_parse_tuple, default=None, help="comma-separated type")
         p.add_argument("--f", type=_parse_tuple, default=None, help="comma-separated type")
         p.add_argument("--window", type=_parse_window, default=None, help="lo,hi")
-        p.add_argument("--trials", type=int, default=5)
+        p.add_argument("--trials", type=_positive_int, default=5)
         p.add_argument(
             "--pattern", choices=("FULL", "SUT"), default="FULL", help="sampling pattern"
         )
@@ -499,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="sample and certify a curve")
     common(p_sample)
-    p_sample.add_argument("--retries", type=int, default=8)
+    p_sample.add_argument("--retries", type=_positive_int, default=8)
     p_sample.set_defaults(func=cmd_sample)
 
     p_dom = sub.add_parser("dominance", help="rank certification")

@@ -5,6 +5,13 @@ certificates over F_p-bar, connectedness, discriminant degree vs the
 ramification count, pointwise cokernel ranks, and recovery of splitting
 types from twisted section counts.
 
+A SMOOTH certificate for det(Ax + By) = 0 already proves that Ax + By
+has rank exactly k - 1 at every point of the curve: by Jacobi's formula
+d det M = tr(adj M dM) for M = Ax + By, and adj M = 0 where rank M <=
+k - 2, so det M and both its partials would vanish at such a point.
+`hbn sample` therefore samples no points for the cokernel rank;
+`cokernel_rank_check` stays as an independent oracle for the tests.
+
 The surface is covered by the four torus charts of its quotient
 construction; a curve sum P_i(s,t) x^i y^(k-i) dehomogenizes by setting
 one of s,t and one of x,y to 1.  Every closed point lies in at least one

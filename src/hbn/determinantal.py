@@ -11,18 +11,31 @@ LU pattern, A is supported on and below it (i + j >= k + 1) and B on and
 above it (i + j <= k + 1); SUT pushes B strictly above (i + j <= k).
 Indices in comments are 1-based to match the formulas; storage is
 0-based.
+
+Determinants of Ax + By come by evaluation and interpolation.  The x^i
+y^(k-i) coefficient P_i of det(Ax + By) is a form of degree
+delta + (k - i)m: every transversal of the grid has a-degrees summing to
+delta, and each of its k - i entries taken from B adds m.  So with
+s = y = 1, det is a polynomial of degree at most k in x and at most
+delta + k*m in t, and its values at the nodes t = 0..delta + k*m,
+x = 0..k determine it.  One batched determinant kernel takes all of
+them, and two interpolations along the node axes recover the P_i.  The
+nodes are distinct mod p only when p > delta + k*m and p > k, so a
+smaller prime raises PrimeTooSmallError.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Optional
 
-from hbn.exact.birkhoff import _perm_sign
+import numpy as np
+
 from hbn.exact.field import PrimeTooSmallError
 from hbn.exact.forms import BinaryForm
+from hbn.exact.linalg import batch_det_mod
+from hbn.exact.poly import _eval_at_nodes, interp_nodes
 from hbn.splitting import HirzebruchClass
 
 PATTERNS = ("FULL", "LU", "SUT", "IS_POINT")
@@ -151,6 +164,16 @@ def corner_row_limit(grid: DegreeGrid) -> int:
     return r
 
 
+def is_point_obstruction(grid: DegreeGrid) -> Optional[str]:
+    """Why the grid has no inductive point (sample_is_point), or None."""
+    k = grid.k
+    if k < 3:
+        return "the inductive point needs k >= 3"
+    if grid.a[k - 1][0] < 0 or any(grid.b[k - i - 1][i - 1] < 0 for i in range(2, k)):
+        return "grid does not admit the inductive point pattern"
+    return None
+
+
 def sample_is_point(
     grid: DegreeGrid, p: int, rng: random.Random
 ) -> tuple[MatrixPair, dict]:
@@ -163,14 +186,13 @@ def sample_is_point(
     B_{i,1} for k-r <= i <= k-1; A_{k,j} for 2 <= j <= k.  Everything
     else is identically zero.
     """
+    reason = is_point_obstruction(grid)
+    if reason is not None:
+        raise ValueError(reason)
     k = grid.k
-    if k < 3:
-        raise ValueError("the inductive point needs k >= 3")
     r = corner_row_limit(grid)
     f_degrees = {i: grid.b[k - i - 1][i - 1] for i in range(2, k)}
     g_degree = grid.a[k - 1][0]
-    if any(d < 0 for d in f_degrees.values()) or g_degree < 0:
-        raise ValueError("grid does not admit the inductive point pattern")
     total_roots = sum(f_degrees.values()) + g_degree
     if total_roots > p:
         raise PrimeTooSmallError(
@@ -234,6 +256,10 @@ def sample_is_point(
 # ---------------------------------------------------------------------------
 
 
+class DegenerateCurveError(ValueError):
+    """det(Ax + By) vanishes identically, so the pair cuts out no curve."""
+
+
 @dataclass(frozen=True)
 class BinaryFormCurve:
     """Curve of class kH + delta*F cut out by sum of P_i(s,t) x^i y^(k-i)."""
@@ -249,78 +275,61 @@ class BinaryFormCurve:
             if form.degree != d + (k - i) * m:
                 raise ValueError(f"P_{i} degree {form.degree} != {d + (k - i) * m}")
         if all(form.is_zero() for form in self.P):
-            raise ValueError("identically zero curve rejected")
+            raise DegenerateCurveError("identically zero curve rejected")
 
     @property
     def p(self) -> int:
         return self.P[0].p
 
 
-def det_xy(pair: MatrixPair, rows: list[int], cols: list[int]) -> list[BinaryForm]:
-    """det of the submatrix of Ax + By on given rows/cols, graded by x-power.
+def pair_values(pair: MatrixPair, n_t: int, n_x: int) -> np.ndarray:
+    """A(t)x + B(t) mod p (s = y = 1) at t = 0..n_t-1 and x = 0..n_x-1.
 
-    Returns [Q_0, ..., Q_n] with Q_i the coefficient of x^i y^(n-i).  All
-    surviving permutation terms in slot i share one declared degree (the
-    transversal degree sum is pairing-independent), so the sums are
-    exact.  Empty slots get zero forms whose degrees follow from the
-    nonempty ones, falling back to the grid when the block vanishes.
+    Returns an int64 array of shape (n_t, n_x, k, k).
     """
-    n = len(rows)
-    if len(cols) != n:
-        raise ValueError("block must be square")
-    p = pair.p
-    m = pair.grid.m
-    slots: dict[int, BinaryForm] = {}
-    for perm in permutations(range(n)):
-        sign = _perm_sign(perm)
-        acc: dict[int, BinaryForm] = {0: BinaryForm.constant(sign, p)}
-        for step in range(n):
-            r, c = rows[step], cols[perm[step]]
-            fa, fb = pair.A[r][c], pair.B[r][c]
-            nxt: dict[int, BinaryForm] = {}
-            for i, q in acc.items():
-                if not fb.is_zero():
-                    _slot_add(nxt, i, q.mul(fb))
-                if not fa.is_zero():
-                    _slot_add(nxt, i + 1, q.mul(fa))
-            acc = nxt
-            if not acc:
-                break
-        for i, q in acc.items():
-            _slot_add(slots, i, q)
-    out = []
-    anchor = next(iter(slots.items()), None)
-    for i in range(n + 1):
-        q = slots.get(i)
-        if q is not None:
-            out.append(q)
-        elif anchor is not None:
-            i0, q0 = anchor
-            out.append(BinaryForm.zero(q0.degree + (i0 - i) * m, p))
-        else:
-            delta_sub = sum(pair.grid.a[r][c] for r, c in zip(rows, cols))
-            out.append(BinaryForm.zero(delta_sub + (n - i) * m, p))
-    return out
+    p, k = pair.p, pair.k
+    entries = [form.coeffs for mat in (pair.A, pair.B) for row in mat for form in row]
+    at_t = _eval_at_nodes(entries, n_t, p).reshape(n_t, 2, 1, k, k)
+    xs = np.arange(n_x, dtype=np.int64)[None, :, None, None]
+    return (at_t[:, 0] * xs + at_t[:, 1]) % p
 
 
-def _slot_add(d: dict[int, BinaryForm], i: int, q: BinaryForm) -> None:
-    cur = d.get(i)
-    d[i] = q if cur is None else cur.add(q)
+def _node_values(pair: MatrixPair) -> np.ndarray:
+    """A(t)x + B(t) on the grid t = 0..delta + k*m, x = 0..k (module doc)."""
+    grid, p, k = pair.grid, pair.p, pair.k
+    bound = grid.delta + k * grid.m
+    if p <= bound or p <= k:
+        raise PrimeTooSmallError(
+            f"prime too small for the determinant map: needs p > delta + k*m = {bound} "
+            f"and p > k = {k}"
+        )
+    return pair_values(pair, max(bound, 0) + 1, k + 1)
+
+
+def _dets(mats: np.ndarray, p: int) -> np.ndarray:
+    """Determinants of the trailing square blocks of an array of matrices."""
+    r = mats.shape[-1]
+    return batch_det_mod(mats.reshape(-1, r, r), p).reshape(mats.shape[:-2])
 
 
 def phi(pair: MatrixPair) -> BinaryFormCurve:
-    """The determinant map: (A, B) -> det(Ax + By) as a curve."""
-    k = pair.k
-    grid = pair.grid
-    dets = det_xy(pair, list(range(k)), list(range(k)))
-    cls = HirzebruchClass(m=grid.m, k=k, delta=grid.delta)
-    fixed = []
-    for i, form in enumerate(dets):
+    """The determinant map: (A, B) -> det(Ax + By) as a curve.
+
+    Evaluation and interpolation on the node grid of the module doc, so
+    p > delta + k*m and p > k are needed; a smaller prime raises
+    PrimeTooSmallError.  A pair whose determinant vanishes identically
+    raises DegenerateCurveError.
+    """
+    grid, p, k = pair.grid, pair.p, pair.k
+    dets = _dets(_node_values(pair), p)
+    coef = interp_nodes(interp_nodes(dets, p, axis=1), p)  # coef[tpow, xpow]
+    forms = []
+    for i in range(k + 1):
         want = grid.delta + (k - i) * grid.m
-        if form.is_zero() and form.degree != want:
-            form = BinaryForm.zero(want, pair.p)
-        fixed.append(form)
-    return BinaryFormCurve(cls=cls, P=tuple(fixed))
+        col = coef[: want + 1, i].tolist() if want >= 0 else []
+        forms.append(BinaryForm.homogenize(col, want, p))
+    cls = HirzebruchClass(m=grid.m, k=k, delta=grid.delta)
+    return BinaryFormCurve(cls=cls, P=tuple(forms))
 
 
 @dataclass(frozen=True)
@@ -363,44 +372,26 @@ def reducibility_witness(pair: MatrixPair) -> bool:
     y divides the output polynomial.  BLOCK_FACTOR: det equals
     +/- det(top-right block) * det(complement), hence the block minor
     divides it.  Works directly on determinants so that even degenerate
-    pairs (det identically zero) are handled.
+    pairs (det identically zero) are handled.  Both identities are
+    checked at every node of the grid of the module doc, which is exact
+    for forms of these degrees; like phi, that needs p > delta + k*m and
+    p > k, and a smaller prime raises PrimeTooSmallError.
     """
     verdict = forced_reducibility(pair.grid)
-    k = pair.k
+    k, p = pair.k, pair.p
     if verdict.verdict == "NONE":
         return False
-    dets = det_xy(pair, list(range(k)), list(range(k)))
+    mats = _node_values(pair)
+    dets = _dets(mats, p)
     if verdict.verdict == "DIVISIBLE_BY_Y":
-        return dets[k].is_zero()
+        # P_k at every t node, from the x-coefficients of det
+        return not interp_nodes(dets, p, axis=1)[:, k].any()
     i0 = min(verdict.block, key=lambda iv: iv[1])[0]
-    top = det_xy(pair, list(range(i0)), list(range(k - i0, k)))
-    bottom = det_xy(pair, list(range(i0, k)), list(range(k - i0)))
+    top = _dets(mats[..., :i0, k - i0 :], p)
+    bottom = _dets(mats[..., i0:, : k - i0], p)
     # det M = (-1)^(i0 * (k - i0)) * det(top-right) * det(bottom-left)
     sign = -1 if (i0 * (k - i0)) % 2 else 1
-    prod = xy_mul(top, bottom)
-    for i in range(k + 1):
-        got = dets[i]
-        expect = prod[i].scale(sign)
-        if got.is_zero() and expect.is_zero():
-            continue
-        if got.is_zero() != expect.is_zero():
-            return False
-        if not got.add(expect.neg()).is_zero():
-            return False
-    return True
-
-
-def xy_mul(q1: list[BinaryForm], q2: list[BinaryForm]) -> list[BinaryForm]:
-    """Product of two x-graded form vectors (convolution in the x power)."""
-    n1, n2 = len(q1) - 1, len(q2) - 1
-    out: list[BinaryForm] = []
-    for i in range(n1 + n2 + 1):
-        acc = None
-        for i1 in range(max(0, i - n2), min(n1, i) + 1):
-            term = q1[i1].mul(q2[i - i1])
-            acc = term if acc is None else acc.add(term)
-        out.append(acc)
-    return out
+    return bool(np.array_equal(dets, sign * top * bottom % p))
 
 
 def p1_pk_closed_form(pair: MatrixPair) -> tuple[BinaryForm, BinaryForm]:

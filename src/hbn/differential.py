@@ -5,20 +5,21 @@ direction (A', B') to the coefficient of eps in
 det((A + eps A')x + (B + eps B')y) mod eps^2.  That coefficient equals
 sum_{r,c} C_rc (A'_rc x + B'_rc y) where C_rc is the signed cofactor of
 Ax + By at (r, c), so one cofactor pass per pair yields every column of
-the differential; a literal dual-number determinant per column is kept
-as a slow cross-check.
+the differential; the test suite keeps a literal dual-number
+determinant per column as a slow cross-check.
 
 Cofactors come by evaluation and interpolation (von zur Gathen and
 Gerhard, Modern Computer Algebra, ch. 5).  With s = y = 1, every entry
 of A and B is evaluated at the nodes t = 0..n-1, the matrices A(t)x + B(t)
-are formed at x = 0..k-1, and the Faddeev-LeVerrier recurrence gives
-all k^2 signed cofactors at all n*k points in k - 1 batched products.
+are formed at x = 0..k-1 (`determinantal.pair_values`), and the
+Faddeev-LeVerrier recurrence gives all k^2 signed cofactors at all n*k
+points in k - 1 batched products.
 Each cofactor has x-degree at most k - 1, and an entry with b_rc >= 0
 (the only entries with tangent coordinates) has a cofactor of t-degree
-at most delta + k*m, so n = delta + k*m + 1 nodes (rounded up as for
-resultants) interpolate it exactly.  This needs p > delta + k*m, and
-p >= k for the x-nodes and the recurrence's divisions by 1..k-1; a
-smaller prime raises PrimeTooSmallError.
+at most delta + k*m, so exactly n = delta + k*m + 1 nodes interpolate
+it.  This needs p > delta + k*m, and p >= k for the x-nodes and the
+recurrence's divisions by 1..k-1; a smaller prime raises
+PrimeTooSmallError.
 
 Tangent subspaces are named selectors over an ambient entry pattern.
 FULL_PRIME takes every coordinate the pattern and degree grid admit.
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -46,22 +46,15 @@ from hbn.determinantal import (
     DegreeGrid,
     MatrixPair,
     degree_grid,
+    pair_values,
     pattern_allows,
     sample_is_point,
     sample_pair,
 )
-from hbn.exact.birkhoff import _perm_sign
 from hbn.exact.field import DEFAULT_PRIME, PrimeTooSmallError, inv_mod
-from hbn.exact.forms import BinaryForm, DualForm
+from hbn.exact.forms import BinaryForm
 from hbn.exact.linalg import matrix_rank
-from hbn.exact.poly import (
-    _eval_at_nodes,
-    _inverse_vandermonde,
-    _node_count,
-    pdeg,
-    pdivmod,
-    ptrim,
-)
+from hbn.exact.poly import interp_nodes, pdeg, pdivmod, ptrim
 from hbn.seeds import derive_seed
 from hbn.splitting import HirzebruchClass
 
@@ -218,17 +211,8 @@ def cofactor_forms(pair: MatrixPair) -> np.ndarray:
             f"prime too small for cofactor interpolation: needs p > delta + k*m = {bound} "
             f"and p >= k = {k}"
         )
-    n = _node_count(bound + 1, p)
-    entries = [form.coeffs for mat in (pair.A, pair.B) for row in mat for form in row]
-    at_t = _eval_at_nodes(entries, n, p).reshape(n, 2, 1, k, k)
-    xs = np.arange(k, dtype=np.int64)[None, :, None, None]
-    mats = (at_t[:, 0] * xs + at_t[:, 1]) % p  # (t, x, row, col)
-    cof = _cofactors(mats, p)
-    # cof[t, x, r, c] = C_rc -> coefficients, x first, then the t-rows we read
-    inv_x = _inverse_vandermonde(tuple(range(k)), p)[None, :, :, None, None]
-    by_x = (inv_x * cof[:, None] % p).sum(axis=2) % p  # (t, xpow, r, c)
-    inv_t = _inverse_vandermonde(tuple(range(n)), p)[: bound + 1, :, None, None, None]
-    coef = (inv_t * by_x[None] % p).sum(axis=1) % p  # (tpow, xpow, r, c)
+    cof = _cofactors(pair_values(pair, bound + 1, k), p)  # cof[t, x, r, c] = C_rc
+    coef = interp_nodes(interp_nodes(cof, p, axis=1), p)  # (tpow, xpow, r, c)
     return coef.transpose(2, 3, 1, 0)
 
 
@@ -257,65 +241,6 @@ def dphi_matrix(pair: MatrixPair, selector: str, include_p0: bool = False) -> Di
     gathered = coef[r, c, np.clip(xpow, 0, k - 1), np.clip(tpow, 0, tlen - 1)]
     mat = np.where(inside, gathered, 0)
     return DifferentialMatrix(entries=mat, basis=basis, blocks=blocks, sizes=sizes, p=pair.p)
-
-
-def dphi_column_dual(pair: MatrixPair, coord: tuple, include_p0: bool = False) -> np.ndarray:
-    """Slow route for one column: dual-number determinant with a single eps.
-
-    Expands det((A + eps A')x + (B + eps B')y) by permutations with
-    DualForm arithmetic, no cofactors anywhere, and reads off the eps
-    part.  Cross-check for dphi_matrix.
-    """
-    mname, r0, c0, jj = coord
-    grid = pair.grid
-    k = grid.k
-    p = pair.p
-    deg = (grid.a if mname == "A" else grid.b)[r0][c0]
-    mono = BinaryForm.homogenize([0] * jj + [1], deg, p)
-    blocks, sizes = _block_layout(grid, include_p0)
-    offsets = {}
-    total = 0
-    for blk, size in zip(blocks, sizes):
-        offsets[blk] = total
-        total += size
-    vec = np.zeros(total, dtype=np.int64)
-    slots: dict[int, DualForm] = {}
-    for perm in permutations(range(k)):
-        sign = _perm_sign(perm)
-        acc = {0: DualForm.lift(BinaryForm.constant(sign, p))}
-        for step in range(k):
-            r, c = step, perm[step]
-            fa = DualForm(
-                pair.A[r][c],
-                mono if (mname, r, c) == ("A", r0, c0) else BinaryForm.zero(grid.a[r][c], p),
-            )
-            fb = DualForm(
-                pair.B[r][c],
-                mono if (mname, r, c) == ("B", r0, c0) else BinaryForm.zero(grid.b[r][c], p),
-            )
-            nxt: dict[int, DualForm] = {}
-            for i, q in acc.items():
-                if not (fb.base.is_zero() and fb.epsilon_part.is_zero()):
-                    _dual_slot_add(nxt, i, q.mul(fb))
-                if not (fa.base.is_zero() and fa.epsilon_part.is_zero()):
-                    _dual_slot_add(nxt, i + 1, q.mul(fa))
-            acc = nxt
-            if not acc:
-                break
-        for i, q in acc.items():
-            _dual_slot_add(slots, i, q)
-    for i, q in slots.items():
-        eps = q.epsilon_part
-        if i not in offsets or eps.is_zero():
-            continue
-        for idx, coeff in enumerate(eps.coeffs):
-            vec[offsets[i] + idx] = coeff
-    return vec
-
-
-def _dual_slot_add(d: dict[int, DualForm], i: int, q: DualForm) -> None:
-    cur = d.get(i)
-    d[i] = q if cur is None else cur.add(q)
 
 
 # ---------------------------------------------------------------------------

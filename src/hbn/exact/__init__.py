@@ -10,7 +10,7 @@ from hbn.exact.field import (
     is_prime,
     sqrt_mod,
 )
-from hbn.exact.forms import BinaryForm, DualForm
+from hbn.exact.forms import BinaryForm
 from hbn.exact.linalg import batch_det_mod, matrix_rank, nullspace_vector
 from hbn.exact.birkhoff import TransitionMatrix, birkhoff_splitting
 
@@ -20,7 +20,6 @@ __all__ = [
     "is_prime",
     "sqrt_mod",
     "BinaryForm",
-    "DualForm",
     "matrix_rank",
     "batch_det_mod",
     "nullspace_vector",

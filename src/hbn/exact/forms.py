@@ -1,4 +1,4 @@
-"""Homogeneous binary forms over F_p and dual-number forms.
+"""Homogeneous binary forms over F_p.
 
 A BinaryForm of degree d is sum(c_i * s^(d-i) * t^i).  A declared degree
 with empty coefficients is the ZeroForm of that degree: it absorbs in
@@ -109,31 +109,3 @@ class BinaryForm:
         if len(f) - 1 > degree:
             raise ValueError("polynomial degree exceeds declared degree")
         return cls(degree, tuple(f + [0] * (degree + 1 - len(f))), p)
-
-
-@dataclass(frozen=True)
-class DualForm:
-    """base + eps * epsilon_part with eps^2 = 0; both parts share a degree."""
-
-    base: BinaryForm
-    epsilon_part: BinaryForm
-
-    def __post_init__(self):
-        if self.base.degree != self.epsilon_part.degree:
-            raise ValueError("dual parts must share a degree")
-        if self.base.p != self.epsilon_part.p:
-            raise ValueError("dual parts must share a field")
-
-    @classmethod
-    def lift(cls, base: BinaryForm) -> "DualForm":
-        return cls(base, BinaryForm.zero(base.degree, base.p))
-
-    def add(self, other: "DualForm") -> "DualForm":
-        return DualForm(self.base.add(other.base), self.epsilon_part.add(other.epsilon_part))
-
-    def mul(self, other: "DualForm") -> "DualForm":
-        eps = self.base.mul(other.epsilon_part).add(self.epsilon_part.mul(other.base))
-        return DualForm(self.base.mul(other.base), eps)
-
-    def scale(self, c: int) -> "DualForm":
-        return DualForm(self.base.scale(c), self.epsilon_part.scale(c))

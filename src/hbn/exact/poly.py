@@ -6,7 +6,8 @@ products go through numpy int64 convolution, which sums up to
 min(len f, len g) unreduced products; `pmul` takes that path only when
 the sum cannot reach 2^63 and falls back to a reduced Python loop
 otherwise.  Interpolation is one mat-vec with an inverse Vandermonde
-matrix cached per node tuple.
+matrix cached per node tuple; `interp_nodes` does the same along one
+axis of an array of values at the nodes 0..n-1.
 
 Also provides a quotient-field engine F_p[x]/(q) for q irreducible, so
 callers can run gcds of polynomials whose coefficients live in an
@@ -121,7 +122,11 @@ def pderiv(f: Poly, p: int) -> Poly:
     return ptrim([i * c % p for i, c in enumerate(f)][1:])
 
 
-@functools.lru_cache(maxsize=16)
+# One table per node tuple and prime.  A desk-scale workload at one prime
+# reads about 20: the nodes 0..n-1 for every n <= delta + k*m + 1 <= 16
+# (the determinant and cofactor grids, and x = 0..k) and resultant_v's
+# powers of two up to 128.  64 entries hold them for a few primes at once.
+@functools.lru_cache(maxsize=64)
 def _inverse_vandermonde(nodes: tuple[int, ...], p: int) -> np.ndarray:
     """Inverse mod p of V[i, j] = nodes[i]^j."""
     n = len(nodes)
@@ -147,6 +152,20 @@ def pinterp(xs, ys, p: int) -> Poly:
         return []
     terms = _inverse_vandermonde(nodes, p) * (np.asarray(ys, dtype=np.int64) % p) % p
     return ptrim([int(c) for c in terms.sum(axis=1) % p])
+
+
+def interp_nodes(vals: np.ndarray, p: int, axis: int = 0) -> np.ndarray:
+    """Interpolate along one axis of values taken at the nodes 0..n-1.
+
+    Index j of that axis holds the values at node j on input and the
+    coefficients of u^j on output; every other axis is a separate
+    interpolant.  Same cached tables and reduce-before-sum rule as
+    pinterp.
+    """
+    n = vals.shape[axis]
+    inv = _inverse_vandermonde(tuple(range(n)), p)
+    inv = inv.reshape((1,) * axis + (n, n) + (1,) * (vals.ndim - axis - 1))
+    return (inv * vals[(slice(None),) * axis + (None,)] % p).sum(axis=axis + 1) % p
 
 
 def _eval_at_nodes(f: list[Poly], n: int, p: int) -> np.ndarray:

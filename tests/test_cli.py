@@ -1,6 +1,8 @@
 """End to end command line checks, run in process via main(argv)."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import resource
@@ -9,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hbn.cli
 from hbn.cli import main
@@ -221,21 +225,21 @@ def test_section5_requires_exactly_one_mode():
 GOLDEN = {
     "sample_trig": (
         ["sample", *TRIG, "--e=-8,-4,-1", "--f=-7,-4,0", "--seed", "7"],
-        0, "b9292cf168d44b3a402e399fca0e15e780e53dcf9030935d85731849f588e3b8",
+        0, "2214b21965672dbbecea9c1c6c2fc5a49f9ce098a03b97d5c096c04bacef7602",
     ),
     "sample_k2": (
         ["sample", "--m", "1", "--k", "2", "--delta", "1", "--e=0,0", "--f=0,1", "--seed", "1"],
-        0, "20177b98ff1b6f398f9556a16db5be6cca7c5cdea275d8f3fa9f6640c95f8bd0",
+        0, "c6ff606470626258e834e55d6e67521821aea9de8f224ded4eab2a8a8250ed57",
     ),
     "sample_k4": (
         ["sample", "--m", "1", "--k", "4", "--delta", "2",
          "--e=-8,-8,-8,-7", "--f=-8,-8,-7,-6", "--seed", "2"],
-        0, "9a35ff5374d5dd78f5af49a2b6e72ccf17bc29c48d277e668e8f59dbf7ba509e",
+        0, "82c375dd14aa4d6fc06eaae0b72a36449d56dad80a27c43f1745e0554475b64a",
     ),
     "sample_singular": (
         ["sample", *TRIG, "--e=-8,-4,-1", "--f=-7,-4,0",
          "--p", "101", "--seed", "35", "--retries", "1"],
-        3, "5f98af0c33483d98f2c2b3955ac41f4f623aad3d229d12328100aa591211e55d",
+        3, "57ac6578e074a7a21c635d83b7d10163b1c42ee46dd351ca0c1834dd6ed2f4e1",
     ),
     "dominance_companions": (
         ["dominance", *TRIG, "--e=-8,-4,-1", "--seed", "0"],
@@ -331,12 +335,103 @@ def test_dominance_sweep_rejects_prime_above_int64_bound():
 
 def test_sample_prime_below_resultant_bound_is_usage_error(capsys):
     argv = ["sample", "--m", "1", "--k", "2", "--delta", "1", "--e=0,0", "--f=0,1"]
+    # p = 3 stops at the determinant map's node grid (delta + k*m = 3)
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--p", "3"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "--p 3: prime too small for interpolation" in err
-    assert "degree up to 6 needs p > 6" in err
+    assert "--p 3: prime too small for the determinant map" in err
+    assert "needs p > delta + k*m = 3 and p > k = 2" in err
+    # p = 5 passes it and stops at the smoothness resultants
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--p", "5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--p 5: prime too small for interpolation" in err
+    assert "degree up to 7 needs p > 7" in err
+
+
+def test_sample_smooth_curve_without_quadratic_points(tmp_path):
+    # three conjugate sections over F_p^3: smooth, but with no F_p or
+    # F_p^2 point for a pointwise cokernel check to sample
+    argv = ["sample", "--m", "0", "--k", "3", "--delta", "0", "--e=-3,-3,-3", "--f=-3,-3,-3"]
+    code, doc = run(tmp_path, argv + ["--seed", "2"])
+    assert code == 0
+    assert doc["certification"]["verdict"] == "SMOOTH"
+    assert doc["certification"]["cokernel_rank_ok"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--e=1,1", "--f=1,1", "--p", "3", "--seed", "1"],  # P_k = 0 on a draw
+        ["--e=-2,-2", "--f=-2,-2", "--p", "3"],  # det identically zero on a draw
+    ],
+)
+def test_sample_degenerate_draw_is_a_failed_attempt(tmp_path, argv):
+    code, doc = run(tmp_path, ["sample", "--m", "0", "--k", "2", "--delta", "0", *argv])
+    cert = doc["certification"]
+    assert (code, cert["verdict"]) in ((0, "SMOOTH"), (3, "INCONCLUSIVE"))
+    assert cert["attempts"] > 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sample", "--m", "1", "--k", "2", "--delta", "1", "--e=0,0", "--f=0,1", "--retries", "0"],
+         "argument --retries: must be at least 1, got 0"),
+        (["dominance", *TRIG, "--e=-8,-4,-1", "--f=-7,-4,0", "--trials", "0"],
+         "argument --trials: must be at least 1, got 0"),
+        (["dominance", "--lemma", "is", "--m", "1", "--k", "2", "--delta", "1", "--e=0,0", "--f=0,1"],
+         "--lemma is: the inductive point needs k >= 3"),
+    ],
+)  # fmt: skip
+def test_vacuous_arguments_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", os.devnull])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@st.composite
+def _cli_cases(draw):
+    """Small classes at small primes, through enumerate and every sample
+    and dominance mode.  Most cases are well formed: e has k entries and
+    f is e plus delta unit steps.  The rest have a bad class, a type of
+    the wrong length or an arbitrary f."""
+    shape = draw(st.sampled_from(["ok"] * 6 + ["m", "k", "delta", "length"]))
+    m = -1 if shape == "m" else draw(st.integers(0, 2))
+    k = 0 if shape == "k" else draw(st.integers(1, 4))
+    delta = -1 if shape == "delta" else draw(st.integers(0, 2))
+    n = k + 1 if shape == "length" else max(k, 1)
+    e = sorted(draw(st.lists(st.integers(-3, 2), min_size=n, max_size=n)))
+    f = list(e)
+    for i in draw(st.lists(st.integers(0, n - 1), min_size=max(delta, 0), max_size=max(delta, 0))):
+        f[i] += 1
+    f = draw(st.sampled_from([sorted(f), draw(st.lists(st.integers(-3, 2), min_size=n, max_size=n))]))
+    mode = draw(st.sampled_from(["sample", "companions", "dominance", "main", "sq", "is", "enumerate"]))
+    if mode in ("sq", "main", "is"):
+        argv = ["dominance", "--lemma", mode]
+    else:
+        argv = ["dominance" if mode == "companions" else mode]
+    argv += ["--m", str(m), "--k", str(k), "--delta", str(delta), "--e=" + ",".join(map(str, e))]
+    if mode not in ("enumerate", "companions"):
+        argv.append("--f=" + ",".join(map(str, f)))
+    if mode == "sample":
+        argv += ["--retries", str(draw(st.integers(1, 3)))]
+    p = draw(st.sampled_from([3, 5, 7, 11, 13, 101]))
+    return argv + ["--p", str(p), "--seed", str(draw(st.integers(0, 9))), "--trials", "2"]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_cli_cases())
+def test_cli_gives_a_verdict_or_a_usage_error(argv):
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv + ["--out", os.devnull])
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2, 3), argv
 
 
 def test_dominance_prime_below_cofactor_bound_is_usage_error(capsys):

@@ -29,7 +29,7 @@ from hbn.curves import (
     point_on_curve,
     smoothness,
 )
-from hbn.determinantal import BinaryFormCurve, degree_grid, phi, sample_pair
+from hbn.determinantal import BinaryFormCurve, MatrixPair, degree_grid, phi, sample_pair
 from hbn.exact.field import DEFAULT_PRIME, fp2_add, fp2_inv, fp2_mul, quadratic_nonresidue
 from hbn.exact.forms import BinaryForm
 from hbn.splitting import HirzebruchClass, genus, structure_sheaf_type
@@ -125,6 +125,42 @@ def test_smooth_sample_full_certificate():
     deg, want, ok = discriminant_check(curve)
     assert ok and deg == want == 2 * genus(cls) + 2 * cls.k - 2
     assert cokernel_rank_check(pair, curve, 20, rng)
+
+
+def _plant_rank_drop(pair, t0, x0, rng):
+    """The pair with each B entry's s^deg coefficient shifted so that
+    A(t0) x0 + B(t0) (s = y = 1) becomes a random matrix of rank k - 2."""
+    k, p = pair.k, pair.p
+    left = [[rng.randrange(p) for _ in range(k - 2)] for _ in range(k)]
+    right = [[rng.randrange(p) for _ in range(k)] for _ in range(k - 2)]
+    B = []
+    for i in range(k):
+        row = []
+        for j in range(k):
+            want = sum(left[i][l] * right[l][j] for l in range(k - 2)) % p
+            have = (pair.A[i][j].eval(1, t0) * x0 + pair.B[i][j].eval(1, t0)) % p
+            form = pair.B[i][j]
+            coeffs = list(form.coeffs) or [0] * (form.degree + 1)
+            coeffs[0] = (coeffs[0] + want - have) % p
+            row.append(BinaryForm(form.degree, tuple(coeffs), p))
+        B.append(tuple(row))
+    return MatrixPair(A=pair.A, B=tuple(B), grid=pair.grid, pattern=pair.pattern, p=p)
+
+
+def test_planted_rank_drop_point_is_singular():
+    # contrapositive of the implication hbn sample relies on: d det M =
+    # tr(adj M dM) and adj M = 0 where rank M <= k - 2, so a curve through
+    # such a point is never certified SMOOTH
+    rng = random.Random(14)
+    for e, f, m in [((0, 0), (0, 1), 1), ((0, 0, 0), (0, 0, 1), 1), ((-1, 0, 0, 0), (0, 0, 0, 0), 1)]:
+        grid = degree_grid(e, f, m)
+        assert min(min(row) for row in grid.b) >= 0  # every B entry can absorb a shift
+        for _ in range(3):
+            t0, x0 = rng.randrange(P), rng.randrange(P)
+            pair = _plant_rank_drop(sample_pair(grid, "FULL", P, rng), t0, x0, rng)
+            assert pair_rank_at_point(pair, {"st": (1, t0), "xy": ((x0, 0), 1)}) == pair.k - 2
+            cert = smoothness(phi(pair), rng)
+            assert cert.verdict == "SINGULAR", (e, f, cert)
 
 
 def test_cokernel_check_rejects_mismatched_pair():

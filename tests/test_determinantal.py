@@ -10,13 +10,17 @@ import json
 import random
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import det_xy, phi_by_permutations, reducibility_witness_by_permutations, xy_mul
 
 from hbn.determinantal import (
+    DegenerateCurveError,
     MatrixPair,
     curve_from_json_dict,
     curve_to_json_dict,
     degree_grid,
-    det_xy,
     forced_reducibility,
     pair_from_json_dict,
     pair_to_json_dict,
@@ -27,9 +31,8 @@ from hbn.determinantal import (
     sample_pair,
     sample_is_point,
     split_form,
-    xy_mul,
 )
-from hbn.exact.field import DEFAULT_PRIME
+from hbn.exact.field import DEFAULT_PRIME, PrimeTooSmallError, is_prime
 from hbn.exact.forms import BinaryForm
 from hbn.exact.linalg import det_mod
 from hbn.splitting import HirzebruchClass, check_conditions, genus
@@ -170,10 +173,13 @@ def test_forced_reducibility_agrees_with_conditions():
 
 def test_reducibility_witness_factors_violating_samples():
     rng = random.Random(6)
-    grid = degree_grid((-8, -4, -1), (-8, -2, -1), 3)
-    for _ in range(10):
-        pair = sample_pair(grid, "FULL", P, rng)
-        assert reducibility_witness(pair)
+    # the k = 2 grid splits off a 1 x 1 block: det = -det(top) * det(bottom)
+    for e, f, m in [((-8, -4, -1), (-8, -2, -1), 3), ((-3, 0), (-2, 0), 1)]:
+        grid = degree_grid(e, f, m)
+        assert forced_reducibility(grid).verdict != "NONE"
+        for _ in range(10):
+            pair = sample_pair(grid, "FULL", P, rng)
+            assert reducibility_witness(pair)
 
 
 def test_split_form_roots():
@@ -233,3 +239,52 @@ def test_curve_json_round_trip():
     back = curve_from_json_dict(doc)
     assert back == curve
     assert hash(back) == hash(curve)
+
+
+def _prime_above(n):
+    q = max(n + 1, 3)
+    while not is_prime(q):
+        q += 1
+    return q
+
+
+@st.composite
+def _pairs(draw):
+    """Pairs on small grids, types not necessarily sorted, so that the
+    forced-reducibility verdicts include grids where the identity fails."""
+    k = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 2))
+    delta = draw(st.integers(0, 3))
+    e = draw(st.lists(st.integers(-3, 2), min_size=k, max_size=k))
+    f = draw(st.lists(st.integers(-3, 2), min_size=k - 1, max_size=k - 1))
+    f.append(sum(e) + delta - sum(f))
+    grid = degree_grid(e, f, m)
+    p = draw(st.sampled_from([_prime_above(max(delta + k * m, k)), 101, P]))
+    pattern = draw(st.sampled_from(["FULL", "SUT"]))
+    return sample_pair(grid, pattern, p, random.Random(draw(st.integers(0, 2**32))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_pairs())
+def test_phi_and_witness_match_permutation_oracle(pair):
+    try:
+        want = phi_by_permutations(pair)
+    except DegenerateCurveError:
+        with pytest.raises(DegenerateCurveError):
+            phi(pair)
+    else:
+        assert phi(pair) == want
+    assert reducibility_witness(pair) == reducibility_witness_by_permutations(pair)
+
+
+def test_phi_rejects_primes_at_the_degree_bound():
+    # delta + k*m = 2 + 3*3 = 11: the t nodes 0..11 collide mod 11
+    grid = degree_grid((-8, -4, -1), (-7, -4, 0), 3)
+    with pytest.raises(PrimeTooSmallError, match="needs p > delta \\+ k\\*m = 11 and p > k = 3"):
+        phi(sample_pair(grid, "FULL", 11, random.Random(0)))
+    pair = sample_pair(grid, "FULL", 13, random.Random(0))
+    assert phi(pair) == phi_by_permutations(pair)
+    # k = 3 x nodes 0..3 collide mod 3 even where delta + k*m < 3
+    flat = degree_grid((0, 0, 0), (0, 0, 0), 0)
+    with pytest.raises(PrimeTooSmallError, match="p > k = 3"):
+        phi(sample_pair(flat, "FULL", 3, random.Random(0)))

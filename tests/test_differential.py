@@ -14,15 +14,15 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from oracles import det_xy, dphi_column_dual
 
-from hbn.determinantal import degree_grid, det_xy, sample_is_point, sample_pair
+from hbn.determinantal import degree_grid, sample_is_point, sample_pair
 from hbn.differential import (
     SELECTORS,
     _cofactors,
     bottom_row_scale,
     cofactor_forms,
     dominance_rank,
-    dphi_column_dual,
     dphi_matrix,
     lemma_is_check,
     lemma_main_check,

@@ -10,9 +10,10 @@ import random
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import DualForm
 
 from hbn.exact.field import DEFAULT_PRIME
-from hbn.exact.forms import BinaryForm, DualForm
+from hbn.exact.forms import BinaryForm
 from hbn.exact.poly import pmul, ptrim
 from hbn.exact.poly2 import resultant_v, resultant_univariate, sylvester
 
