@@ -211,6 +211,14 @@ def _class(args, parser) -> HirzebruchClass:
         parser.error(f"{exc}: needs m >= 0, k >= 1 and delta >= 0")
 
 
+def _cover_class(args, parser):
+    cls = _class(args, parser)
+    try:
+        return cls, scrollar_from_class(cls)
+    except ValueError as exc:
+        parser.error(f"no cover invariants for this class: {exc}")
+
+
 def _check_types(args, cls: HirzebruchClass, parser) -> None:
     """--e and --f, where given, have k entries and spend delta."""
     for name in ("e", "f"):
@@ -228,6 +236,8 @@ def _check_types(args, cls: HirzebruchClass, parser) -> None:
 def cmd_enumerate(args, config: RunConfig, parser) -> int:
     cls = _class(args, parser)
     _check_types(args, cls, parser)
+    if (args.degree, args.sections) != (None, None) and (args.degree is None or cls.delta or args.e):
+        parser.error("--degree/--sections need --degree, delta = 0 and no --e")
     reports = enumerate_strata(
         cls,
         window=config.window,
@@ -418,13 +428,13 @@ def cmd_section5(args, config: RunConfig, parser) -> int:
     mode = modes[0]
 
     if mode == "abundance":
-        cls = _class(args, parser)
+        cls, a = _cover_class(args, parser)
         res = abundance_verdict(cls, e_bound=args.bound)
         doc = {
             "command": "section5",
             "mode": "abundance",
             "class": {"m": cls.m, "k": cls.k, "delta": cls.delta},
-            "scrollar": list(scrollar_from_class(cls).a),
+            "scrollar": list(a.a),
             "verdict": res["verdict"],
             "witness": None if res["witness"] is None else list(res["witness"]),
             "e_bound": res["e_bound"],
@@ -437,6 +447,8 @@ def cmd_section5(args, config: RunConfig, parser) -> int:
         _require(args, parser, "k")
         if args.bound is None:
             parser.error("--oo requires --bound")
+        if args.k < 2:
+            parser.error(f"--oo needs k >= 2 (at least one invariant), got k = {args.k}")
         rows = [{"a": list(a.a)} for a in oo_polytope(args.k, args.bound)]
         doc = {
             "command": "section5",
@@ -448,8 +460,7 @@ def cmd_section5(args, config: RunConfig, parser) -> int:
             "provenance": {"rows": "a_{i+j} <= a_i + a_j with 0 < a_1 <= ... <= a_{k-1} <= bound"},
         }
     elif mode == "ol":
-        cls = _class(args, parser)
-        a = scrollar_from_class(cls)
+        cls, a = _cover_class(args, parser)
         bound = args.bound if args.bound is not None else a.a[-1] + 2
         rows = [{"e": list(e)} for e in ol_polytope(a, bound)]
         doc = {
@@ -478,6 +489,8 @@ def cmd_section5(args, config: RunConfig, parser) -> int:
         }
     else:
         _require(args, parser, "d", "e", "f")
+        if not len(args.d) == len(args.e) == len(args.f):
+            parser.error("--d, --e and --f must have equal length")
         rep = general_bound_check(args.d, args.e, args.f, g=args.g)
         doc = {
             "command": "section5",

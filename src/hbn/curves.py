@@ -21,6 +21,7 @@ test.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -46,7 +47,7 @@ from hbn.exact.poly import (
     roots_fp,
     squarefree_part,
 )
-from hbn.exact.poly2 import resultant_v
+from hbn.exact.poly2 import check_resultant_prime, resultant_bound, resultants_v
 from hbn.splitting import HirzebruchClass, SplittingType
 
 UNKNOWN = "UNKNOWN"
@@ -202,7 +203,8 @@ def _content(fv: list[Poly], p: int) -> Poly:
 
 
 def _brute_scan(fv: list[Poly], p: int, rng: random.Random, budget: int = 400):
-    """Search common zeros of (f, f_u, f_v) over F_p and F_p2 directly."""
+    """Search common zeros of (f, f_u, f_v) over F_p and F_p2 directly;
+    returns the chart triple of `_analyze_chart`."""
     fu, fvv = _deriv_u(fv, p), _deriv_v(fv, p)
     nr = quadratic_nonresidue(p)
     us = list(range(min(p, budget)))
@@ -214,40 +216,85 @@ def _brute_scan(fv: list[Poly], p: int, rng: random.Random, budget: int = 400):
         w = pgcd(pgcd(g, gu, p), gv, p) if (g or gu or gv) else []
         if not w:
             # all three specializations vanish identically: any v works
-            return {"u": u0, "v": 0, "ext": 1}
-        if pdeg(w) < 1:
-            continue
-        roots = roots_fp(w, p, rng)
-        if roots:
-            return {"u": u0, "v": roots[0], "ext": 1}
-        for q, _ in irreducible_factors(w, p, rng):
-            if pdeg(q) == 2:
-                v0 = quadratic_roots_fp2(pmonic(q, p), p, nr)[0]
-                return {"u": u0, "v": v0, "ext": 2}
-    return None
+            return ("singular", {"u": u0, "v": 0, "ext": 1}, "BRUTE_FORCE")
+        wit = _fiber_point(u0, w, p, nr, rng) if pdeg(w) >= 1 else {}
+        if "v" in wit:
+            return ("singular", wit, "BRUTE_FORCE")
+    return ("unknown", None, "BRUTE_FORCE")
 
 
-def _analyze_chart(fv: list[Poly], p: int, rng: random.Random):
+def _fiber_point(u0: int, g: Poly, p: int, nr: int, rng: random.Random) -> dict:
+    """(u0, v) for a root v of g over F_p, else over F_p2, else g itself."""
+    roots = roots_fp(g, p, rng)
+    if roots:
+        return {"u": u0, "v": roots[0], "ext": 1}
+    for w, _ in irreducible_factors(g, p, rng):
+        if pdeg(w) == 2:
+            return {"u": u0, "v": quadratic_roots_fp2(pmonic(w, p), p, nr)[0], "ext": 2}
+    return {"u": u0, "v_poly": g, "symbolic": True}
+
+
+@functools.lru_cache(maxsize=1)
+def _chart_batch(cls: HirzebruchClass, forms: tuple) -> dict:
+    """What the smoothness and discriminant certificates of the curve
+    (cls, forms) compute without randomness, with every resultant from
+    one `resultants_v` call.
+
+    table[chart] = (fv, cont, h): the trimmed chart polynomial, its
+    content in the base variable and fv / cont.  table[chart, 'r1' | 'r2']
+    = Res_v(h, h_v), Res_v(h, h_u) for every chart with len(h) >= 2, and
+    table['t_x' | 's_x', 'disc'] = Res_v(fv, fv_v) when P_k != 0; those
+    repeat the r1 pairs whenever the content is trivial.  A pair whose
+    degree bound reaches p is left out, so it raises only where it is
+    read (`_lookup`).  The curve comes as (cls, forms) for the cache to
+    hash: curve.P may be a list.
+    """
+    p = forms[0].p
+    table, pairs = {}, {}
+    for name, fv in chart_polys(BinaryFormCurve(cls, forms)).items():
+        fv = _vtrim(fv)
+        cont = _content(fv, p)
+        h = _vtrim([pdivmod(c, cont, p)[0] for c in fv]) if pdeg(cont) >= 1 else fv
+        table[name] = (fv, cont, h)
+        if len(h) > 1:
+            pairs[name, "r1"] = (h, _deriv_v(h, p))
+            pairs[name, "r2"] = (h, _deriv_u(h, p))
+        if name in ("t_x", "s_x") and not forms[cls.k].is_zero():
+            pairs[name, "disc"] = (fv, _deriv_v(fv, p))
+    pairs = {key: pair for key, pair in pairs.items() if resultant_bound(*pair) < p}
+    table.update(zip(pairs, resultants_v(pairs.values(), p)))
+    return table
+
+
+def _lookup(table: dict, key, f: list[Poly], g: list[Poly], p: int) -> Poly:
+    if key not in table:
+        check_resultant_prime(f, g, p)  # left out of the batch: raises
+    return table[key]
+
+
+def _analyze_chart(name: str, p: int, rng: random.Random, table: dict):
     """Returns (status, witness, method) with status in
     {'clean', 'singular', 'unknown'}.
 
     Complete in the generic branches: 'clean' certifies that no point of
     the chart, over the algebraic closure, is a common zero of the
-    polynomial and its two partials.
+    polynomial and its two partials.  The chart's polynomial and its
+    resultants come from the curve's `_chart_batch` table.
     """
     nr = quadratic_nonresidue(p)
-    fv = _vtrim(fv)
+    fv, cont, h = table[name]
     if not fv:
         raise ValueError("chart polynomial is identically zero")
 
-    def vertical_witness(rep: Poly):
-        # every point over a root of rep is singular; any v works
-        w = _root_witness(rep, p, nr, rng)
+    def root_witness(g: Poly, var: str, other: str):
+        # singular points with coordinate var at a root of g and other = 0
+        w = _root_witness(g, p, nr, rng)
         if w is None:
             return ("unknown", None, "RESULTANT")
         if "value" in w:
-            return ("singular", {"u": w["value"], "v": 0, "ext": w["ext"]}, "RESULTANT")
-        return ("singular", {"u_minpoly": w["minpoly"], "v": 0, "symbolic": True}, "RESULTANT")
+            return ("singular", {var: w["value"], other: 0, "ext": w["ext"]}, "RESULTANT")
+        wit = {var + "_minpoly": w["minpoly"], other: 0, "symbolic": True}
+        return ("singular", wit, "RESULTANT")
 
     if len(fv) == 1:
         # no fiber variable: union of fibers; singular iff repeated root
@@ -257,16 +304,13 @@ def _analyze_chart(fv: list[Poly], p: int, rng: random.Random):
         rep = pgcd(c, pderiv(c, p), p)
         if pdeg(rep) < 1:
             return ("clean", None, "RESULTANT")
-        return vertical_witness(rep)
+        return root_witness(rep, "u", "v")  # every point over a root of rep
 
-    cont = _content(fv, p)
-    h = fv
     if pdeg(cont) >= 1:
         rep = pgcd(cont, pderiv(cont, p), p)
         if pdeg(rep) >= 1:
             # repeated vertical component: non-reduced, singular everywhere on it
-            return vertical_witness(rep)
-        h = _vtrim([pdivmod(c, cont, p)[0] for c in fv])
+            return root_witness(rep, "u", "v")
         # a vertical component meets the residual curve wherever the
         # residual has positive fiber degree over a content root
         for q, _ in irreducible_factors(cont, p, rng):
@@ -280,30 +324,22 @@ def _analyze_chart(fv: list[Poly], p: int, rng: random.Random):
     hv = _deriv_v(h, p)
     if all(not c for c in hu):
         # constant in the base variable: singular iff repeated fiber root
-        g0 = _as_single(h, p)
+        g0 = ptrim([c[0] if c else 0 for c in h])
         g = pgcd(g0, pderiv(g0, p), p)
         if pdeg(g) < 1:
             return ("clean", None, "RESULTANT")
-        w = _root_witness(g, p, nr, rng)
-        if w and "value" in w:
-            return ("singular", {"u": 0, "v": w["value"], "ext": w["ext"]}, "RESULTANT")
-        if w:
-            return ("singular", {"u": 0, "v_minpoly": w["minpoly"], "symbolic": True}, "RESULTANT")
-        return ("unknown", None, "RESULTANT")
+        return root_witness(g, "v", "u")
     if all(not c for c in hv):
         # fiber degree a multiple of p cannot happen at this scale; be safe
-        wit = _brute_scan(h, p, rng)
-        return ("singular", wit, "BRUTE_FORCE") if wit else ("unknown", None, "BRUTE_FORCE")
-    r1 = resultant_v(h, hv, p)
+        return _brute_scan(h, p, rng)
+    r1 = _lookup(table, (name, "r1"), h, hv, p)
     if not ptrim(r1):
         # repeated fiber-direction factor: multiple component, singular;
         # hunt for an explicit point
-        wit = _brute_scan(h, p, rng)
-        return ("singular", wit, "BRUTE_FORCE") if wit else ("unknown", None, "BRUTE_FORCE")
-    r2 = resultant_v(h, hu, p)
+        return _brute_scan(h, p, rng)
+    r2 = _lookup(table, (name, "r2"), h, hu, p)
     if not ptrim(r2):
-        wit = _brute_scan(h, p, rng)
-        return ("singular", wit, "BRUTE_FORCE") if wit else ("unknown", None, "BRUTE_FORCE")
+        return _brute_scan(h, p, rng)
     cand = squarefree_part(pgcd(r1, r2, p), p)
     if pdeg(cand) < 1:
         return ("clean", None, "RESULTANT")
@@ -316,14 +352,6 @@ def _analyze_chart(fv: list[Poly], p: int, rng: random.Random):
         if len(g) - 1 >= 1:
             return ("singular", _extension_witness(q, g, h, p, nr, rng), "RESULTANT")
     return ("clean", None, "RESULTANT")
-
-
-def _as_single(h: list[Poly], p: int) -> Poly:
-    """Collapse a base-constant chart polynomial to one variable."""
-    out = []
-    for c in h:
-        out.append(c[0] if c else 0)
-    return ptrim(out)
 
 
 def _reduce_elt(c: Poly, L: QuotientField):
@@ -344,15 +372,7 @@ def _content_meet_witness(q: Poly, h: list[Poly], p: int, nr: int, rng: random.R
     """Point where a vertical component meets the residual curve."""
     if pdeg(q) == 1:
         u0 = (-q[0] * pow(q[1], p - 2, p)) % p
-        g = ptrim([peval(c, u0, p) for c in h])
-        roots = roots_fp(g, p, rng)
-        if roots:
-            return {"u": u0, "v": roots[0], "ext": 1}
-        for w, _ in irreducible_factors(g, p, rng):
-            if pdeg(w) == 2:
-                v0 = quadratic_roots_fp2(pmonic(w, p), p, nr)[0]
-                return {"u": u0, "v": v0, "ext": 2}
-        return {"u": u0, "v_poly": g, "symbolic": True}
+        return _fiber_point(u0, ptrim([peval(c, u0, p) for c in h]), p, nr, rng)
     return {"u_minpoly": pmonic(q, p), "symbolic": True}
 
 
@@ -361,15 +381,7 @@ def _extension_witness(q: Poly, g: list, h: list[Poly], p: int, nr: int, rng: ra
     common fiber-direction factor g over F_p[u]/(q)."""
     if pdeg(q) == 1:
         u0 = (-q[0] * pow(q[1], p - 2, p)) % p
-        gv = ptrim([c[0] for c in g])
-        roots = roots_fp(gv, p, rng)
-        if roots:
-            return {"u": u0, "v": roots[0], "ext": 1}
-        for w, _ in irreducible_factors(gv, p, rng):
-            if pdeg(w) == 2:
-                v0 = quadratic_roots_fp2(pmonic(w, p), p, nr)[0]
-                return {"u": u0, "v": v0, "ext": 2}
-        return {"u": u0, "v_poly": gv, "symbolic": True}
+        return _fiber_point(u0, ptrim([c[0] for c in g]), p, nr, rng)
     return {
         "u_minpoly": pmonic(q, p),
         "v_factor_over_extension": [list(c) for c in g],
@@ -384,12 +396,21 @@ def smoothness(curve: BinaryFormCurve, rng: Optional[random.Random] = None) -> S
     SINGULAR carries a witnessing chart and point; UNKNOWN means a
     degenerate branch where no explicit witness was found and the caller
     should resample.
+
+    The resultants of all four charts, and of `discriminant_check`, come
+    from one batched pass before the first chart is analysed
+    (`_chart_batch`): repeated pairs are computed once, the rest grouped
+    by Sylvester shape, with one determinant kernel call and one
+    interpolation per shape.  That pass draws nothing from rng, and a
+    pair too large for p raises only in the chart that reads it, so the
+    charts keep their sequential verdicts and errors.
     """
     rng = rng or random.Random(0)
     p = curve.p
+    table = _chart_batch(curve.cls, tuple(curve.P))
     unknown_hit = False
-    for name, fv in chart_polys(curve).items():
-        status, wit, method = _analyze_chart(fv, p, rng)
+    for name in CHARTS:
+        status, wit, method = _analyze_chart(name, p, rng, table)
         if status == "singular":
             return SmoothnessCertificate("SINGULAR", chart=name, witness=wit, method=method)
         if status == "unknown":
@@ -409,7 +430,9 @@ def discriminant_check(curve: BinaryFormCurve) -> tuple[int, int, bool]:
 
     The resultant of P and dP/dx in the fiber variable is P_k times the
     discriminant; root count at s = 0 is recovered from the mirrored
-    computation.  Returns (deg_disc, expected, ok).
+    computation.  Both resultants come from the batched pass shared with
+    `smoothness` (`_chart_batch`), where they usually coincide with the
+    r1 of charts t_x and s_x.  Returns (deg_disc, expected, ok).
     """
     cls = curve.cls
     k, m, delta = cls.k, cls.m, cls.delta
@@ -418,19 +441,15 @@ def discriminant_check(curve: BinaryFormCurve) -> tuple[int, int, bool]:
     if curve.P[k].is_zero():
         raise ValueError("fiber polynomial must have full degree (P_k != 0)")
 
-    def one_side(coeffs: list[Poly]) -> Optional[Poly]:
-        fx = [pscale(coeffs[i], i, p) for i in range(1, k + 1)]
-        r = resultant_v(coeffs, fx, p)
-        r = ptrim(r)
-        if not r:
-            return None
-        quo, rem = pdivmod(r, coeffs[-1], p)
-        if ptrim(rem):
-            return None
-        return quo
+    table = _chart_batch(cls, tuple(curve.P))
 
-    t_side = one_side([form.dehomogenize_s() for form in curve.P])
-    s_side = one_side([form.dehomogenize_t() for form in curve.P])
+    def one_side(chart: str) -> Optional[Poly]:
+        coeffs = table[chart][0]
+        r = ptrim(_lookup(table, (chart, "disc"), coeffs, _deriv_v(coeffs, p), p))
+        quo, rem = pdivmod(r, coeffs[-1], p)
+        return quo if r and not rem else None
+
+    t_side, s_side = one_side("t_x"), one_side("s_x")
     if t_side is None or s_side is None:
         return (-1, expected, False)
     ord_inf = next((i for i, c in enumerate(s_side) if c), None)

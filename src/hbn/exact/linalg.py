@@ -141,7 +141,8 @@ def batch_det_mod(mats, p: int) -> np.ndarray:
     with no pivot in some column gets a zero pivot, so its determinant
     is 0.
     """
-    a = np.array(mats, dtype=np.int64) % p
+    a = np.asarray(mats, dtype=np.int64) % p
+    del mats  # a stack the caller built in the call is freed here
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError("expected a stack of square matrices")
     n, r, _ = a.shape
@@ -159,9 +160,13 @@ def batch_det_mod(mats, p: int) -> np.ndarray:
         piv = a[:, c, c].copy()
         num = num * piv % p
         if c + 1 < r:
+            # in place on the view: one temporary per column
             below = a[:, c + 1 :, c:]
-            scaled = below * piv[:, None, None] % p
-            a[:, c + 1 :, c:] = (scaled - below[:, :, :1] * a[:, None, c, c:] % p) % p
+            upd = below[:, :, :1] * a[:, None, c, c:]
+            upd %= p
+            below *= piv[:, None, None]
+            below -= upd
+            below %= p
             pre = pre * piv % p
             den = den * pre % p
     return num * _pow_vec(den, p - 2, p) % p

@@ -5,9 +5,9 @@ index i; the zero polynomial is [].  Leading zeros are trimmed.  Long
 products go through numpy int64 convolution, which sums up to
 min(len f, len g) unreduced products; `pmul` takes that path only when
 the sum cannot reach 2^63 and falls back to a reduced Python loop
-otherwise.  Interpolation is one mat-vec with an inverse Vandermonde
-matrix cached per node tuple; `interp_nodes` does the same along one
-axis of an array of values at the nodes 0..n-1.
+otherwise.  Interpolation (`interp_nodes`) works along one axis of an
+array of values at the nodes 0..n-1: one product with an inverse
+Vandermonde table built in closed form and cached per node count.
 
 Also provides a quotient-field engine F_p[x]/(q) for q irreducible, so
 callers can run gcds of polynomials whose coefficients live in an
@@ -17,12 +17,12 @@ extension field of arbitrary degree.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 
 import numpy as np
 
 from hbn.exact.field import PrimeTooSmallError, inv_mod, sqrt_mod
-from hbn.exact.linalg import rref
 
 Poly = list[int]
 
@@ -122,50 +122,53 @@ def pderiv(f: Poly, p: int) -> Poly:
     return ptrim([i * c % p for i, c in enumerate(f)][1:])
 
 
-# One table per node tuple and prime.  A desk-scale workload at one prime
-# reads about 20: the nodes 0..n-1 for every n <= delta + k*m + 1 <= 16
-# (the determinant and cofactor grids, and x = 0..k) and resultant_v's
-# powers of two up to 128.  64 entries hold them for a few primes at once.
+# One table per node count and prime.  At p = 10007 the three benchmark
+# workloads read 16 (dominance-desk), 15 (lemma-sut) and 28
+# (sample-certify: n = 2..16 for the determinant and cofactor grids,
+# and resultants_v's multiples of 8 up to 120), 29 together.  64 entries
+# hold every table of two primes at once.
 @functools.lru_cache(maxsize=64)
-def _inverse_vandermonde(nodes: tuple[int, ...], p: int) -> np.ndarray:
-    """Inverse mod p of V[i, j] = nodes[i]^j."""
-    n = len(nodes)
-    vander = np.ones((n, n), dtype=np.int64)
-    xs = np.array(nodes, dtype=np.int64)
-    for j in range(1, n):
-        vander[:, j] = vander[:, j - 1] * xs % p
-    aug, pivots = rref(np.hstack([vander, np.eye(n, dtype=np.int64)]), p)
-    if pivots[-1] >= n:
+def _inverse_vandermonde(n: int, p: int) -> np.ndarray:
+    """Inverse mod p of V[i, j] = i^j on the nodes 0..n-1, in closed form.
+
+    Column i holds the coefficients of the Lagrange basis polynomial
+    M(u) / ((u - i) M'(i)), where M(u) = (u - 0)(u - 1)...(u - (n-1)) and
+    M'(i) = (-1)^(n-1-i) i! (n-1-i)!.  One synthetic division divides M
+    by every (u - i) at once.
+    """
+    if n > p:
         raise ValueError("interpolation nodes must be distinct mod p")
-    inv = aug[:, n:].copy()
+    master = np.ones(1, dtype=np.int64)
+    for j in range(n):
+        master = np.convolve(master, [-j % p, 1]) % p
+    inv = np.ones((n, n), dtype=np.int64)  # row t: coefficients of u^t
+    for t in range(n - 1, 0, -1):
+        inv[t - 1] = (master[t] + np.arange(n) * inv[t]) % p
+    fact = list(itertools.accumulate(range(1, n), lambda a, i: a * i % p, initial=1))
+    den = [inv_mod((-1) ** (n - 1 - i) * fact[i] * fact[n - 1 - i], p) for i in range(n)]
+    inv = (inv * np.array(den, dtype=np.int64) % p).astype(np.int32)
     inv.flags.writeable = False
     return inv
 
 
-def pinterp(xs, ys, p: int) -> Poly:
-    """Interpolation through distinct nodes xs: one mat-vec with the
-    inverse Vandermonde matrix, cached per node tuple (callers reuse the
-    nodes 0..n-1).  Each product is reduced before the sum, so p < 2^31
-    keeps int64 exact."""
-    nodes = tuple(int(x) % p for x in xs)
-    if not nodes:
-        return []
-    terms = _inverse_vandermonde(nodes, p) * (np.asarray(ys, dtype=np.int64) % p) % p
-    return ptrim([int(c) for c in terms.sum(axis=1) % p])
-
-
 def interp_nodes(vals: np.ndarray, p: int, axis: int = 0) -> np.ndarray:
-    """Interpolate along one axis of values taken at the nodes 0..n-1.
+    """Interpolate along one axis of values in [0, p) taken at the nodes
+    0..n-1.
 
     Index j of that axis holds the values at node j on input and the
     coefficients of u^j on output; every other axis is a separate
-    interpolant.  Same cached tables and reduce-before-sum rule as
-    pinterp.
+    interpolant.  Two matrix products with the cached inverse Vandermonde
+    table (int32, as p < 2^31), split into its high and low 16 bits: each
+    product is below 2^47, so n <= 2^15 nodes keep every int64 sum exact.
     """
     n = vals.shape[axis]
-    inv = _inverse_vandermonde(tuple(range(n)), p)
-    inv = inv.reshape((1,) * axis + (n, n) + (1,) * (vals.ndim - axis - 1))
-    return (inv * vals[(slice(None),) * axis + (None,)] % p).sum(axis=axis + 1) % p
+    if n > 1 << 15:
+        raise ValueError(f"interpolation on {n} nodes exceeds 2^15")
+    inv = _inverse_vandermonde(n, p)
+    moved = np.moveaxis(vals, axis, 0)
+    flat = moved.reshape(n, -1).astype(np.int64, copy=False)
+    out = ((inv >> 16) @ flat % p << 16) + (inv & 0xFFFF) @ flat
+    return np.moveaxis((out % p).reshape(moved.shape), 0, axis)
 
 
 def _eval_at_nodes(f: list[Poly], n: int, p: int) -> np.ndarray:
@@ -182,15 +185,6 @@ def _eval_at_nodes(f: list[Poly], n: int, p: int) -> np.ndarray:
     for col in grid.T[::-1]:
         acc = (acc * nodes[:, None] + col) % p
     return acc
-
-
-def _node_count(npts: int, p: int) -> int:
-    """npts rounded up to a power of two, capped at p.
-
-    Extra nodes cost next to nothing in the stacked kernel, and the
-    rounding keeps the interpolation tables cached per prime to a few.
-    """
-    return min(1 << (npts - 1).bit_length(), p)
 
 
 def ppowmod(base: Poly, e: int, mod: Poly, p: int) -> Poly:

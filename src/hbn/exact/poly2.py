@@ -6,6 +6,15 @@ Sylvester matrix with the *declared* degrees of the inputs:
 specialization then commutes with the determinant, so
 evaluation-interpolation stays valid even when leading coefficients
 vanish at individual points.
+
+`resultants_v` takes a whole batch of pairs in one pass (Collins'
+evaluation-interpolation scheme, run on many pairs at once).  It drops
+repeated pairs, groups the rest by Sylvester shape (len f, len g), and
+per group evaluates every u-coefficient at the shared nodes u = 0..n-1
+in one Horner pass, fills one Sylvester stack, makes one
+`batch_det_mod` call and one `interp_nodes` call.  n is the group's
+largest degree bound + 1, rounded up to a multiple of 8 and capped at
+p, so a few interpolation tables per prime serve every group.
 """
 
 from __future__ import annotations
@@ -14,14 +23,16 @@ import numpy as np
 
 from hbn.exact.field import PrimeTooSmallError
 from hbn.exact.linalg import batch_det_mod, det_mod
-from hbn.exact.poly import Poly, _eval_at_nodes, _node_count, pinterp
+from hbn.exact.poly import Poly, _eval_at_nodes, interp_nodes, ptrim
+
+NODE_STEP = 8
 
 
 def sylvester(f, g) -> np.ndarray:
     """Sylvester matrix using the declared degrees len(f)-1, len(g)-1.
 
-    f and g may also be stacks of shape (n, len): the result is then the
-    stack (n, size, size) of their Sylvester matrices, filled by slicing.
+    f and g may also be stacks of shape (..., len): the result is then the
+    stack (..., size, size) of their Sylvester matrices, filled by slicing.
     """
     f = np.asarray(f, dtype=np.int64)
     g = np.asarray(g, dtype=np.int64)
@@ -46,28 +57,62 @@ def resultant_univariate(f: Poly, g: Poly, p: int) -> int:
     return det_mod(sylvester(f, g), p)
 
 
-def resultant_v(f: list[Poly], g: list[Poly], p: int) -> Poly:
-    """Res_v of polys in v with F_p[u] coefficients, via evaluation.
-
-    f, g are coefficient lists in v (index = power of v), entries are
-    univariate polys in u.  Declared v-degrees are len-1 even when the
-    leading coefficient polynomial vanishes at a sample point.  All the
-    Sylvester matrices at the nodes u = 0..n-1 go through one
-    determinant kernel call, then one interpolation on those nodes.
-    """
-    if not f or not g:
-        raise ValueError("resultant of the zero polynomial")
-    dv_f, dv_g = len(f) - 1, len(g) - 1
-    if dv_f == 0 and dv_g == 0:
-        return [1]
+def resultant_bound(f: list[Poly], g: list[Poly]) -> int:
+    """Degree bound in u of Res_v(f, g) from the declared v-degrees."""
     max_f = max((len(c) - 1 for c in f if c), default=0)
     max_g = max((len(c) - 1 for c in g if c), default=0)
-    bound = dv_g * max_f + dv_f * max_g
+    return (len(g) - 1) * max_f + (len(f) - 1) * max_g
+
+
+def check_resultant_prime(f: list[Poly], g: list[Poly], p: int) -> None:
+    bound = resultant_bound(f, g)
     if p <= bound:
         raise PrimeTooSmallError(
             f"prime too small for interpolation: a resultant of degree up to {bound} "
             f"needs p > {bound}"
         )
-    n = _node_count(bound + 1, p)
-    mats = sylvester(_eval_at_nodes(f, n, p), _eval_at_nodes(g, n, p))
-    return pinterp(range(n), batch_det_mod(mats, p), p)
+
+
+def resultants_v(pairs, p: int) -> list[Poly]:
+    """Res_v(f, g) for every pair (f, g), in one batched pass.
+
+    f, g are coefficient lists in v (index = power of v), entries are
+    univariate polys in u.  Declared v-degrees are len-1 even when the
+    leading coefficient polynomial vanishes at a node.  Pairs equal up to
+    trimming the u-coefficients are computed once.  A pair whose degree
+    bound is p or more raises PrimeTooSmallError before any work.
+    """
+    unique: list[tuple[list[Poly], list[Poly]]] = []
+    index = []
+    groups: dict[tuple[int, int], list[int]] = {}
+    for f, g in pairs:
+        if not f or not g:
+            raise ValueError("resultant of the zero polynomial")
+        check_resultant_prime(f, g, p)
+        pair = ([ptrim(list(c)) for c in f], [ptrim(list(c)) for c in g])
+        if pair not in unique:
+            groups.setdefault((len(f), len(g)), []).append(len(unique))
+            unique.append(pair)
+        index.append(unique.index(pair))
+    out: list[Poly] = [[1] for _ in unique]  # v-degrees (0, 0) keep [1]
+    for (len_f, len_g), members in groups.items():
+        if len_f == len_g == 1:
+            continue
+        bound = max(resultant_bound(*unique[i]) for i in members)
+        n = min(-(-(bound + 1) // NODE_STEP) * NODE_STEP, p)
+        vals = _eval_at_nodes([c for i in members for side in unique[i] for c in side], n, p)
+        vals = vals.reshape(n, len(members), len_f + len_g)
+        size = len_f + len_g - 2
+        # the stack goes in unnamed, so the kernel frees it once copied
+        dets = batch_det_mod(
+            sylvester(vals[..., :len_f], vals[..., len_f:]).reshape(-1, size, size), p
+        )
+        coef = interp_nodes(dets.reshape(n, len(members)), p)
+        for j, i in enumerate(members):
+            out[i] = ptrim(coef[:, j].tolist())
+    return [list(out[i]) for i in index]
+
+
+def resultant_v(f: list[Poly], g: list[Poly], p: int) -> Poly:
+    """Res_v of one pair: `resultants_v([(f, g)], p)[0]`."""
+    return resultants_v([(f, g)], p)[0]

@@ -395,10 +395,11 @@ def test_vacuous_arguments_are_usage_errors(capsys, argv, message):
 
 @st.composite
 def _cli_cases(draw):
-    """Small classes at small primes, through enumerate and every sample
-    and dominance mode.  Most cases are well formed: e has k entries and
-    f is e plus delta unit steps.  The rest have a bad class, a type of
-    the wrong length or an arbitrary f."""
+    """Small classes at small primes, through enumerate (with and without
+    --degree/--sections), every sample and dominance mode and the section5
+    modes that take a class or k.  Most cases are well formed: e has k
+    entries and f is e plus delta unit steps.  The rest have a bad class,
+    a type of the wrong length or an arbitrary f."""
     shape = draw(st.sampled_from(["ok"] * 6 + ["m", "k", "delta", "length"]))
     m = -1 if shape == "m" else draw(st.integers(0, 2))
     k = 0 if shape == "k" else draw(st.integers(1, 4))
@@ -409,7 +410,18 @@ def _cli_cases(draw):
     for i in draw(st.lists(st.integers(0, n - 1), min_size=max(delta, 0), max_size=max(delta, 0))):
         f[i] += 1
     f = draw(st.sampled_from([sorted(f), draw(st.lists(st.integers(-3, 2), min_size=n, max_size=n))]))
-    mode = draw(st.sampled_from(["sample", "companions", "dominance", "main", "sq", "is", "enumerate"]))
+    modes = ["sample", "companions", "dominance", "main", "sq", "is", "enumerate", "degree", "oo", "ol", "abundance"]
+    mode = draw(st.sampled_from(modes))
+    if mode == "oo":
+        return ["section5", "--oo", "--k", str(k), "--bound", str(draw(st.integers(-1, 3)))]
+    if mode in ("ol", "abundance"):
+        argv = ["section5", "--" + mode, "--m", str(m), "--k", str(k), "--delta", str(delta)]
+        return argv + draw(st.sampled_from([[], ["--bound", str(draw(st.integers(-1, 4)))]]))
+    if mode == "degree":
+        argv = ["enumerate", "--m", str(m), "--k", str(k), "--delta", str(delta)]
+        argv += draw(st.sampled_from([[], ["--degree", str(draw(st.integers(-2, 6)))]]))
+        argv += draw(st.sampled_from([[], ["--sections", str(draw(st.integers(0, 3)))]]))
+        return argv + draw(st.sampled_from([[], ["--e=" + ",".join(map(str, e))]]))
     if mode in ("sq", "main", "is"):
         argv = ["dominance", "--lemma", mode]
     else:
@@ -423,7 +435,7 @@ def _cli_cases(draw):
     return argv + ["--p", str(p), "--seed", str(draw(st.integers(0, 9))), "--trials", "2"]
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=600, deadline=None, derandomize=True)
 @given(_cli_cases())
 def test_cli_gives_a_verdict_or_a_usage_error(argv):
     try:

@@ -8,11 +8,13 @@ and a cusp) where the verdict is forced.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbn.curves import (
     SurfaceDivisor,
+    _chart_batch,
     canonical_divisor,
     chi_surface,
     cokernel_rank_check,
@@ -30,8 +32,17 @@ from hbn.curves import (
     smoothness,
 )
 from hbn.determinantal import BinaryFormCurve, MatrixPair, degree_grid, phi, sample_pair
-from hbn.exact.field import DEFAULT_PRIME, fp2_add, fp2_inv, fp2_mul, quadratic_nonresidue
+from hbn.exact.field import (
+    DEFAULT_PRIME,
+    PrimeTooSmallError,
+    fp2_add,
+    fp2_inv,
+    fp2_mul,
+    quadratic_nonresidue,
+)
 from hbn.exact.forms import BinaryForm
+from hbn.exact.poly import pscale
+from hbn.exact.poly2 import resultant_v
 from hbn.splitting import HirzebruchClass, genus, structure_sheaf_type
 
 P = DEFAULT_PRIME
@@ -125,6 +136,46 @@ def test_smooth_sample_full_certificate():
     deg, want, ok = discriminant_check(curve)
     assert ok and deg == want == 2 * genus(cls) + 2 * cls.k - 2
     assert cokernel_rank_check(pair, curve, 20, rng)
+
+
+def _forms_curve(cls, coeffs, p):
+    """Curve with P_i = sum coeffs[i][j] s^(d-j) t^j."""
+    return BinaryFormCurve(cls=cls, P=[BinaryForm(len(c) - 1, tuple(c), p) for c in coeffs])
+
+
+def test_chart_content_keeps_verdicts_and_its_own_resultants():
+    # t (s + 2t) y^2 + 3 t^2 x y + 5 t^2 x^2: the fiber t = 0 is a
+    # component.  In chart t_x the residual h = (1 + 2u) + 3u v + 5u v^2 is
+    # constant in v over u = 0, so the chart reaches its resultants with h,
+    # not with the raw chart polynomial the discriminant uses; chart t_y
+    # sees the fiber meet the residual at (0, 0).
+    curve = _forms_curve(HirzebruchClass(m=0, k=2, delta=2), [[0, 1, 2], [0, 0, 3], [0, 0, 5]], P)
+    table = _chart_batch(curve.cls, tuple(curve.P))
+    h = [[1, 2], [0, 3], [0, 5]]
+    raw = [form.dehomogenize_s() for form in curve.P]
+    assert table["t_x", "r1"] == resultant_v(h, [pscale(h[j], j, P) for j in (1, 2)], P)
+    assert table["t_x", "disc"] == resultant_v(raw, [pscale(raw[j], j, P) for j in (1, 2)], P)
+    assert table["t_x", "r1"] != table["t_x", "disc"]
+    cert = smoothness(curve, random.Random(1))
+    assert (cert.verdict, cert.chart, cert.witness) == ("SINGULAR", "t_y", {"u": 0, "v": 0, "ext": 1})
+    # disc = P_1^2 - 4 P_0 P_2 = t^3 ((9 - 40) t - 20 s): four roots
+    assert discriminant_check(curve) == (4, 4, True)
+
+
+def test_prime_below_a_resultant_bound_raises_only_where_read():
+    # every P_i is t^2 times a quadratic: chart t_x finds the doubled fiber
+    # t = 0 before any resultant, while chart s_x's resultants have degree
+    # bound 6 and the discriminant's 12, both above p = 5
+    p = 5
+    curve = _forms_curve(
+        HirzebruchClass(m=0, k=2, delta=4), [[0, 0, 1, 1, 1], [0, 0, 2, 1, 3], [0, 0, 1, 3, 1]], p
+    )
+    assert [key for key in _chart_batch(curve.cls, tuple(curve.P)) if isinstance(key, tuple)] == []
+    rng = random.Random(1)
+    cert = smoothness(curve, rng)
+    assert (cert.verdict, cert.chart, cert.witness) == ("SINGULAR", "t_x", {"u": 0, "v": 0, "ext": 1})
+    with pytest.raises(PrimeTooSmallError, match="degree up to 12 needs p > 12"):
+        discriminant_check(curve)
 
 
 def _plant_rank_drop(pair, t0, x0, rng):

@@ -15,7 +15,7 @@ from oracles import DualForm
 from hbn.exact.field import DEFAULT_PRIME
 from hbn.exact.forms import BinaryForm
 from hbn.exact.poly import pmul, ptrim
-from hbn.exact.poly2 import resultant_v, resultant_univariate, sylvester
+from hbn.exact.poly2 import resultant_univariate, resultant_v, resultants_v, sylvester
 
 P = DEFAULT_PRIME
 rng = random.Random(20240817)
@@ -176,3 +176,36 @@ def test_resultant_v_matches_sympy_on_random_inputs(dv_f, dv_g, du, seed):
     c = [r.randrange(P) for _ in range(du)] + [r.randrange(1, P)]
     assert ptrim(resultant_v(f, [c], P)) == _sympy_res_v(f, [c], P)
     assert ptrim(resultant_v([c], g, P)) == _sympy_res_v([c], g, P)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([P, 2**31 - 1]), st.integers(0, 2**32 - 1))
+def test_resultants_v_batch_matches_sympy_pair_by_pair(p, seed):
+    # mixed Sylvester shapes and u-degrees, repeated pairs (one with
+    # untrimmed u-coefficients), a pair that differs from another only by
+    # a zero v-coefficient, v-degree 0 on either side, and leading
+    # u-coefficients (u - a)(u - b) that vanish at two of the nodes
+    r = random.Random(seed)
+
+    def side(dv):
+        du = r.choice([2, 4, 9])
+        out = [[r.randrange(p) for _ in range(r.randrange(du))] for _ in range(dv)]
+        if r.random() < 0.5:
+            a, b = r.randrange(8), r.randrange(8)
+            out.append(pmul([(-a) % p, 1], [(-b) % p, 1], p))
+        else:
+            out.append([r.randrange(1, p)])
+        return out
+
+    pairs = []
+    for _ in range(r.randrange(1, 7)):
+        dv_f, dv_g = r.randrange(4), r.randrange(4)
+        if dv_f == dv_g == 0:
+            dv_g = 1
+        pairs.append((side(dv_f), side(dv_g)))
+    f, g = r.choice(pairs)
+    pairs += [r.choice(pairs), ([c + [0] for c in f], g), ([[]] + f, g)]
+    r.shuffle(pairs)
+    got = resultants_v(pairs, p)
+    assert [ptrim(x) for x in got] == [_sympy_res_v(f, g, p) for f, g in pairs]
+    assert resultants_v(pairs + [([[3, 1]], [[2]])], p)[-1] == [1]
