@@ -4,8 +4,8 @@
 Walks all classes with k <= --kmax, m <= --mmax, delta <= --dmax, entries in
 [--lo, --hi], keeps the strata passing the two inequality conditions, and
 runs the exact rank certification on each.  Prints running stats and a
-summary: how many certified on the first trial, within the trial budget, and
-any stratum that never reached the target (there should be none).
+summary: how many strata ran, how many certified on the first trial, and
+how many never reached the target within --trials (there should be none).
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ def main() -> int:
         check_prime(args.p, "--p")
     except ValueError as exc:
         ap.error(str(exc))
+    if args.trials < 1:
+        ap.error(f"--trials must be at least 1, got {args.trials}")
 
     t0 = time.time()
     total = first_trial = 0
@@ -54,7 +56,7 @@ def main() -> int:
                 print(f"  ... {total} strata, {time.time() - t0:.0f}s", file=sys.stderr)
 
     dt = time.time() - t0
-    print(f"strata certified : {total}")
+    print(f"strata run       : {total}")
     print(f"first-trial rate : {first_trial}/{total} = {first_trial / max(total, 1):.4f}")
     print(f"not achieved     : {len(failures)}")
     print(f"wall time        : {dt:.1f}s")

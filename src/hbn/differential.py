@@ -264,8 +264,10 @@ def dominance_rank(
     so a general pair does at least as well); otherwise the verdict stays
     NOT_ACHIEVED and the max rank seen is reported as evidence.  No
     stratum conditions are checked here: on a forced-reducible grid the
-    report simply never reaches the target.
+    report simply never reaches the target.  trials must be at least 1.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     e, f = tuple(e), tuple(f)
     grid = degree_grid(e, f, cls.m)
     if grid.delta != cls.delta:

@@ -2,8 +2,21 @@
 
 A bundle glued over the two standard charts by a Laurent polynomial
 matrix T (new frame = T * old frame) splits as a direct sum of line
-bundles; diag(t^d) corresponds to the degree-d line bundle.  This module
-extracts the multiset of degrees by exact column reduction:
+bundles; diag(t^d) corresponds to the degree-d line bundle.
+
+`TransitionMatrix` stores T densely: one int64 array `coeffs` of shape
+(n, n, L) with entries in [0, p) and an exponent offset `low`, so entry
+(i, j) is sum_l coeffs[i, j, l] * t^(low + l).  Construction trims the
+exponent slots that are zero in every entry.  A product is one batched
+convolution that reduces every product of two entries before summing,
+so it is exact in int64 for p up to 2^31 - 1.  `det` evaluates T at the
+nodes 0..n(L-1), takes one `batch_det_mod` over that stack and one
+`interp_nodes`: det(T) is t^(n * low) times a polynomial of degree at
+most n(L-1), so it needs p > n(L-1) and raises PrimeTooSmallError
+otherwise.
+
+`birkhoff_splitting` extracts the multiset of degrees by exact column
+reduction on a copy of the array:
 
     repeat:
         m_j   = minimal exponent in column j
@@ -15,151 +28,103 @@ extracts the multiset of degrees by exact column reduction:
 
 Each combination is a column operation with entries in F_p[1/t] and
 constant determinant, so it changes neither the bundle nor det(T) up to
-a scalar.  The column minima sum is bounded by the t-power of det(T),
-which forces termination; when BC is invertible, T * (ops) factors as
-(matrix of t-polynomials with unit determinant) * diag(t^(m_j)).
+a scalar.  It shifts columns only down onto m_j* >= low, so the exponent
+range of T never grows.  The column minima sum is bounded by the t-power
+of det(T), which forces termination; when BC is invertible, T * (ops)
+factors as (matrix of t-polynomials with unit determinant) *
+diag(t^(m_j)).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations
 
-from hbn.exact.linalg import nullspace_vector
+import numpy as np
 
-Laurent = dict[int, int]
-
-
-def lp_normal(f: Laurent, p: int) -> Laurent:
-    return {e: c % p for e, c in f.items() if c % p}
+from hbn.exact.field import PrimeTooSmallError
+from hbn.exact.linalg import batch_det_mod, nullspace_vector
+from hbn.exact.poly import interp_nodes
 
 
-def lp_add(f: Laurent, g: Laurent, p: int) -> Laurent:
-    out = dict(f)
-    for e, c in g.items():
-        out[e] = (out.get(e, 0) + c) % p
-    return {e: c for e, c in out.items() if c}
-
-
-def lp_mul(f: Laurent, g: Laurent, p: int) -> Laurent:
-    out: Laurent = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            e = e1 + e2
-            out[e] = (out.get(e, 0) + c1 * c2) % p
-    return {e: c for e, c in out.items() if c}
-
-
-def lp_scale_shift(f: Laurent, c: int, shift: int, p: int) -> Laurent:
-    c %= p
-    if c == 0:
-        return {}
-    return {e + shift: c * v % p for e, v in f.items() if c * v % p}
-
-
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionMatrix:
-    """Square matrix of Laurent polynomials over F_p."""
+    """Square matrix of Laurent polynomials over F_p (module doc)."""
 
-    entries: tuple[tuple[Laurent, ...], ...]
+    coeffs: np.ndarray
+    low: int
     p: int
 
     def __post_init__(self):
-        n = len(self.entries)
-        norm = tuple(
-            tuple(lp_normal(dict(self.entries[i][j]), self.p) for j in range(n))
-            for i in range(n)
-        )
-        for row in norm:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-        object.__setattr__(self, "entries", norm)
+        c = np.asarray(self.coeffs, dtype=np.int64)
+        if c.ndim != 3 or c.shape[0] != c.shape[1] or 0 in c.shape:
+            raise ValueError(f"coefficients must have shape (n, n, L) with n, L >= 1, got {c.shape}")
+        c = c % self.p
+        used = np.flatnonzero(c.any(axis=(0, 1)))
+        first, last = (int(used[0]), int(used[-1])) if used.size else (0, 0)
+        object.__setattr__(self, "coeffs", c[:, :, first : last + 1])
+        object.__setattr__(self, "low", int(self.low) + first if used.size else 0)
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return self.coeffs.shape[0]
 
-    def det(self) -> Laurent:
-        n = self.size
-        out: Laurent = {}
-        for perm in permutations(range(n)):
-            term: Laurent = {0: 1}
-            for i in range(n):
-                term = lp_mul(term, self.entries[i][perm[i]], self.p)
-                if not term:
-                    break
-            if _perm_sign(perm) == -1:
-                term = lp_scale_shift(term, -1, 0, self.p)
-            out = lp_add(out, term, self.p)
-        return out
+    def det(self) -> "TransitionMatrix":
+        """det(T) as a 1x1 matrix; needs p > n(L-1) (module doc)."""
+        n, _, length = self.coeffs.shape
+        nodes = n * (length - 1) + 1
+        if self.p < nodes:
+            raise PrimeTooSmallError(
+                f"prime too small for the determinant: degree up to {nodes - 1} needs p > {nodes - 1}"
+            )
+        at = np.arange(nodes, dtype=np.int64)[:, None, None]
+        vals = np.zeros((nodes, n, n), dtype=np.int64)
+        for slot in self.coeffs.transpose(2, 0, 1)[::-1]:
+            vals = (vals * at + slot) % self.p
+        coef = interp_nodes(batch_det_mod(vals, self.p), self.p)
+        return TransitionMatrix(coef[None, None], n * self.low, self.p)
 
     def mul(self, other: "TransitionMatrix") -> "TransitionMatrix":
         if self.size != other.size or self.p != other.p:
             raise ValueError("size/field mismatch")
-        n = self.size
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc: Laurent = {}
-                for l in range(n):
-                    acc = lp_add(acc, lp_mul(self.entries[i][l], other.entries[l][j], self.p), self.p)
-                row.append(acc)
-            rows.append(tuple(row))
-        return TransitionMatrix(tuple(rows), self.p)
+        a, b, p = self.coeffs, other.coeffs, self.p
+        # prods[i, j, u, v] = sum_l a[i, l, u] * b[l, j, v], each term reduced
+        prods = (a[:, :, None, :, None] * b[None, :, :, None, :] % p).sum(axis=1)
+        out = np.zeros(prods.shape[:2] + (a.shape[2] + b.shape[2] - 1,), dtype=np.int64)
+        for u in range(a.shape[2]):
+            out[:, :, u : u + b.shape[2]] += prods[:, :, u]
+        return TransitionMatrix(out, self.low + other.low, p)
 
     @classmethod
     def diagonal(cls, exps: list[int], p: int) -> "TransitionMatrix":
         n = len(exps)
-        rows = tuple(
-            tuple(({exps[i]: 1} if i == j else {}) for j in range(n)) for i in range(n)
-        )
-        return cls(rows, p)
+        low = min(exps)
+        coeffs = np.zeros((n, n, max(exps) - low + 1), dtype=np.int64)
+        coeffs[range(n), range(n), [e - low for e in exps]] = 1
+        return cls(coeffs, low, p)
 
     @classmethod
     def random_unimodular(cls, n: int, p: int, rng: random.Random, at_infinity: bool = False) -> "TransitionMatrix":
-        """Product of elementary operations, invertible at 0 (or at ∞)."""
-        sign = -1 if at_infinity else 1
-        mat = cls.diagonal([0] * n, p)
+        """Product of elementary operations, invertible at 0 (or at ∞).
+
+        Each operation adds poly * column i to column j in place, in the
+        variable t (1/t at infinity); a column gains at most degree 2 per
+        operation, so 6n + 1 slots hold the product.
+        """
+        width = 6 * n + 1
+        a = np.zeros((n, n, width), dtype=np.int64)
+        a[range(n), range(n), 0] = 1
         for _ in range(3 * n):
             i, j = rng.randrange(n), rng.randrange(n)
             if i == j:
                 continue
-            poly: Laurent = {}
-            for e in range(0, rng.randrange(1, 4)):
-                c = rng.randrange(p)
-                if c:
-                    poly[sign * e] = c
-            if not poly:
-                continue
-            elem_rows = [
-                [({0: 1} if r == s else {}) for s in range(n)] for r in range(n)
-            ]
-            elem_rows[i][j] = poly
-            mat = mat.mul(cls(tuple(tuple(r) for r in elem_rows), p))
-        # sprinkle nonzero scalar scalings
-        scal_rows = [
-            [({0: rng.randrange(1, p)} if r == s else {}) for s in range(n)] for r in range(n)
-        ]
-        return mat.mul(cls(tuple(tuple(r) for r in scal_rows), p))
+            poly = [rng.randrange(p) for _ in range(rng.randrange(1, 4))]
+            for e, c in enumerate(poly):
+                a[:, j, e:] += c * a[:, i, : width - e] % p
+            a[:, j] %= p
+        # scale each column by a nonzero constant
+        a = a * np.array([rng.randrange(1, p) for _ in range(n)])[:, None] % p
+        return cls(a[:, :, ::-1], 1 - width, p) if at_infinity else cls(a, 0, p)
 
 
 def birkhoff_splitting(T: TransitionMatrix) -> tuple[int, ...]:
@@ -169,31 +134,23 @@ def birkhoff_splitting(T: TransitionMatrix) -> tuple[int, ...]:
     variable (the matrix is then not an allowed gluing).
     """
     d = T.det()
-    if not d:
+    if not d.coeffs.any():
         raise ValueError("transition matrix is singular")
-    if len(d) != 1:
+    if d.coeffs.shape[2] != 1:
         raise ValueError("det must be a unit times a power of the variable")
     p = T.p
-    n = T.size
-    cols: list[list[Laurent]] = [[dict(T.entries[i][j]) for i in range(n)] for j in range(n)]
+    a = T.coeffs.copy()
+    n, _, length = a.shape
     while True:
-        mins = []
-        for j in range(n):
-            exps = [min(ent) for ent in cols[j] if ent]
-            if not exps:
-                raise ValueError("zero column in invertible matrix")
-            mins.append(min(exps))
-        bc = [[cols[j][i].get(mins[j], 0) for j in range(n)] for i in range(n)]
-        kernel = nullspace_vector(bc, p)
+        # first[j]: slot of column j's minimal exponent; det(T) != 0, so no column is zero
+        first = a.any(axis=0).argmax(axis=1)
+        kernel = nullspace_vector(a[:, range(n), first], p)
         if kernel is None:
-            return tuple(sorted(mins))
-        support = [j for j in range(n) if kernel[j] % p]
-        jstar = min(support, key=lambda j: mins[j])
-        newcol = [dict() for _ in range(n)]
+            return tuple(sorted(T.low + int(f) for f in first))
+        support = np.flatnonzero(kernel)
+        jstar = support[first[support].argmin()]
+        new = np.zeros((n, length), dtype=np.int64)
         for j in support:
-            shift = mins[jstar] - mins[j]
-            for i in range(n):
-                newcol[i] = lp_add(
-                    newcol[i], lp_scale_shift(cols[j][i], int(kernel[j]), shift, p), p
-                )
-        cols[jstar] = newcol
+            top = first[jstar] + length - first[j]
+            new[:, first[jstar] : top] += kernel[j] * a[:, j, first[j] :] % p
+        a[:, jstar] = new % p

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from hbn.exact.field import PrimeTooSmallError
-from hbn.exact.linalg import batch_det_mod, det_mod
+from hbn.exact.linalg import batch_det_mod
 from hbn.exact.poly import Poly, _eval_at_nodes, interp_nodes, ptrim
 
 NODE_STEP = 8
@@ -46,15 +46,6 @@ def sylvester(f, g) -> np.ndarray:
     for i in range(n):
         out[..., m + i, i : i + m + 1] = g[..., ::-1]
     return out
-
-
-def resultant_univariate(f: Poly, g: Poly, p: int) -> int:
-    """Resultant of two univariate polys (declared degrees = lengths - 1)."""
-    if not f or not g:
-        return 0
-    if len(f) == 1 and len(g) == 1:
-        return 1
-    return det_mod(sylvester(f, g), p)
 
 
 def resultant_bound(f: list[Poly], g: list[Poly]) -> int:
@@ -111,8 +102,3 @@ def resultants_v(pairs, p: int) -> list[Poly]:
         for j, i in enumerate(members):
             out[i] = ptrim(coef[:, j].tolist())
     return [list(out[i]) for i in index]
-
-
-def resultant_v(f: list[Poly], g: list[Poly], p: int) -> Poly:
-    """Res_v of one pair: `resultants_v([(f, g)], p)[0]`."""
-    return resultants_v([(f, g)], p)[0]

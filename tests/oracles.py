@@ -18,9 +18,25 @@ from hbn.determinantal import (
     MatrixPair,
     forced_reducibility,
 )
-from hbn.exact.birkhoff import _perm_sign
 from hbn.exact.forms import BinaryForm
 from hbn.splitting import HirzebruchClass
+
+
+def _perm_sign(perm: tuple[int, ...]) -> int:
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
 
 
 def det_xy(pair: MatrixPair, rows: list[int], cols: list[int]) -> list[BinaryForm]:

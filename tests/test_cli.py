@@ -321,16 +321,28 @@ def test_prime_above_int64_bound_is_usage_error(capsys):
     assert main(argv + ["--p", str(2**31 - 1), "--out", os.devnull]) == 0
 
 
-def test_dominance_sweep_rejects_prime_above_int64_bound():
+def _dominance_sweep(*argv: str) -> subprocess.CompletedProcess:
     root = Path(hbn.cli.__file__).resolve().parents[2]
     src = str(root / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "dominance_sweep.py"), "--p", str(2**61 - 1)],
+    return subprocess.run(
+        [sys.executable, str(root / "scripts" / "dominance_sweep.py"), *argv],
         env=env, capture_output=True, text=True, timeout=300,
     )
+
+
+def test_dominance_sweep_rejects_prime_above_int64_bound():
+    proc = _dominance_sweep("--p", str(2**61 - 1))
     assert proc.returncode == 2
     assert BIG_P_ERROR in proc.stderr
+
+
+def test_dominance_sweep_rejects_trials_below_one():
+    # with no trial every stratum would be reported as not achieved
+    proc = _dominance_sweep("--kmax", "2", "--mmax", "0", "--dmax", "1", "--trials", "0")
+    assert proc.returncode == 2
+    assert "--trials must be at least 1, got 0" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_sample_prime_below_resultant_bound_is_usage_error(capsys):

@@ -42,7 +42,7 @@ from hbn.exact.field import (
 )
 from hbn.exact.forms import BinaryForm
 from hbn.exact.poly import pscale
-from hbn.exact.poly2 import resultant_v
+from hbn.exact.poly2 import resultants_v
 from hbn.splitting import HirzebruchClass, genus, structure_sheaf_type
 
 P = DEFAULT_PRIME
@@ -153,8 +153,8 @@ def test_chart_content_keeps_verdicts_and_its_own_resultants():
     table = _chart_batch(curve.cls, tuple(curve.P))
     h = [[1, 2], [0, 3], [0, 5]]
     raw = [form.dehomogenize_s() for form in curve.P]
-    assert table["t_x", "r1"] == resultant_v(h, [pscale(h[j], j, P) for j in (1, 2)], P)
-    assert table["t_x", "disc"] == resultant_v(raw, [pscale(raw[j], j, P) for j in (1, 2)], P)
+    assert table["t_x", "r1"] == resultants_v([(h, [pscale(h[j], j, P) for j in (1, 2)])], P)[0]
+    assert table["t_x", "disc"] == resultants_v([(raw, [pscale(raw[j], j, P) for j in (1, 2)])], P)[0]
     assert table["t_x", "r1"] != table["t_x", "disc"]
     cert = smoothness(curve, random.Random(1))
     assert (cert.verdict, cert.chart, cert.witness) == ("SINGULAR", "t_y", {"u": 0, "v": 0, "ext": 1})

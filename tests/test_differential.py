@@ -109,6 +109,13 @@ def test_dominance_rank_requires_delta_budget():
         dominance_rank((-8, -4, -1), (-8, -4, -1), cls)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_dominance_rank_requires_a_trial(trials):
+    cls = HirzebruchClass(m=3, k=3, delta=2)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        dominance_rank((-8, -4, -1), (-7, -4, 0), cls, trials=trials)
+
+
 def test_dominance_not_achieved_on_violating_stratum():
     cls = HirzebruchClass(m=3, k=3, delta=2)
     rep = dominance_rank((-8, -4, -1), (-8, -2, -1), cls)

@@ -15,7 +15,8 @@ from oracles import DualForm
 from hbn.exact.field import DEFAULT_PRIME
 from hbn.exact.forms import BinaryForm
 from hbn.exact.poly import pmul, ptrim
-from hbn.exact.poly2 import resultant_univariate, resultant_v, resultants_v, sylvester
+from hbn.exact.linalg import det_mod
+from hbn.exact.poly2 import resultants_v, sylvester
 
 P = DEFAULT_PRIME
 rng = random.Random(20240817)
@@ -78,11 +79,11 @@ def test_resultant_univariate_matches_sylvester_and_sympy():
         f = [rng.randrange(P) for _ in range(rng.randrange(2, 5))]
         g = [rng.randrange(P) for _ in range(rng.randrange(2, 5))]
         cases.append((ptrim(f), ptrim(g)))
-    assert resultant_univariate(*cases[0], P) == 1
+    assert det_mod(sylvester(*cases[0]), P) == 1
     for f, g in cases:
         if len(f) < 2 or len(g) < 2:
             continue
-        r = resultant_univariate(f, g, P)
+        r = det_mod(sylvester(f, g), P)
         want = _sympy_res_v([[c] for c in f], [[c] for c in g], P)
         assert r == (want[0] if want else 0)
         syl = sylvester(f, g)
@@ -102,7 +103,7 @@ def test_resultant_product_over_roots():
     want = pow(lc, len(g) - 1, P)
     for a in roots:
         want = want * sum(c * pow(a, i, P) for i, c in enumerate(g)) % P
-    assert resultant_univariate(f, g, P) == want
+    assert det_mod(sylvester(f, g), P) == want
 
 
 def test_resultant_v_linear_case():
@@ -111,7 +112,7 @@ def test_resultant_v_linear_case():
     b = [4, 0, 0, 5]
     f = [[(P - c) % P for c in a], [1]]
     g = [[(P - c) % P for c in b], [1]]
-    r = ptrim(resultant_v(f, g, P))
+    r = ptrim(resultants_v([(f, g)], P)[0])
     diff = ptrim([(x - y) % P for x, y in zip(a + [0] * 4, b + [0] * 4)])
     neg = ptrim([(-c) % P for c in diff])
     assert r in (diff, neg)
@@ -144,7 +145,7 @@ def test_resultant_v_matches_sympy_on_bivariate_pair():
     f_s = 3 + u + (2 + u**2) * w + 5 * w**2
     g_s = 1 + 4 * u + (7 + u) * w
     want = sympy.Poly(sympy.resultant(f_s, g_s, w), u).all_coeffs()[::-1]
-    r = resultant_v([[3, 1], [2, 0, 1], [5]], [[1, 4], [7, 1]], P)
+    r = resultants_v([([[3, 1], [2, 0, 1], [5]], [[1, 4], [7, 1]])], P)[0]
     assert ptrim(r) == ptrim([int(c) % P for c in want])
 
 
@@ -171,11 +172,11 @@ def test_resultant_v_matches_sympy_on_random_inputs(dv_f, dv_g, du, seed):
 
     f = rand_coeffs(dv_f, r.random() < 0.5)
     g = rand_coeffs(dv_g, r.random() < 0.5)
-    assert ptrim(resultant_v(f, g, P)) == _sympy_res_v(f, g, P)
+    assert ptrim(resultants_v([(f, g)], P)[0]) == _sympy_res_v(f, g, P)
     # v-degree 0 on one side: Res(f, c(u)) = c(u)^deg f
     c = [r.randrange(P) for _ in range(du)] + [r.randrange(1, P)]
-    assert ptrim(resultant_v(f, [c], P)) == _sympy_res_v(f, [c], P)
-    assert ptrim(resultant_v([c], g, P)) == _sympy_res_v([c], g, P)
+    assert ptrim(resultants_v([(f, [c])], P)[0]) == _sympy_res_v(f, [c], P)
+    assert ptrim(resultants_v([([c], g)], P)[0]) == _sympy_res_v([c], g, P)
 
 
 @settings(max_examples=30, deadline=None)

@@ -16,12 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbn.exact.birkhoff import (
-    TransitionMatrix,
-    birkhoff_splitting,
-    lp_scale_shift,
-)
-from hbn.exact.field import DEFAULT_PRIME, quadratic_nonresidue
+from hbn.exact.birkhoff import TransitionMatrix, birkhoff_splitting
+from hbn.exact.field import DEFAULT_PRIME, PrimeTooSmallError, quadratic_nonresidue
 from hbn.exact.linalg import (
     batch_det_mod,
     det_mod,
@@ -186,10 +182,12 @@ def test_fp2_rank_embeds_and_detects_dependence():
 
 
 def _twist(T: TransitionMatrix, n: int) -> TransitionMatrix:
-    rows = tuple(
-        tuple(lp_scale_shift(ent, 1, n, T.p) for ent in row) for row in T.entries
-    )
-    return TransitionMatrix(rows, T.p)
+    return TransitionMatrix(T.coeffs, T.low + n, T.p)
+
+
+def _terms(T: TransitionMatrix, i: int, j: int) -> list[tuple[int, int]]:
+    """(exponent, coefficient) of the nonzero terms of entry (i, j)."""
+    return [(T.low + l, int(c)) for l, c in enumerate(T.coeffs[i, j]) if c]
 
 
 def _h0_oracle(T: TransitionMatrix, window: int = 16) -> int:
@@ -205,7 +203,7 @@ def _h0_oracle(T: TransitionMatrix, window: int = 16) -> int:
         for l in range(window + 1):
             col = {}
             for i in range(n):
-                for e, c in T.entries[i][j].items():
+                for e, c in _terms(T, i, j):
                     if e - l < 0:
                         col[(i, e - l)] = (col.get((i, e - l), 0) + c) % T.p
             cols.append(col)
@@ -242,8 +240,8 @@ def test_birkhoff_degree_sum_matches_det_grading():
         degs = [rng.randrange(-3, 4) for _ in range(n)]
         T = _random_glued(n, degs, seed=100 + trial)
         d = T.det()
-        assert len(d) == 1
-        assert sum(birkhoff_splitting(T)) == next(iter(d))
+        assert d.size == 1 and d.coeffs.shape[2] == 1 and d.coeffs.any()
+        assert sum(birkhoff_splitting(T)) == d.low
 
 
 def test_birkhoff_matches_section_count_oracle():
@@ -258,10 +256,74 @@ def test_birkhoff_matches_section_count_oracle():
 
 
 def test_birkhoff_rejects_non_monomial_det():
-    T = TransitionMatrix((({0: 1, 1: 1},),), P)  # det = 1 + t
+    T = TransitionMatrix(np.array([[[1, 1]]]), 0, P)  # det = 1 + t
     try:
         birkhoff_splitting(T)
     except ValueError:
         pass
     else:
         raise AssertionError("expected ValueError")
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 1), (2, 1, 1), (2, 3, 2), (2, 2), (2, 2, 0), (0, 0, 1), (1, 1, 1, 1)])
+def test_transition_matrix_rejects_every_shape_but_n_n_l(shape):
+    with pytest.raises(ValueError, match="shape"):
+        TransitionMatrix(np.ones(shape, dtype=np.int64), 0, P)
+
+
+def test_transition_matrix_trims_its_exponent_range():
+    T = TransitionMatrix(np.array([[[0, 3, P]], [[0, 0, 1]]]).reshape(1, 1, 6), -2, P)
+    assert T.coeffs.tolist() == [[[3, 0, 0, 0, 1]]] and T.low == -1
+    Z = TransitionMatrix(np.zeros((2, 2, 3), dtype=np.int64), 5, P)
+    assert Z.coeffs.shape == (2, 2, 1) and not Z.coeffs.any() and Z.low == 0
+
+
+def _at(T: TransitionMatrix, t0: int) -> list[list[int]]:
+    """T(t0) over F_p, in Python ints."""
+    powers = [pow(t0, T.low + l, T.p) for l in range(T.coeffs.shape[2])]
+    return [
+        [sum(int(c) * w for c, w in zip(T.coeffs[i, j], powers)) % T.p for j in range(T.size)]
+        for i in range(T.size)
+    ]
+
+
+@pytest.mark.parametrize("p", [P, 2**31 - 1])
+def test_mul_and_det_agree_with_evaluation(p):
+    # glued matrices (monomial det) and dense random ones (general det); at
+    # 2^31 - 1 an unreduced sum of two products already overflows int64
+    r_ = random.Random(p)
+    for trial in range(24):
+        n = r_.randrange(1, 4)
+        if trial % 2:
+            A = _random_glued(n, [r_.randrange(-3, 4) for _ in range(n)], seed=300 + trial, p=p)
+            B = _random_glued(n, [r_.randrange(-3, 4) for _ in range(n)], seed=400 + trial, p=p)
+        else:
+            A, B = (
+                TransitionMatrix(
+                    np.array([r_.randrange(p) for _ in range(n * n * 4)]).reshape(n, n, 4),
+                    r_.randrange(-3, 4),
+                    p,
+                )
+                for _ in range(2)
+            )
+        t0 = r_.randrange(1, p)
+        a, b = _at(A, t0), _at(B, t0)
+        want = [[sum(a[i][l] * b[l][j] for l in range(n)) % p for j in range(n)] for i in range(n)]
+        assert _at(A.mul(B), t0) == want
+        for T in (A, B, A.mul(B)):
+            assert _at(T.det(), t0) == [[det_mod(np.array(_at(T, t0), dtype=np.int64), p)]]
+
+
+def test_det_needs_a_prime_above_its_degree_bound():
+    # diag(1 + t^3, 1 + t^3) / t: n (L - 1) = 6, det = (1 + 2 t^3 + t^6) / t^2
+    coeffs = np.zeros((2, 2, 4), dtype=np.int64)
+    coeffs[0, 0, [0, 3]] = coeffs[1, 1, [0, 3]] = 1
+    for p in (2, 3, 5):
+        with pytest.raises(PrimeTooSmallError, match="needs p > 6"):
+            TransitionMatrix(coeffs, -1, p).det()
+    d = TransitionMatrix(coeffs, -1, 7).det()
+    assert d.coeffs.tolist() == [[[1, 0, 0, 2, 0, 0, 1]]] and d.low == -2
+    # 1 + t^5: n (L - 1) = 5 is itself prime
+    with pytest.raises(PrimeTooSmallError, match="needs p > 5"):
+        TransitionMatrix(np.array([[[1, 0, 0, 0, 0, 1]]]), 0, 5).det()
+    assert TransitionMatrix(np.array([[[1, 0, 0, 0, 0, 1]]]), 0, 7).det().coeffs.tolist() == [[[1, 0, 0, 0, 0, 1]]]
