@@ -15,7 +15,8 @@ the arguments themselves, so plain reruns also reproduce.
 Exit codes: 0 success, 2 empty or forced-reducible stratum or a usage error
 (including a --p that is not an odd prime, is above 2^31 - 1, or is
 below a degree bound the computation needs, --trials or --retries below
-1, and --lemma is on a grid without the inductive point), 3
+1, --lemma is on a grid without the inductive point, an --out path that
+cannot be written, and an HBN_SEED that is not an integer), 3
 certification inconclusive (sampling retries exhausted, rank target not
 reached, or a lemma harness returning False).
 """
@@ -34,7 +35,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from hbn.curves import connectedness, discriminant_check, smoothness
+from hbn.curves import connectedness, smoothness
 from hbn.determinantal import (
     DegenerateCurveError,
     curve_to_json_dict,
@@ -78,6 +79,12 @@ COKERNEL_PROVENANCE = (
     "rank k-1 at every curve point, implied by SMOOTH: by Jacobi's formula "
     "d det M = tr(adj M dM) for M = Ax + By, and adj M = 0 where rank M <= k-2, "
     "so such a point would be singular"
+)
+# nor is the discriminant computed: SMOOTH with P_k != 0 fixes its degree
+DISCRIMINANT_PROVENANCE = (
+    "degree 2g + 2k - 2, implied by SMOOTH: the discriminant of the fiber "
+    "polynomial is a form of that degree, nonzero because a smooth curve is "
+    "reduced and p > k"
 )
 
 # each lemma harness is a statement about one fixed selector
@@ -188,13 +195,16 @@ def _render_pretty(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit(doc: dict, config: RunConfig) -> None:
+def emit(doc: dict, config: RunConfig, parser) -> None:
     text = render(doc, config.format)
-    if config.out:
+    if not config.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(config.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        parser.error(f"--out {config.out}: {exc.strerror}")
 
 
 def _require(args, parser, *names):
@@ -258,7 +268,7 @@ def cmd_enumerate(args, config: RunConfig, parser) -> int:
             "nu": "nu: matrix entry degrees below zero on the (e, f) grid",
         },
     }
-    emit(doc, config)
+    emit(doc, config, parser)
     return EXIT_OK
 
 
@@ -282,12 +292,12 @@ def cmd_sample(args, config: RunConfig, parser) -> int:
                 "forced_reducibility": "degree grid inspection: negative anti-diagonal entry"
             },
         }
-        emit(doc, config)
+        emit(doc, config, parser)
         return EXIT_EMPTY
 
     rng = _rng(config, "sample", args.e, args.f, cls.m, cls.k, cls.delta, config.p)
     pair = curve = cert = None
-    disc = (None, None, False)
+    success = False
     attempts = 0
     # a degenerate draw (det identically zero, or P_k = 0 so that the
     # discriminant is undefined) is a failed attempt like a singular one
@@ -299,18 +309,16 @@ def cmd_sample(args, config: RunConfig, parser) -> int:
             curve = cert = None
             continue
         cert = smoothness(curve, rng)
-        if cert.verdict != "SMOOTH" or curve.P[cls.k].is_zero():
-            continue
-        disc = discriminant_check(curve)
-        if disc[2]:
+        success = cert.verdict == "SMOOTH" and not curve.P[cls.k].is_zero()
+        if success:
             break
-    success = cert is not None and cert.verdict == "SMOOTH" and disc[2]
+    disc_degree = 2 * genus(cls) + 2 * cls.k - 2 if success else None
     certification = {
         "verdict": "SMOOTH" if success else "INCONCLUSIVE",
         "attempts": attempts,
         "connected_components_h0": connectedness(cls),
         "smoothness": None if cert is None else cert.to_json_dict(),
-        "discriminant": {"degree": disc[0], "expected": disc[1], "ok": disc[2]},
+        "discriminant": {"degree": disc_degree, "expected": disc_degree, "ok": success},
         "cokernel_rank_ok": success,
     }
     doc = {
@@ -323,11 +331,11 @@ def cmd_sample(args, config: RunConfig, parser) -> int:
         "provenance": {
             "smoothness": "chart Jacobian elimination over F_p and F_p^2 points",
             "connected_components_h0": "h0 of the structure sheaf from class numerics",
-            "discriminant": "resultant degree versus 2g + 2k - 2",
+            "discriminant": DISCRIMINANT_PROVENANCE,
             "cokernel_rank_ok": COKERNEL_PROVENANCE,
         },
     }
-    emit(doc, config)
+    emit(doc, config, parser)
     return EXIT_OK if success else EXIT_INCONCLUSIVE
 
 
@@ -345,7 +353,7 @@ def _lemma_run(args, config: RunConfig, parser) -> int:
     else:
         pair = sample_pair(grid, "SUT", config.p, rng)
         check = lemma_sq_check if args.lemma == "sq" else lemma_main_check
-        ok = check(pair, rng=rng)
+        ok = check(pair)
     doc = {
         "command": "dominance",
         "lemma": args.lemma,
@@ -361,7 +369,7 @@ def _lemma_run(args, config: RunConfig, parser) -> int:
             }[args.lemma]
         },
     }
-    emit(doc, config)
+    emit(doc, config, parser)
     return EXIT_OK if ok else EXIT_INCONCLUSIVE
 
 
@@ -385,7 +393,7 @@ def cmd_dominance(args, config: RunConfig, parser) -> int:
             "columns": [],
             "provenance": {"rows": "no companion type passes the stratum conditions"},
         }
-        emit(doc, config)
+        emit(doc, config, parser)
         return EXIT_EMPTY
 
     rows = []
@@ -409,7 +417,7 @@ def cmd_dominance(args, config: RunConfig, parser) -> int:
             "verdict": f"DOMINANT when some trial among {config.trials} reaches the target",
         },
     }
-    emit(doc, config)
+    emit(doc, config, parser)
     bad = [(r["e"], r["f"]) for r in rows if r["verdict"] != "DOMINANT"]
     if not bad:
         return EXIT_OK
@@ -505,7 +513,7 @@ def cmd_section5(args, config: RunConfig, parser) -> int:
                 "degree_ok": "sum(d) + sum(e) - sum(f) against -(g + k - 1)",
             },
         }
-    emit(doc, config)
+    emit(doc, config, parser)
     return EXIT_OK
 
 
@@ -604,7 +612,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     if seed is None:
         env = os.environ.get("HBN_SEED")
         if env is not None:
-            seed = int(env)
+            try:
+                seed = int(env)
+            except ValueError:
+                parser.error(f"HBN_SEED must be an integer, got {env!r}")
     try:
         config = RunConfig(
             p=args.p,

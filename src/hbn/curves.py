@@ -5,12 +5,15 @@ certificates over F_p-bar, connectedness, discriminant degree vs the
 ramification count, pointwise cokernel ranks, and recovery of splitting
 types from twisted section counts.
 
-A SMOOTH certificate for det(Ax + By) = 0 already proves that Ax + By
-has rank exactly k - 1 at every point of the curve: by Jacobi's formula
+A SMOOTH certificate for det(Ax + By) = 0 (with P_k != 0 and p > k) is
+all that `hbn sample` computes; two checks follow from it and stay as
+oracles for the tests.  `cokernel_rank_check`: by Jacobi's formula
 d det M = tr(adj M dM) for M = Ax + By, and adj M = 0 where rank M <=
 k - 2, so det M and both its partials would vanish at such a point.
-`hbn sample` therefore samples no points for the cokernel rank;
-`cokernel_rank_check` stays as an independent oracle for the tests.
+`discriminant_check`: the discriminant of the fiber polynomial is a
+binary form of degree 2(k-1)delta + k(k-1)m = 2g + 2k - 2, nonzero since
+a smooth curve is reduced and a squarefree polynomial of degree k < p is
+separable, so it has that many roots with multiplicity.
 
 The surface is covered by the four torus charts of its quotient
 construction; a curve sum P_i(s,t) x^i y^(k-i) dehomogenizes by setting
@@ -21,13 +24,12 @@ test.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from hbn.determinantal import BinaryFormCurve, MatrixPair
-from hbn.exact.field import fp2_add, fp2_is_zero, fp2_mul, quadratic_nonresidue
+from hbn.exact.field import quadratic_nonresidue
 from hbn.exact.linalg import fp2_matrix_rank
 from hbn.exact.poly import (
     Poly,
@@ -42,9 +44,8 @@ from hbn.exact.poly import (
     pmonic,
     pscale,
     ptrim,
-    quadratic_roots_fp2,
+    quadratic_roots,
     qgcd,
-    roots_fp,
     squarefree_part,
 )
 from hbn.exact.poly2 import check_resultant_prime, resultant_bound, resultants_v
@@ -181,16 +182,12 @@ def _deriv_v(fv: list[Poly], p: int) -> list[Poly]:
 def _root_witness(g: Poly, p: int, nr: int, rng: random.Random):
     """One root of g presented concretely: F_p element, F_p2 pair, or a
     symbolic minimal polynomial when all factors are large."""
-    factors = sorted(irreducible_factors(g, p, rng), key=lambda qm: pdeg(qm[0]))
-    for q, _ in factors:
-        if pdeg(q) == 1:
-            return {"value": (-q[0] * pow(q[1], p - 2, p)) % p, "ext": 1}
-        if pdeg(q) == 2:
-            root = quadratic_roots_fp2(pmonic(q, p), p, nr)[0]
-            return {"value": root, "ext": 2}
-    for q, _ in factors:
-        return {"minpoly": pmonic(q, p), "ext": pdeg(q)}
-    return None
+    q = irreducible_factors(g, p, rng)[0][0]  # monic, of least degree; deg g >= 1
+    if pdeg(q) == 1:
+        return {"value": -q[0] % p, "ext": 1}
+    if pdeg(q) == 2:
+        return {"value": quadratic_roots(q, p, nr)[0], "ext": 2}
+    return {"minpoly": q, "ext": pdeg(q)}
 
 
 def _content(fv: list[Poly], p: int) -> Poly:
@@ -202,12 +199,16 @@ def _content(fv: list[Poly], p: int) -> Poly:
     return pmonic(g, p) if g else []
 
 
-def _brute_scan(fv: list[Poly], p: int, rng: random.Random, budget: int = 400):
+# fibers u = u0 that `_brute_scan` tries before it gives up
+BRUTE_BUDGET = 400
+
+
+def _brute_scan(fv: list[Poly], p: int, rng: random.Random):
     """Search common zeros of (f, f_u, f_v) over F_p and F_p2 directly;
     returns the chart triple of `_analyze_chart`."""
     fu, fvv = _deriv_u(fv, p), _deriv_v(fv, p)
     nr = quadratic_nonresidue(p)
-    us = list(range(min(p, budget)))
+    us = list(range(min(p, BRUTE_BUDGET)))
     rng.shuffle(us)
     for u0 in us:
         g = ptrim([peval(c, u0, p) for c in fv])
@@ -225,33 +226,25 @@ def _brute_scan(fv: list[Poly], p: int, rng: random.Random, budget: int = 400):
 
 def _fiber_point(u0: int, g: Poly, p: int, nr: int, rng: random.Random) -> dict:
     """(u0, v) for a root v of g over F_p, else over F_p2, else g itself."""
-    roots = roots_fp(g, p, rng)
-    if roots:
-        return {"u": u0, "v": roots[0], "ext": 1}
-    for w, _ in irreducible_factors(g, p, rng):
-        if pdeg(w) == 2:
-            return {"u": u0, "v": quadratic_roots_fp2(pmonic(w, p), p, nr)[0], "ext": 2}
+    w = _root_witness(g, p, nr, rng)
+    if "value" in w:
+        return {"u": u0, "v": w["value"], "ext": w["ext"]}
     return {"u": u0, "v_poly": g, "symbolic": True}
 
 
-@functools.lru_cache(maxsize=1)
-def _chart_batch(cls: HirzebruchClass, forms: tuple) -> dict:
-    """What the smoothness and discriminant certificates of the curve
-    (cls, forms) compute without randomness, with every resultant from
-    one `resultants_v` call.
+def _chart_batch(curve: BinaryFormCurve) -> dict:
+    """What the smoothness certificate of the curve computes without
+    randomness, with every resultant from one `resultants_v` call.
 
     table[chart] = (fv, cont, h): the trimmed chart polynomial, its
     content in the base variable and fv / cont.  table[chart, 'r1' | 'r2']
-    = Res_v(h, h_v), Res_v(h, h_u) for every chart with len(h) >= 2, and
-    table['t_x' | 's_x', 'disc'] = Res_v(fv, fv_v) when P_k != 0; those
-    repeat the r1 pairs whenever the content is trivial.  A pair whose
-    degree bound reaches p is left out, so it raises only where it is
-    read (`_lookup`).  The curve comes as (cls, forms) for the cache to
-    hash: curve.P may be a list.
+    = Res_v(h, h_v), Res_v(h, h_u) for every chart with len(h) >= 2.  A
+    pair whose degree bound reaches p is left out, so it raises only where
+    it is read (`_lookup`).
     """
-    p = forms[0].p
+    p = curve.p
     table, pairs = {}, {}
-    for name, fv in chart_polys(BinaryFormCurve(cls, forms)).items():
+    for name, fv in chart_polys(curve).items():
         fv = _vtrim(fv)
         cont = _content(fv, p)
         h = _vtrim([pdivmod(c, cont, p)[0] for c in fv]) if pdeg(cont) >= 1 else fv
@@ -259,8 +252,6 @@ def _chart_batch(cls: HirzebruchClass, forms: tuple) -> dict:
         if len(h) > 1:
             pairs[name, "r1"] = (h, _deriv_v(h, p))
             pairs[name, "r2"] = (h, _deriv_u(h, p))
-        if name in ("t_x", "s_x") and not forms[cls.k].is_zero():
-            pairs[name, "disc"] = (fv, _deriv_v(fv, p))
     pairs = {key: pair for key, pair in pairs.items() if resultant_bound(*pair) < p}
     table.update(zip(pairs, resultants_v(pairs.values(), p)))
     return table
@@ -289,8 +280,6 @@ def _analyze_chart(name: str, p: int, rng: random.Random, table: dict):
     def root_witness(g: Poly, var: str, other: str):
         # singular points with coordinate var at a root of g and other = 0
         w = _root_witness(g, p, nr, rng)
-        if w is None:
-            return ("unknown", None, "RESULTANT")
         if "value" in w:
             return ("singular", {var: w["value"], other: 0, "ext": w["ext"]}, "RESULTANT")
         wit = {var + "_minpoly": w["minpoly"], other: 0, "symbolic": True}
@@ -314,9 +303,8 @@ def _analyze_chart(name: str, p: int, rng: random.Random, table: dict):
         # a vertical component meets the residual curve wherever the
         # residual has positive fiber degree over a content root
         for q, _ in irreducible_factors(cont, p, rng):
-            L = QuotientField(q, p)
-            if len(_specialize(h, q, L)) - 1 >= 1:
-                return ("singular", _content_meet_witness(q, h, p, nr, rng), "RESULTANT")
+            if any(pmod(c, q, p) for c in h[1:]):
+                return ("singular", _base_root_point(q, h, p, nr, rng), "RESULTANT")
         if len(h) <= 1:
             return ("clean", None, "RESULTANT")
 
@@ -350,7 +338,7 @@ def _analyze_chart(name: str, p: int, rng: random.Random, table: dict):
         hvL = _specialize(hv, q, L)
         g = qgcd(qgcd(hL, hvL, L), huL, L)
         if len(g) - 1 >= 1:
-            return ("singular", _extension_witness(q, g, h, p, nr, rng), "RESULTANT")
+            return ("singular", _base_root_point(q, g, p, nr, rng, factor=True), "RESULTANT")
     return ("clean", None, "RESULTANT")
 
 
@@ -368,25 +356,19 @@ def _specialize(fv: list[Poly], q: Poly, L: QuotientField) -> list:
     return out
 
 
-def _content_meet_witness(q: Poly, h: list[Poly], p: int, nr: int, rng: random.Random):
-    """Point where a vertical component meets the residual curve."""
+def _base_root_point(q: Poly, fv: list, p: int, nr: int, rng: random.Random, factor=False):
+    """Singular point over a root of the monic irreducible q in the base
+    variable, on the fiber polynomial fv: the residual curve where a
+    vertical component meets it, or (factor=True) the common
+    fiber-direction factor over F_p[u]/(q).  Concrete when q is linear;
+    otherwise symbolic, with fv itself when it is that factor."""
     if pdeg(q) == 1:
-        u0 = (-q[0] * pow(q[1], p - 2, p)) % p
-        return _fiber_point(u0, ptrim([peval(c, u0, p) for c in h]), p, nr, rng)
-    return {"u_minpoly": pmonic(q, p), "symbolic": True}
-
-
-def _extension_witness(q: Poly, g: list, h: list[Poly], p: int, nr: int, rng: random.Random):
-    """Concrete singular point from a base minimal polynomial q and the
-    common fiber-direction factor g over F_p[u]/(q)."""
-    if pdeg(q) == 1:
-        u0 = (-q[0] * pow(q[1], p - 2, p)) % p
-        return _fiber_point(u0, ptrim([c[0] for c in g]), p, nr, rng)
-    return {
-        "u_minpoly": pmonic(q, p),
-        "v_factor_over_extension": [list(c) for c in g],
-        "symbolic": True,
-    }
+        u0 = -q[0] % p
+        return _fiber_point(u0, ptrim([peval(c, u0, p) for c in fv]), p, nr, rng)
+    wit = {"u_minpoly": q, "symbolic": True}
+    if factor:
+        wit["v_factor_over_extension"] = [list(c) for c in fv]
+    return wit
 
 
 def smoothness(curve: BinaryFormCurve, rng: Optional[random.Random] = None) -> SmoothnessCertificate:
@@ -397,17 +379,16 @@ def smoothness(curve: BinaryFormCurve, rng: Optional[random.Random] = None) -> S
     degenerate branch where no explicit witness was found and the caller
     should resample.
 
-    The resultants of all four charts, and of `discriminant_check`, come
-    from one batched pass before the first chart is analysed
-    (`_chart_batch`): repeated pairs are computed once, the rest grouped
-    by Sylvester shape, with one determinant kernel call and one
-    interpolation per shape.  That pass draws nothing from rng, and a
-    pair too large for p raises only in the chart that reads it, so the
-    charts keep their sequential verdicts and errors.
+    The resultants of all four charts come from one batched pass before
+    the first chart is analysed (`_chart_batch`), grouped by Sylvester
+    shape, with one determinant kernel call and one interpolation per
+    shape.  That pass draws nothing from rng, and a pair too large for p
+    raises only in the chart that reads it, so the charts keep their
+    sequential verdicts and errors.
     """
     rng = rng or random.Random(0)
     p = curve.p
-    table = _chart_batch(curve.cls, tuple(curve.P))
+    table = _chart_batch(curve)
     unknown_hit = False
     for name in CHARTS:
         status, wit, method = _analyze_chart(name, p, rng, table)
@@ -430,9 +411,9 @@ def discriminant_check(curve: BinaryFormCurve) -> tuple[int, int, bool]:
 
     The resultant of P and dP/dx in the fiber variable is P_k times the
     discriminant; root count at s = 0 is recovered from the mirrored
-    computation.  Both resultants come from the batched pass shared with
-    `smoothness` (`_chart_batch`), where they usually coincide with the
-    r1 of charts t_x and s_x.  Returns (deg_disc, expected, ok).
+    computation.  An oracle only: SMOOTH with P_k != 0 implies
+    (E, E, True) (module docstring), so `hbn sample` does not call it.
+    Returns (deg_disc, expected, ok).
     """
     cls = curve.cls
     k, m, delta = cls.k, cls.m, cls.delta
@@ -441,17 +422,15 @@ def discriminant_check(curve: BinaryFormCurve) -> tuple[int, int, bool]:
     if curve.P[k].is_zero():
         raise ValueError("fiber polynomial must have full degree (P_k != 0)")
 
-    table = _chart_batch(cls, tuple(curve.P))
-
-    def one_side(chart: str) -> Optional[Poly]:
-        coeffs = table[chart][0]
-        r = ptrim(_lookup(table, (chart, "disc"), coeffs, _deriv_v(coeffs, p), p))
-        quo, rem = pdivmod(r, coeffs[-1], p)
-        return quo if r and not rem else None
-
-    t_side, s_side = one_side("t_x"), one_side("s_x")
-    if t_side is None or s_side is None:
-        return (-1, expected, False)
+    charts = chart_polys(curve)
+    sides = [_vtrim(charts[name]) for name in ("t_x", "s_x")]
+    quotients = []
+    for fv, r in zip(sides, resultants_v([(fv, _deriv_v(fv, p)) for fv in sides], p)):
+        quo, rem = pdivmod(r, fv[-1], p)
+        if not r or rem:
+            return (-1, expected, False)
+        quotients.append(quo)
+    t_side, s_side = quotients
     ord_inf = next((i for i, c in enumerate(s_side) if c), None)
     if ord_inf is None:
         return (-1, expected, False)
@@ -507,7 +486,7 @@ def curve_points(curve: BinaryFormCurve, n_points: int, rng: random.Random) -> l
             if pdeg(q) == 1:
                 pts.append({"st": st, "xy": (((-q[0]) % p, 0), 1)})
             elif pdeg(q) == 2:
-                pts.extend({"st": st, "xy": (x0, 1)} for x0 in quadratic_roots_fp2(q, p, nr))
+                pts.extend({"st": st, "xy": (x0, 1)} for x0 in quadratic_roots(q, p, nr))
     return pts[:n_points]
 
 
@@ -515,13 +494,13 @@ def point_on_curve(curve: BinaryFormCurve, pt: dict) -> bool:
     """sum P_i(s,t) x^i y^(k-i) vanishes: Horner in x over F_p^2."""
     p = curve.p
     k = curve.cls.k
-    nr = quadratic_nonresidue(p)
+    F = QuotientField([-quadratic_nonresidue(p) % p, 0, 1], p)  # F_p^2
     (s0, t0), (x0, y0) = pt["st"], pt["xy"]
-    acc = (0, 0)
+    acc = F.zero
     for i in range(k, -1, -1):
         c = curve.P[i].eval(s0, t0) * pow(y0, k - i, p) % p
-        acc = fp2_add(fp2_mul(acc, x0, p, nr), (c, 0), p)
-    return fp2_is_zero(acc)
+        acc = F.add(F.mul(acc, x0), (c, 0))
+    return F.is_zero(acc)
 
 
 def pair_rank_at_point(pair: MatrixPair, pt: dict) -> int:
@@ -570,8 +549,7 @@ def h0_profile_splitting(
     cls: HirzebruchClass,
     divisor: SurfaceDivisor,
     window: Optional[tuple[int, int]] = None,
-    with_validity: bool = False,
-) -> Union[SplittingType, str, tuple]:
+) -> Union[SplittingType, str]:
     """Splitting type of the pushforward of O_C(divisor) along the ruling.
 
     Section counts h(n) = h0(C, O(divisor + nF)) are computed from the
@@ -599,7 +577,7 @@ def h0_profile_splitting(
             counts[n] = 0
             continue
         if h1_surface(twist, m) != 0:
-            return (UNKNOWN, {"n": n, "reason": "ambient h1 nonzero"}) if with_validity else UNKNOWN
+            return UNKNOWN
         below = twist.sub(C)
         counts[n] = h0_surface(twist, m) - h0_surface(below, m) + h1_surface(below, m)
 
@@ -608,10 +586,9 @@ def h0_profile_splitting(
     for n in range(lo, hi + 1):
         jump = counts[n] - counts[n - 1]
         if jump < prev_jump or jump < 0 or jump > k:
-            return (UNKNOWN, {"n": n, "reason": "non-monotone profile"}) if with_validity else UNKNOWN
+            return UNKNOWN
         degrees.extend([-n] * (jump - prev_jump))
         prev_jump = jump
     if prev_jump != k or counts[lo] - counts[lo - 1] != 0:
-        return (UNKNOWN, {"reason": "window too small"}) if with_validity else UNKNOWN
-    out = tuple(sorted(degrees))
-    return (out, {"window": window}) if with_validity else out
+        return UNKNOWN
+    return tuple(sorted(degrees))

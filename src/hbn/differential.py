@@ -358,10 +358,9 @@ def super_anti_product(pair: MatrixPair) -> BinaryForm:
     return prod
 
 
-def lemma_sq_check(pair: MatrixPair, rng: random.Random | None = None) -> bool:
+def lemma_sq_check(pair: MatrixPair) -> bool:
     """Joint surjectivity onto the outer blocks (P_1, P_k) from the full
-    triangular tangent space.  Deterministic given the pair; rng unused."""
-    del rng
+    triangular tangent space.  Deterministic given the pair."""
     _require_triangular(pair)
     grid = pair.grid
     k = grid.k
@@ -401,11 +400,11 @@ def _main_containment(pair: MatrixPair, M: DifferentialMatrix) -> bool:
     return True
 
 
-def lemma_main_check(pair: MatrixPair, rng: random.Random | None = None) -> bool:
+def lemma_main_check(pair: MatrixPair) -> bool:
     """Image of the T_PRIME restriction equals the subspace where the
     super-anti-diagonal product divides P_1 and P_k = 0: containment
-    column by column plus a dimension count.  rng unused."""
-    del rng
+    column by column plus a dimension count.  Deterministic given the
+    pair."""
     _require_triangular(pair)
     grid = pair.grid
     k = grid.k

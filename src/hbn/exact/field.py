@@ -1,9 +1,9 @@
-"""Prime field arithmetic: primality, inverses, square roots, F_p^2.
+"""Prime field arithmetic: primality, inverses, square roots, nonresidues.
 
-All elements of F_p are plain python ints in [0, p).  Elements of the
-quadratic extension F_p^2 = F_p[w]/(w^2 - nonresidue) are pairs (a, b)
-meaning a + b*w.  No classes wrap single field elements; hot loops stay
-on ints and numpy arrays.
+All elements of F_p are plain python ints in [0, p).  No classes wrap
+single field elements; hot loops stay on ints and numpy arrays.  F_p^2 =
+F_p[w]/(w^2 - nr), nr = `quadratic_nonresidue(p)`, is the degree-2
+`hbn.exact.poly.QuotientField([-nr % p, 0, 1], p)`.
 """
 
 from __future__ import annotations
@@ -110,32 +110,3 @@ def quadratic_nonresidue(p: int) -> int:
         if legendre(z, p) == -1:
             return z
     raise ValueError(f"no nonresidue mod {p}")  # unreachable for p > 2
-
-
-# ---------------------------------------------------------------------------
-# F_p^2 as pairs (a, b) = a + b*w, w^2 = nr
-# ---------------------------------------------------------------------------
-
-Fp2 = tuple[int, int]
-
-
-def fp2_add(x: Fp2, y: Fp2, p: int) -> Fp2:
-    return ((x[0] + y[0]) % p, (x[1] + y[1]) % p)
-
-
-def fp2_mul(x: Fp2, y: Fp2, p: int, nr: int) -> Fp2:
-    a, b = x
-    c, d = y
-    return ((a * c + b * d % p * nr) % p, (a * d + b * c) % p)
-
-
-def fp2_inv(x: Fp2, p: int, nr: int) -> Fp2:
-    a, b = x
-    # norm = a^2 - nr*b^2, multiplicative; zero only at (0, 0)
-    n = (a * a - nr * b * b % p) % p
-    ni = inv_mod(n, p)
-    return (a * ni % p, -b * ni % p)
-
-
-def fp2_is_zero(x: Fp2) -> bool:
-    return x[0] == 0 and x[1] == 0

@@ -1,4 +1,4 @@
-"""Dense univariate polynomials over F_p, with factorization and roots.
+"""Dense univariate polynomials over F_p, with factorization.
 
 A polynomial is a python list of ints in [0, p), coefficient of t^i at
 index i; the zero polynomial is [].  Leading zeros are trimmed.  Long
@@ -9,9 +9,15 @@ otherwise.  Interpolation (`interp_nodes`) works along one axis of an
 array of values at the nodes 0..n-1: one product with an inverse
 Vandermonde table built in closed form and cached per node count.
 
+Roots come from `irreducible_factors` (Cantor-Zassenhaus): the linear
+factors give the F_p roots, and `quadratic_roots` the roots of a
+quadratic one in F_p^2.
+
 Also provides a quotient-field engine F_p[x]/(q) for q irreducible, so
 callers can run gcds of polynomials whose coefficients live in an
-extension field of arbitrary degree.
+extension field of arbitrary degree.  It is also the one F_p^2 type:
+QuotientField([-nr mod p, 0, 1], p), whose elements (a, b) mean a + b*w
+with w^2 = nr, the pairs `quadratic_roots` returns.
 """
 
 from __future__ import annotations
@@ -206,38 +212,6 @@ def squarefree_part(f: Poly, p: int) -> Poly:
     return pmonic(pdivmod(f, g, p)[0], p)
 
 
-def roots_fp(f: Poly, p: int, rng: random.Random) -> list[int]:
-    """Distinct roots of f in F_p, sorted.  f = 0 is rejected."""
-    if not f:
-        raise ValueError("zero polynomial has every root")
-    if pdeg(f) == 0:
-        return []
-    # keep only the F_p-rational part: gcd(f, x^p - x)
-    xp = ppowmod([0, 1], p, f, p)
-    g = pgcd(psub(xp, [0, 1], p), f, p)
-    return sorted(_split_linear(g, p, rng))
-
-
-def _split_linear(g: Poly, p: int, rng: random.Random) -> list[int]:
-    # g is monic, squarefree, splits into distinct linear factors
-    d = pdeg(g)
-    if d <= 0:
-        return []
-    if d == 1:
-        return [(-g[0]) % p]
-    if g[0] == 0:
-        rest = ptrim(g[1:])
-        return [0] + _split_linear(pmonic(rest, p), p, rng)
-    while True:
-        a = rng.randrange(p)
-        # gcd with (x+a)^((p-1)/2) - 1 separates roots by quadratic character
-        h = ppowmod([a, 1], (p - 1) // 2, g, p)
-        h = pgcd(psub(h, [1], p), g, p)
-        if 0 < pdeg(h) < d:
-            other = pmonic(pdivmod(g, h, p)[0], p)
-            return _split_linear(h, p, rng) + _split_linear(other, p, rng)
-
-
 def distinct_degree_factor(f: Poly, p: int) -> list[tuple[Poly, int]]:
     """Split monic squarefree f into (product of degree-d irreducibles, d)."""
     out = []
@@ -302,7 +276,7 @@ def irreducible_factors(f: Poly, p: int, rng: random.Random) -> list[tuple[Poly,
     return out
 
 
-def quadratic_roots_fp2(f: Poly, p: int, nr: int) -> list[tuple[int, int]]:
+def quadratic_roots(f: Poly, p: int, nr: int) -> list[tuple[int, int]]:
     """Roots of a monic irreducible quadratic in F_p^2 = F_p[w]/(w^2 - nr)."""
     if pdeg(f) != 2:
         raise ValueError("expected a quadratic")

@@ -8,11 +8,11 @@ evaluation-interpolation stays valid even when leading coefficients
 vanish at individual points.
 
 `resultants_v` takes a whole batch of pairs in one pass (Collins'
-evaluation-interpolation scheme, run on many pairs at once).  It drops
-repeated pairs, groups the rest by Sylvester shape (len f, len g), and
-per group evaluates every u-coefficient at the shared nodes u = 0..n-1
-in one Horner pass, fills one Sylvester stack, makes one
-`batch_det_mod` call and one `interp_nodes` call.  n is the group's
+evaluation-interpolation scheme, run on many pairs at once).  It groups
+the pairs by Sylvester shape (len f, len g), and per group evaluates
+every u-coefficient at the shared nodes u = 0..n-1 in one Horner pass,
+fills one Sylvester stack, makes one `batch_det_mod` call and one
+`interp_nodes` call.  n is the group's
 largest degree bound + 1, rounded up to a multiple of 8 and capped at
 p, so a few interpolation tables per prime serve every group.
 """
@@ -69,29 +69,23 @@ def resultants_v(pairs, p: int) -> list[Poly]:
 
     f, g are coefficient lists in v (index = power of v), entries are
     univariate polys in u.  Declared v-degrees are len-1 even when the
-    leading coefficient polynomial vanishes at a node.  Pairs equal up to
-    trimming the u-coefficients are computed once.  A pair whose degree
-    bound is p or more raises PrimeTooSmallError before any work.
+    leading coefficient polynomial vanishes at a node.  A pair whose
+    degree bound is p or more raises PrimeTooSmallError before any work.
     """
-    unique: list[tuple[list[Poly], list[Poly]]] = []
-    index = []
+    pairs = list(pairs)
     groups: dict[tuple[int, int], list[int]] = {}
-    for f, g in pairs:
+    for i, (f, g) in enumerate(pairs):
         if not f or not g:
             raise ValueError("resultant of the zero polynomial")
         check_resultant_prime(f, g, p)
-        pair = ([ptrim(list(c)) for c in f], [ptrim(list(c)) for c in g])
-        if pair not in unique:
-            groups.setdefault((len(f), len(g)), []).append(len(unique))
-            unique.append(pair)
-        index.append(unique.index(pair))
-    out: list[Poly] = [[1] for _ in unique]  # v-degrees (0, 0) keep [1]
+        groups.setdefault((len(f), len(g)), []).append(i)
+    out: list[Poly] = [[1] for _ in pairs]  # v-degrees (0, 0) keep [1]
     for (len_f, len_g), members in groups.items():
         if len_f == len_g == 1:
             continue
-        bound = max(resultant_bound(*unique[i]) for i in members)
+        bound = max(resultant_bound(*pairs[i]) for i in members)
         n = min(-(-(bound + 1) // NODE_STEP) * NODE_STEP, p)
-        vals = _eval_at_nodes([c for i in members for side in unique[i] for c in side], n, p)
+        vals = _eval_at_nodes([c for i in members for side in pairs[i] for c in side], n, p)
         vals = vals.reshape(n, len(members), len_f + len_g)
         size = len_f + len_g - 2
         # the stack goes in unnamed, so the kernel frees it once copied
@@ -101,4 +95,4 @@ def resultants_v(pairs, p: int) -> list[Poly]:
         coef = interp_nodes(dets.reshape(n, len(members)), p)
         for j, i in enumerate(members):
             out[i] = ptrim(coef[:, j].tolist())
-    return [list(out[i]) for i in index]
+    return out

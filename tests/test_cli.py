@@ -59,6 +59,7 @@ def test_sample_smooth_exit_zero(tmp_path):
     assert cert["verdict"] == "SMOOTH"
     assert cert["connected_components_h0"] == 1
     assert cert["discriminant"] == {"degree": 26, "expected": 26, "ok": True}
+    assert doc["provenance"]["discriminant"].startswith("degree 2g + 2k - 2, implied by SMOOTH")
 
 
 def test_sample_at_p_2_31_minus_1_stays_small(tmp_path):
@@ -225,21 +226,21 @@ def test_section5_requires_exactly_one_mode():
 GOLDEN = {
     "sample_trig": (
         ["sample", *TRIG, "--e=-8,-4,-1", "--f=-7,-4,0", "--seed", "7"],
-        0, "2214b21965672dbbecea9c1c6c2fc5a49f9ce098a03b97d5c096c04bacef7602",
+        0, "96c29f90042ff89adb08ea7b8bca5aa09e2745d47f613d0e71c45e83b6e0e5c2",
     ),
     "sample_k2": (
         ["sample", "--m", "1", "--k", "2", "--delta", "1", "--e=0,0", "--f=0,1", "--seed", "1"],
-        0, "c6ff606470626258e834e55d6e67521821aea9de8f224ded4eab2a8a8250ed57",
+        0, "2097a5da930e59406a4b961f6710975254ccc3f96ec25e0b9e8ac1ccab7e1a6e",
     ),
     "sample_k4": (
         ["sample", "--m", "1", "--k", "4", "--delta", "2",
          "--e=-8,-8,-8,-7", "--f=-8,-8,-7,-6", "--seed", "2"],
-        0, "82c375dd14aa4d6fc06eaae0b72a36449d56dad80a27c43f1745e0554475b64a",
+        0, "3524c99760e6707e8e2a27ed31605c8917d8096e3455e7930cc2f8e144e287f5",
     ),
     "sample_singular": (
         ["sample", *TRIG, "--e=-8,-4,-1", "--f=-7,-4,0",
          "--p", "101", "--seed", "35", "--retries", "1"],
-        3, "57ac6578e074a7a21c635d83b7d10163b1c42ee46dd351ca0c1834dd6ed2f4e1",
+        3, "261b4983c0d446443e4a795085a1cffc004e43600bcffea412460c1bd3a0a610",
     ),
     "dominance_companions": (
         ["dominance", *TRIG, "--e=-8,-4,-1", "--seed", "0"],
@@ -282,6 +283,22 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     assert explicit.read_bytes() == env.read_bytes()
 
 
+def test_seed_env_that_is_not_an_integer_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("HBN_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", *TRIG, "--e", "-8,-4,-1", "--out", os.devnull])
+    assert exc.value.code == 2
+    assert "HBN_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+
+
+def test_unwritable_out_path_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", *TRIG, "--e", "-8,-4,-1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"--out {out}: No such file or directory" in capsys.readouterr().err
+
+
 def test_csv_and_pretty_renderers(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     code = main(
@@ -321,25 +338,37 @@ def test_prime_above_int64_bound_is_usage_error(capsys):
     assert main(argv + ["--p", str(2**31 - 1), "--out", os.devnull]) == 0
 
 
-def _dominance_sweep(*argv: str) -> subprocess.CompletedProcess:
+def _script(name: str, *argv: str) -> subprocess.CompletedProcess:
     root = Path(hbn.cli.__file__).resolve().parents[2]
     src = str(root / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, str(root / "scripts" / "dominance_sweep.py"), *argv],
+        [sys.executable, str(root / "scripts" / name), *argv],
         env=env, capture_output=True, text=True, timeout=300,
     )
 
 
+def test_reproduce_examples_runs_every_worked_example():
+    proc = _script("reproduce_examples.py", "json")
+    assert proc.returncode == 0, proc.stderr
+    blocks = proc.stdout.split("$ hbn ")[1:]
+    assert len(blocks) == 7
+    (sample,) = [b for b in blocks if b.startswith("sample ")]
+    doc = json.loads(sample.split("\n", 1)[1])
+    assert doc["certification"]["verdict"] == "SMOOTH"
+    assert doc["certification"]["discriminant"] == {"degree": 26, "expected": 26, "ok": True}
+    assert doc["provenance"]["discriminant"].startswith("degree 2g + 2k - 2, implied by SMOOTH")
+
+
 def test_dominance_sweep_rejects_prime_above_int64_bound():
-    proc = _dominance_sweep("--p", str(2**61 - 1))
+    proc = _script("dominance_sweep.py", "--p", str(2**61 - 1))
     assert proc.returncode == 2
     assert BIG_P_ERROR in proc.stderr
 
 
 def test_dominance_sweep_rejects_trials_below_one():
     # with no trial every stratum would be reported as not achieved
-    proc = _dominance_sweep("--kmax", "2", "--mmax", "0", "--dmax", "1", "--trials", "0")
+    proc = _script("dominance_sweep.py", "--kmax", "2", "--mmax", "0", "--dmax", "1", "--trials", "0")
     assert proc.returncode == 2
     assert "--trials must be at least 1, got 0" in proc.stderr
     assert proc.stdout == ""
@@ -408,22 +437,31 @@ def test_vacuous_arguments_are_usage_errors(capsys, argv, message):
 @st.composite
 def _cli_cases(draw):
     """Small classes at small primes, through enumerate (with and without
-    --degree/--sections), every sample and dominance mode and the section5
-    modes that take a class or k.  Most cases are well formed: e has k
-    entries and f is e plus delta unit steps.  The rest have a bad class,
-    a type of the wrong length or an arbitrary f."""
+    --degree/--sections), every sample and dominance mode and every
+    section5 mode.  Most cases are well formed: e has k entries and f is e
+    plus delta unit steps.  The rest have a bad class, a type of the wrong
+    length or an arbitrary f."""
     shape = draw(st.sampled_from(["ok"] * 6 + ["m", "k", "delta", "length"]))
     m = -1 if shape == "m" else draw(st.integers(0, 2))
-    k = 0 if shape == "k" else draw(st.integers(1, 4))
+    k = 0 if shape == "k" else draw(st.integers(1, 5))
     delta = -1 if shape == "delta" else draw(st.integers(0, 2))
     n = k + 1 if shape == "length" else max(k, 1)
-    e = sorted(draw(st.lists(st.integers(-3, 2), min_size=n, max_size=n)))
+    types = st.lists(st.integers(-4, 3), min_size=n, max_size=n)
+    e = sorted(draw(types))
     f = list(e)
     for i in draw(st.lists(st.integers(0, n - 1), min_size=max(delta, 0), max_size=max(delta, 0))):
         f[i] += 1
-    f = draw(st.sampled_from([sorted(f), draw(st.lists(st.integers(-3, 2), min_size=n, max_size=n))]))
-    modes = ["sample", "companions", "dominance", "main", "sq", "is", "enumerate", "degree", "oo", "ol", "abundance"]
+    f = draw(st.sampled_from([sorted(f), draw(types)]))
+    modes = ["sample", "companions", "dominance", "main", "sq", "is", "enumerate", "degree",
+             "oo", "ol", "abundance", "general_cover", "triple"]  # fmt: skip
     mode = draw(st.sampled_from(modes))
+    genus_arg = ["--g", str(draw(st.integers(-2, 12)))]
+    if mode == "general_cover":
+        return ["section5", "--general-cover", "--k", str(draw(st.integers(-1, 5)))] + genus_arg
+    if mode == "triple":
+        d = draw(st.lists(st.integers(-4, 3), min_size=len(e) - 1, max_size=len(e) + 1))
+        argv = ["section5", "--triple"] + [f"--{x}=" + ",".join(map(str, t)) for x, t in zip("def", (d, e, f))]
+        return argv + draw(st.sampled_from([[], genus_arg]))
     if mode == "oo":
         return ["section5", "--oo", "--k", str(k), "--bound", str(draw(st.integers(-1, 3)))]
     if mode in ("ol", "abundance"):

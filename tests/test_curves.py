@@ -16,6 +16,7 @@ from hbn.curves import (
     SurfaceDivisor,
     _chart_batch,
     canonical_divisor,
+    chart_polys,
     chi_surface,
     cokernel_rank_check,
     connectedness,
@@ -31,17 +32,17 @@ from hbn.curves import (
     point_on_curve,
     smoothness,
 )
-from hbn.determinantal import BinaryFormCurve, MatrixPair, degree_grid, phi, sample_pair
-from hbn.exact.field import (
-    DEFAULT_PRIME,
-    PrimeTooSmallError,
-    fp2_add,
-    fp2_inv,
-    fp2_mul,
-    quadratic_nonresidue,
+from hbn.determinantal import (
+    BinaryFormCurve,
+    DegenerateCurveError,
+    MatrixPair,
+    degree_grid,
+    phi,
+    sample_pair,
 )
+from hbn.exact.field import DEFAULT_PRIME, PrimeTooSmallError, quadratic_nonresidue
 from hbn.exact.forms import BinaryForm
-from hbn.exact.poly import pscale
+from hbn.exact.poly import QuotientField, pscale
 from hbn.exact.poly2 import resultants_v
 from hbn.splitting import HirzebruchClass, genus, structure_sheaf_type
 
@@ -150,16 +151,21 @@ def test_chart_content_keeps_verdicts_and_its_own_resultants():
     # not with the raw chart polynomial the discriminant uses; chart t_y
     # sees the fiber meet the residual at (0, 0).
     curve = _forms_curve(HirzebruchClass(m=0, k=2, delta=2), [[0, 1, 2], [0, 0, 3], [0, 0, 5]], P)
-    table = _chart_batch(curve.cls, tuple(curve.P))
+    table = _chart_batch(curve)
     h = [[1, 2], [0, 3], [0, 5]]
     raw = [form.dehomogenize_s() for form in curve.P]
     assert table["t_x", "r1"] == resultants_v([(h, [pscale(h[j], j, P) for j in (1, 2)])], P)[0]
-    assert table["t_x", "disc"] == resultants_v([(raw, [pscale(raw[j], j, P) for j in (1, 2)])], P)[0]
-    assert table["t_x", "r1"] != table["t_x", "disc"]
+    disc = resultants_v([(raw, [pscale(raw[j], j, P) for j in (1, 2)])], P)[0]
+    assert table["t_x", "r1"] != disc
     cert = smoothness(curve, random.Random(1))
     assert (cert.verdict, cert.chart, cert.witness) == ("SINGULAR", "t_y", {"u": 0, "v": 0, "ext": 1})
     # disc = P_1^2 - 4 P_0 P_2 = t^3 ((9 - 40) t - 20 s): four roots
     assert discriminant_check(curve) == (4, 4, True)
+    # t (s + t) y + t s x: the residual 1 + u + v has fiber degree 1 over
+    # the content root u = 0 and meets the fiber there at v = -1
+    curve = _forms_curve(HirzebruchClass(m=0, k=1, delta=2), [[0, 1, 1], [0, 1, 0]], P)
+    cert = smoothness(curve, random.Random(1))
+    assert (cert.verdict, cert.chart, cert.witness) == ("SINGULAR", "t_x", {"u": 0, "v": P - 1, "ext": 1})
 
 
 def test_prime_below_a_resultant_bound_raises_only_where_read():
@@ -170,7 +176,7 @@ def test_prime_below_a_resultant_bound_raises_only_where_read():
     curve = _forms_curve(
         HirzebruchClass(m=0, k=2, delta=4), [[0, 0, 1, 1, 1], [0, 0, 2, 1, 3], [0, 0, 1, 3, 1]], p
     )
-    assert [key for key in _chart_batch(curve.cls, tuple(curve.P)) if isinstance(key, tuple)] == []
+    assert [key for key in _chart_batch(curve) if isinstance(key, tuple)] == []
     rng = random.Random(1)
     cert = smoothness(curve, rng)
     assert (cert.verdict, cert.chart, cert.witness) == ("SINGULAR", "t_x", {"u": 0, "v": 0, "ext": 1})
@@ -235,38 +241,35 @@ def test_curve_points_lie_on_curve_and_drop_rank():
         assert pair_rank_at_point(pair, pt) == 2
 
 
-def _fp2_rank_reference(rows, p, nr):
-    """Rank of a matrix of F_p^2 pairs by plain Gaussian elimination."""
+def _fp2_rank_reference(rows, F):
+    """Rank of a matrix over the field F by plain Gaussian elimination."""
     rows = [list(r) for r in rows]
     rank = 0
     for c in range(len(rows[0])):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][c] != (0, 0)), None)
+        piv = next((r for r in range(rank, len(rows)) if not F.is_zero(rows[r][c])), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = fp2_inv(rows[rank][c], p, nr)
+        inv = F.inv(rows[rank][c])
         for r in range(rank + 1, len(rows)):
-            f = fp2_mul(rows[r][c], inv, p, nr)
-            rows[r] = [
-                ((u[0] - w[0]) % p, (u[1] - w[1]) % p)
-                for u, w in zip(rows[r], (fp2_mul(f, v, p, nr) for v in rows[rank]))
-            ]
+            f = F.mul(rows[r][c], inv)
+            rows[r] = [F.sub(u, F.mul(f, v)) for u, v in zip(rows[r], rows[rank])]
         rank += 1
     return rank
 
 
 def _rank_at_point_reference(pair, pt):
     """Rank of A(s,t)*x + B(s,t)*y over F_p^2, entry by entry."""
-    nr = quadratic_nonresidue(P)
+    F = QuotientField([-quadratic_nonresidue(P) % P, 0, 1], P)
     (s0, t0), (x0, y0) = pt["st"], pt["xy"]
     rows = [
         [
-            fp2_add(fp2_mul((a.eval(s0, t0), 0), x0, P, nr), (b.eval(s0, t0) * y0 % P, 0), P)
+            F.add(F.mul((a.eval(s0, t0), 0), x0), (b.eval(s0, t0) * y0 % P, 0))
             for a, b in zip(ra, rb)
         ]
         for ra, rb in zip(pair.A, pair.B)
     ]
-    return _fp2_rank_reference(rows, P, nr)
+    return _fp2_rank_reference(rows, F)
 
 
 def test_fp2_points_rank_matches_reference():
@@ -302,3 +305,74 @@ def test_profile_twists_by_fiber_divisor(m, k, delta, n):
     twisted = h0_profile_splitting(cls, SurfaceDivisor(0, n))
     if isinstance(base, tuple) and isinstance(twisted, tuple):
         assert twisted == tuple(x + n for x in base)
+
+
+@st.composite
+def _small_curves(draw):
+    """A sampled curve on a small class: e has k entries and f is e plus
+    delta unit steps, at a small or the default prime, FULL or SUT."""
+    m, k, delta = draw(st.integers(0, 2)), draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    e = sorted(draw(st.lists(st.integers(-3, 2), min_size=k, max_size=k)))
+    f = list(e)
+    for i in draw(st.lists(st.integers(0, k - 1), min_size=delta, max_size=delta)):
+        f[i] += 1
+    p = draw(st.sampled_from([11, 13, 101, 10007]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pair = sample_pair(degree_grid(e, sorted(f), m), draw(st.sampled_from(["FULL", "SUT"])), p, rng)
+    return pair, rng
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(_small_curves())
+def test_smooth_certificate_implies_the_discriminant_degree(case):
+    # what `hbn sample` reports without computing it: a curve certified
+    # SMOOTH with P_k != 0 has a discriminant of degree exactly 2g + 2k - 2
+    pair, rng = case
+    try:
+        curve = phi(pair)
+        cert = smoothness(curve, rng)
+    except (DegenerateCurveError, PrimeTooSmallError):
+        return
+    if cert.verdict == "SMOOTH" and not curve.P[pair.k].is_zero():
+        want = 2 * genus(curve.cls) + 2 * pair.k - 2
+        assert discriminant_check(curve) == (want, want, True)
+
+
+def _chart_values_at(fv, u, v, F):
+    """f, f_u and f_v of the chart polynomial fv (index = power of v,
+    entries polys in u) at (u, v) in the field F."""
+    def ev(coeffs, x):  # Horner over F, F_p coefficients
+        acc = F.zero
+        for c in reversed(coeffs):
+            acc = F.add(F.mul(acc, x), (c % F.p, 0))
+        return acc
+
+    def at(rows):
+        acc = F.zero
+        for c in reversed(rows):
+            acc = F.add(F.mul(acc, v), ev(c, u))
+        return acc
+
+    fu = [[i * a for i, a in enumerate(c)][1:] for c in fv]
+    fvv = [[j * a for a in fv[j]] for j in range(1, len(fv))]
+    return at(fv), at(fu), at(fvv)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_small_curves())
+def test_concrete_singular_witness_is_a_singular_point(case):
+    # every witness with F_p or F_p^2 coordinates zeroes the chart
+    # polynomial and both its partials
+    pair, rng = case
+    try:
+        curve = phi(pair)
+        cert = smoothness(curve, rng)
+    except (DegenerateCurveError, PrimeTooSmallError):
+        return
+    wit = cert.witness
+    if cert.verdict != "SINGULAR" or "u" not in wit or "v" not in wit:
+        return
+    F = QuotientField([-quadratic_nonresidue(pair.p) % pair.p, 0, 1], pair.p)
+    u, v = ((x, 0) if isinstance(x, int) else tuple(x) for x in (wit["u"], wit["v"]))
+    fv = chart_polys(curve)[cert.chart]
+    assert all(F.is_zero(x) for x in _chart_values_at(fv, u, v, F)), (cert, pair)

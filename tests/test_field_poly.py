@@ -8,10 +8,6 @@ from hypothesis import strategies as st
 
 from hbn.exact.field import (
     DEFAULT_PRIME,
-    Fp2,
-    fp2_inv,
-    fp2_is_zero,
-    fp2_mul,
     inv_mod,
     is_prime,
     legendre,
@@ -19,6 +15,7 @@ from hbn.exact.field import (
     sqrt_mod,
 )
 from hbn.exact.poly import (
+    QuotientField,
     interp_nodes,
     irreducible_factors,
     pdeg,
@@ -32,7 +29,6 @@ from hbn.exact.poly import (
     pscale,
     psub,
     ptrim,
-    roots_fp,
     squarefree_part,
 )
 
@@ -81,16 +77,13 @@ def test_nonresidue_has_no_root():
     st.integers(0, P - 1), st.integers(0, P - 1),
 )
 def test_fp2_inverse(a, b, c, d):
-    nr = quadratic_nonresidue(P)
-    x: Fp2 = (a, b)
-    y: Fp2 = (c, d)
-    if not fp2_is_zero(x):
-        prod = fp2_mul(x, fp2_inv(x, P, nr), P, nr)
-        assert prod == (1, 0)
+    # F_p^2 = F_p[w]/(w^2 - nr), elements (a, b) = a + b*w
+    F = QuotientField([-quadratic_nonresidue(P) % P, 0, 1], P)
+    x, y = (a, b), (c, d)
+    if not F.is_zero(x):
+        assert F.mul(x, F.inv(x)) == (1, 0)
     # associativity spot
-    left = fp2_mul(fp2_mul(x, y, P, nr), (2, 3), P, nr)
-    right = fp2_mul(x, fp2_mul(y, (2, 3), P, nr), P, nr)
-    assert left == right
+    assert F.mul(F.mul(x, y), (2, 3)) == F.mul(x, F.mul(y, (2, 3)))
 
 
 coeffs = st.lists(st.integers(0, P - 1), min_size=0, max_size=8)
@@ -122,13 +115,18 @@ def test_pgcd_divides_both(f, g):
     assert d[-1] == 1
 
 
+def _roots(f, rng):
+    """Distinct F_p roots of f, from its linear irreducible factors."""
+    return sorted(-q[0] % P for q, _ in irreducible_factors(f, P, rng) if pdeg(q) == 1)
+
+
 def test_roots_of_split_polynomial():
     rng = random.Random(5)
     pts = rng.sample(range(P), 6)
     f = [1]
     for a in pts:
         f = pmul(f, [(-a) % P, 1], P)
-    assert sorted(roots_fp(f, P, rng)) == sorted(pts)
+    assert _roots(f, rng) == sorted(pts)
     for a in pts:
         assert peval(f, a, P) == 0
 
@@ -138,7 +136,7 @@ def test_roots_with_multiplicity_and_irreducible_part():
     # (x - 2)^2 * (x^2 - nr) has the double root once in the root list
     nr = quadratic_nonresidue(P)
     f = pmul(pmul([P - 2, 1], [P - 2, 1], P), [(-nr) % P, 0, 1], P)
-    assert set(roots_fp(f, P, rng)) == {2}
+    assert _roots(f, rng) == [2]
 
 
 def test_irreducible_factors_reconstruct():
