@@ -15,8 +15,10 @@ the arguments themselves, so plain reruns also reproduce.
 Exit codes: 0 success, 2 empty or forced-reducible stratum or a usage error
 (including a --p that is not an odd prime, is above 2^31 - 1, or is
 below a degree bound the computation needs, --trials or --retries below
-1, --lemma is on a grid without the inductive point, an --out path that
-cannot be written, and an HBN_SEED that is not an integer), 3
+1, --lemma is on a grid without the inductive point, --general-cover
+with k < 2 or g < 0, an --out path whose directory is missing or not
+writable (refused before any work), and an HBN_SEED that is not an
+integer), 3
 certification inconclusive (sampling retries exhausted, rank target not
 reached, or a lemma harness returning False).
 """
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import io
 import json
@@ -205,6 +208,20 @@ def emit(doc: dict, config: RunConfig, parser) -> None:
             fh.write(text)
     except OSError as exc:
         parser.error(f"--out {config.out}: {exc.strerror}")
+
+
+def _check_out(out: str, parser) -> None:
+    """Refuse an --out that cannot be written, before any work is done."""
+    parent = os.path.dirname(os.path.abspath(out))
+    if os.path.isdir(out):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(parent, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    parser.error(f"--out {out}: {os.strerror(code)}")
 
 
 def _require(args, parser, *names):
@@ -483,6 +500,8 @@ def cmd_section5(args, config: RunConfig, parser) -> int:
         }
     elif mode == "general_cover":
         _require(args, parser, "k", "g")
+        if args.k < 2 or args.g < 0:
+            parser.error(f"--general-cover needs k >= 2 and g >= 0, got k = {args.k}, g = {args.g}")
         witness = general_cover_not_abundant(args.k, args.g)
         doc = {
             "command": "section5",
@@ -503,11 +522,7 @@ def cmd_section5(args, config: RunConfig, parser) -> int:
         doc = {
             "command": "section5",
             "mode": "triple",
-            "d": list(rep.d),
-            "e": list(rep.e),
-            "f": list(rep.f),
-            "violations": [list(v) for v in rep.violations],
-            "degree_ok": rep.degree_ok,
+            **rep.to_json_dict(),
             "provenance": {
                 "violations": "index pairs with f_{i+j-k} < d_i + e_j",
                 "degree_ok": "sum(d) + sum(e) - sum(f) against -(g + k - 1)",
@@ -548,17 +563,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_enum)
     p_enum.add_argument("--degree", type=int, default=None)
     p_enum.add_argument("--sections", type=int, default=None)
-    p_enum.set_defaults(func=cmd_enumerate)
 
     p_sample = sub.add_parser("sample", help="sample and certify a curve")
     common(p_sample)
     p_sample.add_argument("--retries", type=_positive_int, default=8)
-    p_sample.set_defaults(func=cmd_sample)
 
     p_dom = sub.add_parser("dominance", help="rank certification")
     common(p_dom)
     p_dom.add_argument("--lemma", choices=("sq", "main", "is"), default=None)
-    p_dom.set_defaults(func=cmd_dominance)
 
     p_s5 = sub.add_parser("section5", help="scrollar bound reports")
     common(p_s5)
@@ -570,7 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_s5.add_argument("--bound", type=int, default=None)
     p_s5.add_argument("--g", type=int, default=None)
     p_s5.add_argument("--d", type=_parse_tuple, default=None)
-    p_s5.set_defaults(func=cmd_section5)
 
     return parser
 
@@ -627,8 +638,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
+    if config.out:
+        _check_out(config.out, parser)
+    # looked up at call time, so a patched or traced command is the one run
+    command = globals()["cmd_" + args.command]
     try:
-        return args.func(args, config, parser)
+        return command(args, config, parser)
     except PrimeTooSmallError as exc:
         parser.error(f"--p {config.p}: {exc}")
 

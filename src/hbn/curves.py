@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from hbn.determinantal import BinaryFormCurve, MatrixPair
+from hbn.determinantal import BinaryFormCurve, MatrixPair, entry_form
 from hbn.exact.field import quadratic_nonresidue
 from hbn.exact.linalg import fp2_matrix_rank
 from hbn.exact.poly import (
@@ -509,10 +509,12 @@ def pair_rank_at_point(pair: MatrixPair, pt: dict) -> int:
     A and B are evaluated at the F_p base point; with x = a + b*w the
     matrix is (A*a + B*y) + w*(A*b).
     """
-    p = pair.p
+    p, k = pair.p, pair.k
     (s0, t0), ((a, b), y0) = pt["st"], pt["xy"]
-    va = [[form.eval(s0, t0) for form in row] for row in pair.A]
-    vb = [[form.eval(s0, t0) for form in row] for row in pair.B]
+    va, vb = (
+        [[entry_form(pair, mat, i, j).eval(s0, t0) for j in range(k)] for i in range(k)]
+        for mat in (0, 1)
+    )
     re = [[(u * a + v * y0) % p for u, v in zip(ra, rb)] for ra, rb in zip(va, vb)]
     im = [[u * b % p for u in ra] for ra in va]
     return fp2_matrix_rank(re, im, p, quadratic_nonresidue(p))

@@ -6,11 +6,15 @@ curves of class kH + delta*F via the determinant.  Entries whose degree
 is negative are identically zero, and that forced vanishing is exactly
 what detects reducibility for bad strata.
 
+A pair is one int64 array `coeffs` of shape (2, k, k, L): coeffs[0] is
+A, coeffs[1] is B, and slot l of entry (i, j) holds the coefficient of
+s^(d - l) t^l, d its grid degree; every slot above d is zero, so an
+entry of negative degree is all zeros.
+
 Triangularity conventions are with respect to the ANTI-diagonal: in the
-LU pattern, A is supported on and below it (i + j >= k + 1) and B on and
-above it (i + j <= k + 1); SUT pushes B strictly above (i + j <= k).
-Indices in comments are 1-based to match the formulas; storage is
-0-based.
+SUT pattern, A is supported on and below it (i + j >= k + 1) and B
+strictly above it (i + j <= k).  Indices in comments are 1-based to
+match the formulas; storage is 0-based.
 
 Determinants of Ax + By come by evaluation and interpolation.  The x^i
 y^(k-i) coefficient P_i of det(Ax + By) is a form of degree
@@ -38,7 +42,7 @@ from hbn.exact.linalg import batch_det_mod
 from hbn.exact.poly import _eval_at_nodes, interp_nodes
 from hbn.splitting import HirzebruchClass
 
-PATTERNS = ("FULL", "LU", "SUT", "IS_POINT")
+PATTERNS = ("FULL", "SUT", "IS_POINT")
 
 
 @dataclass(frozen=True)
@@ -72,20 +76,17 @@ def pattern_allows(pattern: str, k: int, mat: str, i: int, j: int) -> bool:
     """Whether entry (i, j) (0-based) of matrix 'A' or 'B' may be nonzero."""
     if pattern == "FULL":
         return True
-    s = (i + 1) + (j + 1)
-    if pattern == "LU":
-        return s >= k + 1 if mat == "A" else s <= k + 1
     if pattern == "SUT":
+        s = (i + 1) + (j + 1)
         return s >= k + 1 if mat == "A" else s <= k
     raise ValueError(f"unknown pattern {pattern!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixPair:
-    """Matrices (A, B) of binary forms following a degree grid and pattern."""
+    """Matrices (A, B) of binary forms as one coefficient array (module doc)."""
 
-    A: tuple[tuple[BinaryForm, ...], ...]
-    B: tuple[tuple[BinaryForm, ...], ...]
+    coeffs: np.ndarray
     grid: DegreeGrid
     pattern: str
     p: int
@@ -95,53 +96,62 @@ class MatrixPair:
         return self.grid.k
 
     def __post_init__(self):
-        k = self.grid.k
-        for i in range(k):
-            for j in range(k):
-                for mat, g in (("A", self.grid.a), ("B", self.grid.b)):
-                    form = (self.A if mat == "A" else self.B)[i][j]
-                    if not form.is_zero() and form.degree != g[i][j]:
-                        raise ValueError(
-                            f"{mat}[{i}][{j}] has degree {form.degree}, grid wants {g[i][j]}"
-                        )
+        c, k = np.asarray(self.coeffs, dtype=np.int64), self.grid.k
+        if c.ndim != 4 or c.shape[:3] != (2, k, k) or c.shape[3] < 1:
+            raise ValueError(f"coefficients must have shape (2, {k}, {k}, L >= 1), got {c.shape}")
+        if c.min() < 0 or c.max() >= self.p:
+            raise ValueError(f"coefficients must lie in [0, {self.p})")
+        degrees = np.array((self.grid.a, self.grid.b), dtype=np.int64)[..., None]
+        if c[np.arange(c.shape[3]) > degrees].any():
+            raise ValueError("a coefficient lies above its entry's grid degree")
+        object.__setattr__(self, "coeffs", c)
 
 
-def _random_nonzero(degree: int, p: int, rng: random.Random) -> BinaryForm:
+def _zero_coeffs(grid: DegreeGrid) -> np.ndarray:
+    top = max((d for degs in (grid.a, grid.b) for row in degs for d in row), default=0)
+    return np.zeros((2, grid.k, grid.k, max(top, 0) + 1), dtype=np.int64)
+
+
+def _random_nonzero(degree: int, p: int, rng: random.Random) -> list[int]:
     # an allowed entry that samples to the zero form leaves the open
     # locus of the pattern, so redraw (chance 1/p^(deg+1) per attempt)
-    form = BinaryForm.random(degree, p, rng)
-    while form.is_zero():
-        form = BinaryForm.random(degree, p, rng)
-    return form
+    while True:
+        coeffs = [rng.randrange(p) for _ in range(degree + 1)]
+        if any(coeffs):
+            return coeffs
+
+
+def entry_form(pair: MatrixPair, mat: int, i: int, j: int) -> BinaryForm:
+    """Entry (i, j) (0-based) of A (mat = 0) or B (mat = 1) as a form of
+    its grid degree."""
+    degree = (pair.grid.a, pair.grid.b)[mat][i][j]
+    if degree < 0:
+        return BinaryForm.zero(degree, pair.p)
+    return BinaryForm(degree, tuple(pair.coeffs[mat, i, j, : degree + 1].tolist()), pair.p)
 
 
 def sample_pair(grid: DegreeGrid, pattern: str, p: int, rng: random.Random) -> MatrixPair:
     """Pair in the open locus of the pattern: allowed entries are random
-    nonzero forms of the grid degree, forced entries stay ZeroForm."""
+    nonzero forms of the grid degree, forced entries stay zero.  Entry
+    (i, j) of A is drawn before that of B."""
     if pattern == "IS_POINT":
         return sample_is_point(grid, p, rng)[0]
     if pattern not in PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}")
     k = grid.k
-    A, B = [], []
+    coeffs = _zero_coeffs(grid)
     for i in range(k):
-        arow, brow = [], []
         for j in range(k):
-            da = grid.a[i][j] if pattern_allows(pattern, k, "A", i, j) else -1
-            db = grid.b[i][j] if pattern_allows(pattern, k, "B", i, j) else -1
-            arow.append(
-                _random_nonzero(da, p, rng) if da >= 0 else BinaryForm.zero(grid.a[i][j], p)
-            )
-            brow.append(
-                _random_nonzero(db, p, rng) if db >= 0 else BinaryForm.zero(grid.b[i][j], p)
-            )
-        A.append(tuple(arow))
-        B.append(tuple(brow))
-    return MatrixPair(A=tuple(A), B=tuple(B), grid=grid, pattern=pattern, p=p)
+            for mat, degs in enumerate((grid.a, grid.b)):
+                d = degs[i][j]
+                if d >= 0 and pattern_allows(pattern, k, "AB"[mat], i, j):
+                    coeffs[mat, i, j, : d + 1] = _random_nonzero(d, p, rng)
+    return MatrixPair(coeffs, grid, pattern, p)
 
 
-def split_form(degree: int, roots: list[int], p: int) -> BinaryForm:
-    """Monic product of (t - root * s) over the given roots."""
+def split_form(degree: int, roots: list[int], p: int) -> list[int]:
+    """Coefficients (index = power of t) of the monic product of
+    (t - root * s) over the given roots."""
     if degree != len(roots):
         raise ValueError("need exactly degree many roots")
     coeffs = [1]
@@ -151,17 +161,13 @@ def split_form(degree: int, roots: list[int], p: int) -> BinaryForm:
             nxt[i + 1] = (nxt[i + 1] + c) % p
             nxt[i] = (nxt[i] - r * c) % p
         coeffs = nxt
-    return BinaryForm.homogenize(coeffs, degree, p)
+    return coeffs
 
 
 def corner_row_limit(grid: DegreeGrid) -> int:
     """Largest r with b_{k-r,1} >= 0 (0 when the first column is all forced)."""
     k = grid.k
-    r = 0
-    for cand in range(1, k):
-        if grid.b[k - cand - 1][0] >= 0:
-            r = cand
-    return r
+    return max((r for r in range(1, k) if grid.b[k - r - 1][0] >= 0), default=0)
 
 
 def is_point_obstruction(grid: DegreeGrid) -> Optional[str]:
@@ -199,56 +205,32 @@ def sample_is_point(
             f"the inductive point needs {total_roots} distinct roots, so p >= {total_roots}"
         )
     pool = rng.sample(range(p), total_roots)
+    coeffs = _zero_coeffs(grid)
+    F_roots = {}
     pos = 0
-    Fs = {}
     for i in range(2, k):
         d = f_degrees[i]
-        Fs[i] = (split_form(d, pool[pos : pos + d], p), pool[pos : pos + d])
+        F_roots[i] = pool[pos : pos + d]
+        coeffs[1, k - i - 1, i - 1, : d + 1] = split_form(d, F_roots[i], p)
         pos += d
     G_roots = pool[pos : pos + g_degree]
-    G = split_form(g_degree, G_roots, p)
+    coeffs[0, k - 1, 0, : g_degree + 1] = split_form(g_degree, G_roots, p)
 
-    A = [[BinaryForm.zero(grid.a[i][j], p) for j in range(k)] for i in range(k)]
-    B = [[BinaryForm.zero(grid.b[i][j], p) for j in range(k)] for i in range(k)]
-    for i in range(2, k):
-        B[k - i - 1][i - 1] = Fs[i][0]
-    A[k - 1][0] = G
-
-    def rand_entry(deg):
-        return _random_nonzero(deg, p, rng) if deg >= 0 else None
+    def draw(mat, i, j):  # 1-based; an entry of negative degree stays zero
+        d = (grid.a, grid.b)[mat][i - 1][j - 1]
+        if d >= 0:
+            coeffs[mat, i - 1, j - 1, : d + 1] = _random_nonzero(d, p, rng)
 
     for i in range(1, k - 1):  # anti-diagonal rows 1..k-2
-        form = rand_entry(grid.a[i - 1][k - i])
-        if form is not None:
-            A[i - 1][k - i] = form
+        draw(0, i, k + 1 - i)
     for i in sorted(set(range(1, k - r)) | {k - 1}):  # last column of A
-        form = rand_entry(grid.a[i - 1][k - 1])
-        if form is not None:
-            A[i - 1][k - 1] = form
+        draw(0, i, k)
     for i in range(max(1, k - r), k):  # first column of B, rows k-r..k-1
-        form = rand_entry(grid.b[i - 1][0])
-        if form is not None:
-            B[i - 1][0] = form
+        draw(1, i, 1)
     for j in range(2, k + 1):  # bottom row of A
-        form = rand_entry(grid.a[k - 1][j - 1])
-        if form is not None:
-            A[k - 1][j - 1] = form
+        draw(0, k, j)
 
-    pair = MatrixPair(
-        A=tuple(tuple(row) for row in A),
-        B=tuple(tuple(row) for row in B),
-        grid=grid,
-        pattern="IS_POINT",
-        p=p,
-    )
-    meta = {
-        "r": r,
-        "F_roots": {i: Fs[i][1] for i in Fs},
-        "G_roots": G_roots,
-        "F_forms": {i: Fs[i][0] for i in Fs},
-        "G_form": G,
-    }
-    return pair, meta
+    return MatrixPair(coeffs, grid, "IS_POINT", p), {"r": r, "F_roots": F_roots, "G_roots": G_roots}
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +269,9 @@ def pair_values(pair: MatrixPair, n_t: int, n_x: int) -> np.ndarray:
 
     Returns an int64 array of shape (n_t, n_x, k, k).
     """
-    p, k = pair.p, pair.k
-    entries = [form.coeffs for mat in (pair.A, pair.B) for row in mat for form in row]
-    at_t = _eval_at_nodes(entries, n_t, p).reshape(n_t, 2, 1, k, k)
+    at_t = _eval_at_nodes(pair.coeffs, n_t, pair.p)  # (n_t, 2, k, k)
     xs = np.arange(n_x, dtype=np.int64)[None, :, None, None]
-    return (at_t[:, 0] * xs + at_t[:, 1]) % p
+    return (at_t[:, 0, None] * xs + at_t[:, 1, None]) % pair.p
 
 
 def _node_values(pair: MatrixPair) -> np.ndarray:
@@ -408,50 +388,46 @@ def p1_pk_closed_form(pair: MatrixPair) -> tuple[BinaryForm, BinaryForm]:
     sign1 = -1 if ((k - 1) * (k - 2) // 2) % 2 else 1
     p1 = BinaryForm.constant(sign1, p)
     for i in range(1, k):
-        p1 = p1.mul(pair.B[i - 1][k - i - 1])
-    p1 = p1.mul(pair.A[k - 1][k - 1])
+        p1 = p1.mul(entry_form(pair, 1, i - 1, k - i - 1))
+    p1 = p1.mul(entry_form(pair, 0, k - 1, k - 1))
     sign_k = -1 if (k * (k - 1) // 2) % 2 else 1
     pk = BinaryForm.constant(sign_k, p)
     for i in range(1, k + 1):
-        pk = pk.mul(pair.A[i - 1][k - i])
+        pk = pk.mul(entry_form(pair, 0, i - 1, k - i))
     return p1, pk
 
 
 def pair_to_json_dict(pair: MatrixPair) -> dict:
-    return {
-        "p": pair.p,
-        "m": pair.grid.m,
-        "k": pair.k,
-        "delta": pair.grid.delta,
-        "A": [
-            [list(form.coeffs) if form.coeffs else [] for form in row] for row in pair.A
-        ],
-        "B": [
-            [list(form.coeffs) if form.coeffs else [] for form in row] for row in pair.B
-        ],
-    }
+    """Each entry as its d + 1 coefficients, or [] when it is zero."""
+
+    def entry(mat, i, j):
+        d = (pair.grid.a, pair.grid.b)[mat][i][j]
+        c = pair.coeffs[mat, i, j, : max(d + 1, 0)]
+        return c.tolist() if c.any() else []
+
+    k = pair.k
+    doc = {"p": pair.p, "m": pair.grid.m, "k": k, "delta": pair.grid.delta}
+    for mat, name in enumerate("AB"):
+        doc[name] = [[entry(mat, i, j) for j in range(k)] for i in range(k)]
+    return doc
 
 
 def pair_from_json_dict(doc: dict) -> MatrixPair:
     """Rebuild a pair from the wire format.
 
     Degrees are inferred from coefficient list lengths; entries sent as
-    [] keep a negative declared degree, which is all the determinant
-    path needs (zero entries never enter a product).
+    [] get degree -1, which is all the determinant path needs (zero
+    entries never enter a product).
     """
-    p, m, k = doc["p"], doc["m"], doc["k"]
-
-    def to_form(coeffs):
-        if coeffs:
-            return BinaryForm(len(coeffs) - 1, tuple(coeffs), p)
-        return BinaryForm.zero(-1, p)
-
-    A = tuple(tuple(to_form(c) for c in row) for row in doc["A"])
-    B = tuple(tuple(to_form(c) for c in row) for row in doc["B"])
-    a = tuple(tuple(form.degree for form in row) for row in A)
-    b = tuple(tuple(form.degree for form in row) for row in B)
-    grid = DegreeGrid(a=a, b=b, m=m, delta=doc["delta"], e=None, f=None)
-    return MatrixPair(A=A, B=B, grid=grid, pattern="FULL", p=p)
+    p = doc["p"]
+    a, b = (tuple(tuple(len(c) - 1 for c in row) for row in doc[name]) for name in "AB")
+    grid = DegreeGrid(a=a, b=b, m=doc["m"], delta=doc["delta"])
+    coeffs = _zero_coeffs(grid)
+    for mat, name in enumerate("AB"):
+        for i, j in np.ndindex(grid.k, grid.k):
+            c = doc[name][i][j]
+            coeffs[mat, i, j, : len(c)] = c
+    return MatrixPair(coeffs % p, grid, "FULL", p)
 
 
 def curve_to_json_dict(curve: BinaryFormCurve) -> dict:

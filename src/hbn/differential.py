@@ -46,6 +46,7 @@ from hbn.determinantal import (
     DegreeGrid,
     MatrixPair,
     degree_grid,
+    entry_form,
     pair_values,
     pattern_allows,
     sample_is_point,
@@ -354,7 +355,7 @@ def super_anti_product(pair: MatrixPair) -> BinaryForm:
     k = pair.k
     prod = BinaryForm.constant(1, pair.p)
     for i in range(1, k):
-        prod = prod.mul(pair.B[k - i - 1][i - 1])
+        prod = prod.mul(entry_form(pair, 1, k - i - 1, i - 1))
     return prod
 
 
@@ -477,14 +478,6 @@ def bottom_row_scale(pair: MatrixPair, h: int) -> MatrixPair:
     and the inductive-subspace image drops, which is what the rank
     semicontinuity harness measures.
     """
-    k = pair.k
-    A = [list(row) for row in pair.A]
-    for j in range(1, k):
-        A[k - 1][j] = A[k - 1][j].scale(h)
-    return MatrixPair(
-        A=tuple(tuple(row) for row in A),
-        B=pair.B,
-        grid=pair.grid,
-        pattern=pair.pattern,
-        p=pair.p,
-    )
+    coeffs = pair.coeffs.copy()
+    coeffs[0, pair.k - 1, 1:] = coeffs[0, pair.k - 1, 1:] * (h % pair.p) % pair.p
+    return MatrixPair(coeffs, pair.grid, pair.pattern, pair.p)

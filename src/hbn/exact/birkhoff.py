@@ -44,7 +44,7 @@ import numpy as np
 
 from hbn.exact.field import PrimeTooSmallError
 from hbn.exact.linalg import batch_det_mod, nullspace_vector
-from hbn.exact.poly import interp_nodes
+from hbn.exact.poly import _eval_at_nodes, interp_nodes
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,10 +77,7 @@ class TransitionMatrix:
             raise PrimeTooSmallError(
                 f"prime too small for the determinant: degree up to {nodes - 1} needs p > {nodes - 1}"
             )
-        at = np.arange(nodes, dtype=np.int64)[:, None, None]
-        vals = np.zeros((nodes, n, n), dtype=np.int64)
-        for slot in self.coeffs.transpose(2, 0, 1)[::-1]:
-            vals = (vals * at + slot) % self.p
+        vals = _eval_at_nodes(self.coeffs, nodes, self.p)
         coef = interp_nodes(batch_det_mod(vals, self.p), self.p)
         return TransitionMatrix(coef[None, None], n * self.low, self.p)
 

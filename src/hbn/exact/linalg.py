@@ -19,7 +19,6 @@ Determinants have one engine, `batch_det_mod`: it row-reduces a whole
 stack (n, r, r) at once.  Each matrix picks its own pivot row (the first
 nonzero entry at or below the diagonal), and elimination is division
 free, so the only inverse is one vectorised Fermat power at the end.
-`det_mod` is the one-matrix case of it.
 """
 
 from __future__ import annotations
@@ -109,13 +108,6 @@ def nullspace_vector(mat, p: int) -> np.ndarray | None:
     for row, pc in enumerate(pivots):
         v[pc] = (-a[row, c0]) % p
     return v
-
-
-def det_mod(mat, p: int) -> int:
-    a = _as_mod_array(mat, p)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("determinant needs a square matrix")
-    return int(batch_det_mod(a[None], p)[0])
 
 
 def _pow_vec(x: np.ndarray, e: int, p: int) -> np.ndarray:

@@ -177,19 +177,16 @@ def interp_nodes(vals: np.ndarray, p: int, axis: int = 0) -> np.ndarray:
     return np.moveaxis((out % p).reshape(moved.shape), 0, axis)
 
 
-def _eval_at_nodes(f: list[Poly], n: int, p: int) -> np.ndarray:
-    """Every polynomial in the list f at the nodes 0..n-1, one 2-D Horner
-    pass.  Returns shape (n, len(f)): row i holds the values at node i.
+def _eval_at_nodes(coeffs: np.ndarray, n: int, p: int) -> np.ndarray:
+    """Polynomials at the nodes 0..n-1, one Horner pass over the trailing
+    coefficient axis (index = power of the variable) of an int64 array
+    (..., L).  Returns shape (n, ...): index i of the first axis holds the
+    values at node i.
     """
-    width = max(len(c) for c in f)
-    grid = np.zeros((len(f), max(width, 1)), dtype=np.int64)
-    for j, c in enumerate(f):
-        grid[j, : len(c)] = c
-    grid %= p
-    nodes = np.arange(n, dtype=np.int64)
-    acc = np.zeros((n, len(f)), dtype=np.int64)
-    for col in grid.T[::-1]:
-        acc = (acc * nodes[:, None] + col) % p
+    nodes = np.arange(n, dtype=np.int64).reshape((n,) + (1,) * (coeffs.ndim - 1))
+    acc = np.zeros((n,) + coeffs.shape[:-1], dtype=np.int64)
+    for slot in np.moveaxis(coeffs, -1, 0)[::-1]:
+        acc = (acc * nodes + slot) % p
     return acc
 
 

@@ -10,11 +10,11 @@ vanish at individual points.
 `resultants_v` takes a whole batch of pairs in one pass (Collins'
 evaluation-interpolation scheme, run on many pairs at once).  It groups
 the pairs by Sylvester shape (len f, len g), and per group evaluates
-every u-coefficient at the shared nodes u = 0..n-1 in one Horner pass,
-fills one Sylvester stack, makes one `batch_det_mod` call and one
-`interp_nodes` call.  n is the group's
-largest degree bound + 1, rounded up to a multiple of 8 and capped at
-p, so a few interpolation tables per prime serve every group.
+every u-coefficient at the shared nodes u = 0..n-1 in one Horner pass
+(`_eval_at_nodes` on the zero-padded coefficients), fills one Sylvester
+stack, makes one `batch_det_mod` call and one `interp_nodes` call.  n is
+the group's largest degree bound + 1, rounded up to a multiple of 8 and
+capped at p, so a few interpolation tables per prime serve every group.
 """
 
 from __future__ import annotations
@@ -85,8 +85,10 @@ def resultants_v(pairs, p: int) -> list[Poly]:
             continue
         bound = max(resultant_bound(*pairs[i]) for i in members)
         n = min(-(-(bound + 1) // NODE_STEP) * NODE_STEP, p)
-        vals = _eval_at_nodes([c for i in members for side in pairs[i] for c in side], n, p)
-        vals = vals.reshape(n, len(members), len_f + len_g)
+        polys = [list(c) for i in members for side in pairs[i] for c in side]
+        width = max(map(len, polys))
+        coeffs = np.array([c + [0] * (width - len(c)) for c in polys], dtype=np.int64)
+        vals = _eval_at_nodes(coeffs, n, p).reshape(n, len(members), len_f + len_g)
         size = len_f + len_g - 2
         # the stack goes in unnamed, so the kernel frees it once copied
         dets = batch_det_mod(

@@ -16,6 +16,7 @@ import numpy as np
 from hbn.determinantal import (
     BinaryFormCurve,
     MatrixPair,
+    entry_form,
     forced_reducibility,
 )
 from hbn.exact.forms import BinaryForm
@@ -39,6 +40,14 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
     return sign
 
 
+def _entry_forms(pair: MatrixPair) -> tuple[list[list[BinaryForm]], ...]:
+    """A and B as nested lists of entry forms."""
+    k = pair.k
+    return tuple(
+        [[entry_form(pair, mat, r, c) for c in range(k)] for r in range(k)] for mat in (0, 1)
+    )
+
+
 def det_xy(pair: MatrixPair, rows: list[int], cols: list[int]) -> list[BinaryForm]:
     """det of the submatrix of Ax + By on given rows/cols, graded by x-power.
 
@@ -53,13 +62,14 @@ def det_xy(pair: MatrixPair, rows: list[int], cols: list[int]) -> list[BinaryFor
         raise ValueError("block must be square")
     p = pair.p
     m = pair.grid.m
+    A, B = _entry_forms(pair)
     slots: dict[int, BinaryForm] = {}
     for perm in permutations(range(n)):
         sign = _perm_sign(perm)
         acc: dict[int, BinaryForm] = {0: BinaryForm.constant(sign, p)}
         for step in range(n):
             r, c = rows[step], cols[perm[step]]
-            fa, fb = pair.A[r][c], pair.B[r][c]
+            fa, fb = A[r][c], B[r][c]
             nxt: dict[int, BinaryForm] = {}
             for i, q in acc.items():
                 if not fb.is_zero():
@@ -191,6 +201,7 @@ def dphi_column_dual(pair: MatrixPair, coord: tuple, include_p0: bool = False) -
         offsets[blk] = total
         total += grid.delta + (k - blk) * grid.m + 1
     vec = np.zeros(total, dtype=np.int64)
+    A, B = _entry_forms(pair)
     slots: dict[int, DualForm] = {}
     for perm in permutations(range(k)):
         sign = _perm_sign(perm)
@@ -198,11 +209,11 @@ def dphi_column_dual(pair: MatrixPair, coord: tuple, include_p0: bool = False) -
         for step in range(k):
             r, c = step, perm[step]
             fa = DualForm(
-                pair.A[r][c],
+                A[r][c],
                 mono if (mname, r, c) == ("A", r0, c0) else BinaryForm.zero(grid.a[r][c], p),
             )
             fb = DualForm(
-                pair.B[r][c],
+                B[r][c],
                 mono if (mname, r, c) == ("B", r0, c0) else BinaryForm.zero(grid.b[r][c], p),
             )
             nxt: dict[int, DualForm] = {}

@@ -37,6 +37,7 @@ from hbn.determinantal import (
     DegenerateCurveError,
     MatrixPair,
     degree_grid,
+    entry_form,
     phi,
     sample_pair,
 )
@@ -190,18 +191,14 @@ def _plant_rank_drop(pair, t0, x0, rng):
     k, p = pair.k, pair.p
     left = [[rng.randrange(p) for _ in range(k - 2)] for _ in range(k)]
     right = [[rng.randrange(p) for _ in range(k)] for _ in range(k - 2)]
-    B = []
+    coeffs = pair.coeffs.copy()
     for i in range(k):
-        row = []
         for j in range(k):
             want = sum(left[i][l] * right[l][j] for l in range(k - 2)) % p
-            have = (pair.A[i][j].eval(1, t0) * x0 + pair.B[i][j].eval(1, t0)) % p
-            form = pair.B[i][j]
-            coeffs = list(form.coeffs) or [0] * (form.degree + 1)
-            coeffs[0] = (coeffs[0] + want - have) % p
-            row.append(BinaryForm(form.degree, tuple(coeffs), p))
-        B.append(tuple(row))
-    return MatrixPair(A=pair.A, B=tuple(B), grid=pair.grid, pattern=pair.pattern, p=p)
+            a, b = (entry_form(pair, mat, i, j).eval(1, t0) for mat in (0, 1))
+            have = (a * x0 + b) % p
+            coeffs[1, i, j, 0] = (coeffs[1, i, j, 0] + want - have) % p
+    return MatrixPair(coeffs, pair.grid, pair.pattern, p)
 
 
 def test_planted_rank_drop_point_is_singular():
@@ -264,10 +261,13 @@ def _rank_at_point_reference(pair, pt):
     (s0, t0), (x0, y0) = pt["st"], pt["xy"]
     rows = [
         [
-            F.add(F.mul((a.eval(s0, t0), 0), x0), (b.eval(s0, t0) * y0 % P, 0))
-            for a, b in zip(ra, rb)
+            F.add(
+                F.mul((entry_form(pair, 0, i, j).eval(s0, t0), 0), x0),
+                (entry_form(pair, 1, i, j).eval(s0, t0) * y0 % P, 0),
+            )
+            for j in range(pair.k)
         ]
-        for ra, rb in zip(pair.A, pair.B)
+        for i in range(pair.k)
     ]
     return _fp2_rank_reference(rows, F)
 

@@ -21,9 +21,12 @@ from hbn.determinantal import (
     curve_from_json_dict,
     curve_to_json_dict,
     degree_grid,
+    entry_form,
     forced_reducibility,
+    is_point_obstruction,
     pair_from_json_dict,
     pair_to_json_dict,
+    pair_values,
     pattern_allows,
     phi,
     p1_pk_closed_form,
@@ -34,8 +37,9 @@ from hbn.determinantal import (
 )
 from hbn.exact.field import DEFAULT_PRIME, PrimeTooSmallError, is_prime
 from hbn.exact.forms import BinaryForm
-from hbn.exact.linalg import det_mod
+from hbn.exact.linalg import batch_det_mod
 from hbn.splitting import HirzebruchClass, check_conditions, genus
+from hbn.sweeps import desk_classes, iter_window_strata
 
 P = DEFAULT_PRIME
 
@@ -55,8 +59,8 @@ def _numeric_pair(pair, s0, t0):
     B = np.zeros((k, k), dtype=np.int64)
     for i in range(k):
         for j in range(k):
-            A[i, j] = pair.A[i][j].eval(s0, t0)
-            B[i, j] = pair.B[i][j].eval(s0, t0)
+            A[i, j] = entry_form(pair, 0, i, j).eval(s0, t0)
+            B[i, j] = entry_form(pair, 1, i, j).eval(s0, t0)
     return A, B
 
 
@@ -84,7 +88,7 @@ def test_det_xy_matches_numeric_determinant():
                 x0, y0 = rng.randrange(P), rng.randrange(P)
                 A, B = _numeric_pair(pair, s0, t0)
                 M = (A * x0 + B * y0) % P
-                want = det_mod(M, P)
+                want = batch_det_mod(M[None], P)[0]
                 got = sum(
                     forms[i].eval(s0, t0) * pow(x0, i, P) * pow(y0, pair.k - i, P)
                     for i in range(pair.k + 1)
@@ -110,13 +114,8 @@ def test_torus_equivariance():
             P,
         )
 
-    scaled = MatrixPair(
-        A=tuple(tuple(scale_form(x) for x in row) for row in pair.A),
-        B=tuple(tuple(scale_form(x) for x in row) for row in pair.B),
-        grid=grid,
-        pattern=pair.pattern,
-        p=P,
-    )
+    powers = np.array([pow(lam, i, P) for i in range(pair.coeffs.shape[-1])], dtype=np.int64)
+    scaled = MatrixPair(pair.coeffs * powers % P, grid, pair.pattern, P)
     before = det_xy(pair, [0, 1, 2], [0, 1, 2])
     after = det_xy(scaled, [0, 1, 2], [0, 1, 2])
     for fb, fa in zip(before, after):
@@ -130,9 +129,9 @@ def test_sample_pair_respects_pattern_and_degrees():
     k = 3
     for i in range(k):
         for j in range(k):
-            for mat, forms, degs in (("A", pair.A, grid.a), ("B", pair.B, grid.b)):
-                form = forms[i][j]
-                if not pattern_allows("SUT", k, mat, i, j) or degs[i][j] < 0:
+            for mat, degs in enumerate((grid.a, grid.b)):
+                form = entry_form(pair, mat, i, j)
+                if not pattern_allows("SUT", k, "AB"[mat], i, j) or degs[i][j] < 0:
                     assert form.is_zero()
                 else:
                     assert form.degree == degs[i][j]
@@ -184,7 +183,8 @@ def test_reducibility_witness_factors_violating_samples():
 
 def test_split_form_roots():
     roots = [3, 7, 11, 2]
-    form = split_form(4, roots, P)
+    coeffs = split_form(4, roots, P)
+    form = BinaryForm(4, tuple(coeffs), P)
     assert form.degree == 4
     for r in roots:
         assert form.eval(1, r) == 0
@@ -199,7 +199,7 @@ def test_is_point_sample_structure():
     assert set(meta) >= {"F_roots", "G_roots"}
     # planted roots actually kill the designated entries
     for i, roots in meta["F_roots"].items():
-        form = pair.B[4 - i - 1][i - 1]
+        form = entry_form(pair, 1, 4 - i - 1, i - 1)
         for r in roots:
             assert form.eval(1, r) == 0
 
@@ -228,6 +228,50 @@ def test_pair_json_round_trip():
     after = det_xy(back, [0, 1, 2], [0, 1, 2])
     for fb, fa in zip(before, after):
         assert fb.coeffs == fa.coeffs
+
+
+_DESK_STRATA = [(cls, e, f) for cls in desk_classes() for e, f in iter_window_strata(cls, -2, 1)]
+
+
+@st.composite
+def _desk_pairs(draw):
+    """FULL, SUT and IS_POINT pairs on desk grids with entries in [-2, 1]."""
+    cls, e, f = draw(st.sampled_from(_DESK_STRATA))
+    grid = degree_grid(e, f, cls.m)
+    patterns = ["FULL", "SUT"] + (["IS_POINT"] if is_point_obstruction(grid) is None else [])
+    pattern = draw(st.sampled_from(patterns))
+    p = draw(st.sampled_from([101, P]))
+    return sample_pair(grid, pattern, p, random.Random(draw(st.integers(0, 2**32))))
+
+
+def _padded(coeffs, width):
+    return np.pad(coeffs, [(0, 0)] * 3 + [(0, width - coeffs.shape[-1])])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_desk_pairs())
+def test_pair_codec_round_trip_keeps_coefficients_and_values(pair):
+    back = pair_from_json_dict(json.loads(json.dumps(pair_to_json_dict(pair))))
+    width = max(pair.coeffs.shape[-1], back.coeffs.shape[-1])
+    assert np.array_equal(_padded(pair.coeffs, width), _padded(back.coeffs, width))
+    assert np.array_equal(pair_values(pair, 9, 4), pair_values(back, 9, 4))
+    assert pair_to_json_dict(back) == pair_to_json_dict(pair)
+
+
+def test_matrix_pair_rejects_bad_coefficients():
+    grid = degree_grid((-1, 0), (0, 0), 1)  # a = ((0, 1), (0, 1)), b = a + 1
+    pair = sample_pair(grid, "FULL", 101, random.Random(0))
+    with pytest.raises(ValueError, match="shape"):
+        MatrixPair(pair.coeffs[:, :1], grid, "FULL", 101)
+    for value in (-1, 101):
+        bad = pair.coeffs.copy()
+        bad[1, 0, 0, 0] = value
+        with pytest.raises(ValueError, match="must lie in"):
+            MatrixPair(bad, grid, "FULL", 101)
+    bad = pair.coeffs.copy()
+    bad[0, 0, 0, 1] = 1  # a_11 = 0, so slot 1 is above the grid degree
+    with pytest.raises(ValueError, match="above its entry's grid degree"):
+        MatrixPair(bad, grid, "FULL", 101)
 
 
 def test_curve_json_round_trip():

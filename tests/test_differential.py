@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from oracles import det_xy, dphi_column_dual
 
-from hbn.determinantal import degree_grid, sample_is_point, sample_pair
+from hbn.determinantal import degree_grid, entry_form, sample_is_point, sample_pair
 from hbn.differential import (
     SELECTORS,
     _cofactors,
@@ -33,7 +33,6 @@ from hbn.differential import (
     tangent_basis,
 )
 from hbn.exact.field import DEFAULT_PRIME, PrimeTooSmallError, is_prime
-from hbn.exact.forms import BinaryForm
 from hbn.splitting import HirzebruchClass
 
 P = DEFAULT_PRIME
@@ -137,19 +136,9 @@ def test_lemma_sq_and_planted_failure():
     pair = sample_pair(grid, "SUT", P, random.Random(1))
     assert lemma_sq_check(pair)
     k = pair.k
-    planted = type(pair)(
-        A=tuple(
-            tuple(
-                BinaryForm.zero(pair.A[i][j].degree, P) if (i, j) == (k - 1, k - 1) else pair.A[i][j]
-                for j in range(k)
-            )
-            for i in range(k)
-        ),
-        B=pair.B,
-        grid=grid,
-        pattern=pair.pattern,
-        p=P,
-    )
+    coeffs = pair.coeffs.copy()
+    coeffs[0, k - 1, k - 1] = 0
+    planted = type(pair)(coeffs, grid, pair.pattern, P)
     assert not lemma_sq_check(planted)
 
 
@@ -198,6 +187,17 @@ def test_bottom_row_scale_semicontinuity():
         dphi_matrix(bottom_row_scale(pair, h), "T_INDUCTIVE").rank() for h in (1, 2, 3)
     )
     assert limit <= generic
+
+
+def test_bottom_row_scale_scales_the_bottom_row_of_a_past_the_first_column():
+    pair = _pair((-8, -4, -1), (-7, -4, 0), 3, "SUT", seed=5)
+    k, h = pair.k, -3
+    scaled = bottom_row_scale(pair, h)
+    for mat, i, j in np.ndindex(2, k, k):
+        want = entry_form(pair, mat, i, j)
+        if (mat, i) == (0, k - 1) and j >= 1:
+            want = want.scale(h)
+        assert entry_form(scaled, mat, i, j) == want
 
 
 def test_cofactor_forms_k1():

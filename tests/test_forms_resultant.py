@@ -15,7 +15,7 @@ from oracles import DualForm
 from hbn.exact.field import DEFAULT_PRIME
 from hbn.exact.forms import BinaryForm
 from hbn.exact.poly import pmul, ptrim
-from hbn.exact.linalg import det_mod
+from hbn.exact.linalg import batch_det_mod
 from hbn.exact.poly2 import resultants_v, sylvester
 
 P = DEFAULT_PRIME
@@ -79,11 +79,11 @@ def test_resultant_univariate_matches_sylvester_and_sympy():
         f = [rng.randrange(P) for _ in range(rng.randrange(2, 5))]
         g = [rng.randrange(P) for _ in range(rng.randrange(2, 5))]
         cases.append((ptrim(f), ptrim(g)))
-    assert det_mod(sylvester(*cases[0]), P) == 1
+    assert batch_det_mod(sylvester(*cases[0])[None], P)[0] == 1
     for f, g in cases:
         if len(f) < 2 or len(g) < 2:
             continue
-        r = det_mod(sylvester(f, g), P)
+        r = batch_det_mod(sylvester(f, g)[None], P)[0]
         want = _sympy_res_v([[c] for c in f], [[c] for c in g], P)
         assert r == (want[0] if want else 0)
         syl = sylvester(f, g)
@@ -103,7 +103,7 @@ def test_resultant_product_over_roots():
     want = pow(lc, len(g) - 1, P)
     for a in roots:
         want = want * sum(c * pow(a, i, P) for i, c in enumerate(g)) % P
-    assert det_mod(sylvester(f, g), P) == want
+    assert batch_det_mod(sylvester(f, g)[None], P)[0] == want
 
 
 def test_resultant_v_linear_case():
