@@ -1,19 +1,26 @@
 """Certification of sampled curves on the surface F_m.
 
 Cohomology of line bundles (closed toric formulas), chartwise smoothness
-certificates over F_p-bar, connectedness, discriminant degree vs the
-ramification count, pointwise cokernel ranks, and recovery of splitting
+certificates over F_p-bar, connectedness, and recovery of splitting
 types from twisted section counts.
 
 A SMOOTH certificate for det(Ax + By) = 0 (with P_k != 0 and p > k) is
-all that `hbn sample` computes; two checks follow from it and stay as
-oracles for the tests.  `cokernel_rank_check`: by Jacobi's formula
-d det M = tr(adj M dM) for M = Ax + By, and adj M = 0 where rank M <=
-k - 2, so det M and both its partials would vanish at such a point.
-`discriminant_check`: the discriminant of the fiber polynomial is a
-binary form of degree 2(k-1)delta + k(k-1)m = 2g + 2k - 2, nonzero since
-a smooth curve is reduced and a squarefree polynomial of degree k < p is
+all that `hbn sample` computes; two checks follow from it, and
+tests/oracles.py keeps them as oracles (`cokernel_rank_check`,
+`discriminant_check`).  The pointwise cokernel rank is k - 1: by
+Jacobi's formula d det M = tr(adj M dM) for M = Ax + By, and adj M = 0
+where rank M <= k - 2, so det M and both its partials would vanish at
+such a point.  The discriminant of the fiber polynomial is a binary form
+of degree 2(k-1)delta + k(k-1)m = 2g + 2k - 2, nonzero since a smooth
+curve is reduced and a squarefree polynomial of degree k < p is
 separable, so it has that many roots with multiplicity.
+
+SMOOTH mod p also holds in characteristic 0 for the curve with the same
+integer coefficients.  That curve is flat and proper over Z_(p): it is
+cut out of F_m by an equation that is nonzero mod p.  Its non-smooth
+locus is closed, so its image in Spec Z_(p) is closed; the image misses
+the closed point because the fiber mod p is smooth, so it is empty and
+the curve over Q is smooth.
 
 The surface is covered by the four torus charts of its quotient
 construction; a curve sum P_i(s,t) x^i y^(k-i) dehomogenizes by setting
@@ -28,9 +35,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from hbn.determinantal import BinaryFormCurve, MatrixPair, entry_form
+from hbn.determinantal import BinaryFormCurve
 from hbn.exact.field import quadratic_nonresidue
-from hbn.exact.linalg import fp2_matrix_rank
 from hbn.exact.poly import (
     Poly,
     QuotientField,
@@ -399,147 +405,6 @@ def smoothness(curve: BinaryFormCurve, rng: Optional[random.Random] = None) -> S
     if unknown_hit:
         return SmoothnessCertificate(UNKNOWN, method="BRUTE_FORCE")
     return SmoothnessCertificate("SMOOTH", method="RESULTANT")
-
-
-# ---------------------------------------------------------------------------
-# discriminant
-# ---------------------------------------------------------------------------
-
-
-def discriminant_check(curve: BinaryFormCurve) -> tuple[int, int, bool]:
-    """Degree of the discriminant of the fiber polynomial vs 2g + 2k - 2.
-
-    The resultant of P and dP/dx in the fiber variable is P_k times the
-    discriminant; root count at s = 0 is recovered from the mirrored
-    computation.  An oracle only: SMOOTH with P_k != 0 implies
-    (E, E, True) (module docstring), so `hbn sample` does not call it.
-    Returns (deg_disc, expected, ok).
-    """
-    cls = curve.cls
-    k, m, delta = cls.k, cls.m, cls.delta
-    p = curve.p
-    expected = 2 * (k - 1) * delta + k * (k - 1) * m
-    if curve.P[k].is_zero():
-        raise ValueError("fiber polynomial must have full degree (P_k != 0)")
-
-    charts = chart_polys(curve)
-    sides = [_vtrim(charts[name]) for name in ("t_x", "s_x")]
-    quotients = []
-    for fv, r in zip(sides, resultants_v([(fv, _deriv_v(fv, p)) for fv in sides], p)):
-        quo, rem = pdivmod(r, fv[-1], p)
-        if not r or rem:
-            return (-1, expected, False)
-        quotients.append(quo)
-    t_side, s_side = quotients
-    ord_inf = next((i for i, c in enumerate(s_side) if c), None)
-    if ord_inf is None:
-        return (-1, expected, False)
-    deg_disc = pdeg(t_side) + ord_inf
-    return (deg_disc, expected, deg_disc == expected)
-
-
-# ---------------------------------------------------------------------------
-# points and cokernel ranks
-# ---------------------------------------------------------------------------
-
-
-def curve_points(curve: BinaryFormCurve, n_points: int, rng: random.Random) -> list[dict]:
-    """Up to n_points points of the curve over F_p^2.
-
-    A point is {'st': (s, t), 'xy': (x, y)}.  The base point (s, t) is a
-    pair of F_p ints: every fiber drawn is F_p-rational.  x is an F_p^2
-    pair (a, b) meaning a + b*w, with w^2 the standard nonresidue and
-    b = 0 for a rational root; y is an F_p int, 1 except at the point
-    x = infinity ((1, 0), 0).  Fibers are drawn in random order without
-    replacement, lazily, so the cost does not grow with p.  Each fiber is
-    factored once and contributes the point at x = infinity when the top
-    coefficient vanishes, the root of each linear factor and the two
-    roots of each quadratic factor.
-    """
-    p = curve.p
-    k = curve.cls.k
-    nr = quadratic_nonresidue(p)
-    pts: list[dict] = []
-    by_t = [form.dehomogenize_s() for form in curve.P]
-
-    def fiber_poly(t0: Optional[int]) -> list[int]:
-        if t0 is None:  # the fiber s = 0
-            return [form.coeffs[-1] if form.coeffs else 0 for form in curve.P]
-        return [peval(c, t0, p) for c in by_t]
-
-    # fibers are drawn without replacement as needed; draw p is s = 0
-    seen: set[int] = set()
-    while len(pts) < n_points and len(seen) <= p:
-        draw = rng.randrange(p + 1)
-        if draw in seen:
-            continue
-        seen.add(draw)
-        t0 = None if draw == p else draw
-        st = (0, 1) if t0 is None else (1, t0)
-        fib = fiber_poly(t0)
-        trimmed = ptrim(list(fib))
-        if not trimmed:
-            continue  # the whole fiber lies on the curve; skip as non-reduced data
-        if fib[k] % p == 0:
-            pts.append({"st": st, "xy": ((1, 0), 0)})
-        for q, _ in irreducible_factors(trimmed, p, rng):
-            if pdeg(q) == 1:
-                pts.append({"st": st, "xy": (((-q[0]) % p, 0), 1)})
-            elif pdeg(q) == 2:
-                pts.extend({"st": st, "xy": (x0, 1)} for x0 in quadratic_roots(q, p, nr))
-    return pts[:n_points]
-
-
-def point_on_curve(curve: BinaryFormCurve, pt: dict) -> bool:
-    """sum P_i(s,t) x^i y^(k-i) vanishes: Horner in x over F_p^2."""
-    p = curve.p
-    k = curve.cls.k
-    F = QuotientField([-quadratic_nonresidue(p) % p, 0, 1], p)  # F_p^2
-    (s0, t0), (x0, y0) = pt["st"], pt["xy"]
-    acc = F.zero
-    for i in range(k, -1, -1):
-        c = curve.P[i].eval(s0, t0) * pow(y0, k - i, p) % p
-        acc = F.add(F.mul(acc, x0), (c, 0))
-    return F.is_zero(acc)
-
-
-def pair_rank_at_point(pair: MatrixPair, pt: dict) -> int:
-    """Rank over F_p^2 of A*x + B*y at the point.
-
-    A and B are evaluated at the F_p base point; with x = a + b*w the
-    matrix is (A*a + B*y) + w*(A*b).
-    """
-    p, k = pair.p, pair.k
-    (s0, t0), ((a, b), y0) = pt["st"], pt["xy"]
-    va, vb = (
-        [[entry_form(pair, mat, i, j).eval(s0, t0) for j in range(k)] for i in range(k)]
-        for mat in (0, 1)
-    )
-    re = [[(u * a + v * y0) % p for u, v in zip(ra, rb)] for ra, rb in zip(va, vb)]
-    im = [[u * b % p for u in ra] for ra in va]
-    return fp2_matrix_rank(re, im, p, quadratic_nonresidue(p))
-
-
-def cokernel_rank_check(
-    pair: MatrixPair,
-    curve: BinaryFormCurve,
-    n_points: int,
-    rng: Optional[random.Random] = None,
-) -> bool:
-    """At sampled curve points the evaluated matrix has rank exactly k-1.
-
-    Raises if no points are found (inconclusive rather than vacuous).
-    """
-    rng = rng or random.Random(0)
-    pts = curve_points(curve, n_points, rng)
-    if not pts:
-        raise RuntimeError("no rational or quadratic points found; inconclusive")
-    k = pair.k
-    for pt in pts:
-        assert point_on_curve(curve, pt)
-        if pair_rank_at_point(pair, pt) != k - 1:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

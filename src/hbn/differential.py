@@ -8,6 +8,13 @@ Ax + By at (r, c), so one cofactor pass per pair yields every column of
 the differential; the test suite keeps a literal dual-number
 determinant per column as a slow cross-check.
 
+A DOMINANT verdict mod p also holds over Q.  The entries of the
+differential are integer polynomials in the pair's coefficients, so at
+the integer lift of a sampled pair every minor is an integer that
+reduces to the minor mod p.  A minor that is nonzero mod p is therefore
+a nonzero integer, d(phi) has full rank over Q at the lift, and phi is
+dominant in characteristic 0.
+
 Cofactors come by evaluation and interpolation (von zur Gathen and
 Gerhard, Modern Computer Algebra, ch. 5).  With s = y = 1, every entry
 of A and B is evaluated at the nodes t = 0..n-1, the matrices A(t)x + B(t)
@@ -276,14 +283,14 @@ def dominance_rank(
     if rng is None:
         rng = random.Random(derive_seed("dominance", e, f, (cls.m, cls.k, cls.delta), p))
     target = sum(cls.delta + (cls.k - i) * cls.m + 1 for i in range(cls.k + 1))
-    source = tangent_basis(grid, "FULL_PRIME", pattern="FULL").cardinality
     max_rank = 0
     used = 0
     for _ in range(trials):
         used += 1
         pair = sample_pair(grid, "FULL", p, rng)
-        rank = dphi_matrix(pair, "FULL_PRIME", include_p0=True).rank()
-        max_rank = max(max_rank, rank)
+        M = dphi_matrix(pair, "FULL_PRIME", include_p0=True)
+        source = M.basis.cardinality  # the same basis on every trial
+        max_rank = max(max_rank, M.rank())
         if max_rank == target:
             break
     verdict = "DOMINANT" if max_rank == target else "NOT_ACHIEVED"

@@ -6,7 +6,9 @@ CLI and the sweep scripts enforce: a product of two reduced entries is
 then below 2^62, and every product is reduced before anything is summed,
 so int64 arithmetic never overflows between reductions.
 
-`matrix_rank` reduces mod p only the values it reads.  Invariant: every
+`_eliminate` is the one Gaussian elimination: `matrix_rank` counts its
+pivots and `nullspace_vector` back-substitutes over its pivot rows.  It
+reduces mod p only the values it reads.  Invariant: every
 entry of the active block (rows not yet used as pivots, columns not yet
 eliminated) has absolute value at most `bound`, a Python int.  A pivot
 step reduces the pivot column and row into [0, p) and subtracts their
@@ -27,27 +29,27 @@ import numpy as np
 
 from hbn.exact.field import inv_mod
 
-_LAZY_LIMIT = 1 << 62  # matrix_rank keeps |entries| below this
+_LAZY_LIMIT = 1 << 62  # _eliminate keeps |entries| below this
 
 
-def _as_mod_array(mat, p: int) -> np.ndarray:
+def _eliminate(mat, p: int) -> list[tuple[int, int, np.ndarray]]:
+    """Gaussian elimination over F_p, reducing lazily (module doc).
+
+    Returns one (column, pivot, pivot row right of the column) per pivot,
+    in column order, all reduced into [0, p): the rows of an echelon form
+    with the row space of mat.  Column c pivots on the largest entry of
+    its reduced active part.  The update also zeroes the pivot row mod p,
+    so instead of a swap the top active row is copied into the pivot
+    row's slot, right of c only.
+    """
     a = np.asarray(mat, dtype=np.int64)
     if a.ndim != 2:
         raise ValueError("expected a 2d matrix")
-    return a % p
-
-
-def matrix_rank(mat, p: int) -> int:
-    """Rank over F_p by Gaussian elimination, reducing lazily (module doc).
-
-    Column c pivots on the largest entry of its reduced active part.  The
-    update also zeroes the pivot row mod p, so instead of a swap the top
-    active row is copied into the pivot row's slot, right of c only.
-    """
-    a = _as_mod_array(mat, p)
+    a = a % p
     rows, cols = a.shape
     step = (p - 1) ** 2
     bound = p - 1
+    pivots: list[tuple[int, int, np.ndarray]] = []
     rank = 0
     for c in range(cols):
         if rank == rows:
@@ -66,47 +68,36 @@ def matrix_rank(mat, p: int) -> int:
         bound += step
         if r:
             a[rank + r, c + 1 :] = a[rank, c + 1 :]
+        pivots.append((c, piv, prow))
         rank += 1
-    return rank
+    return pivots
 
 
-def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot column indices."""
-    a = _as_mod_array(mat, p)
-    rows, cols = a.shape
-    pivots: list[int] = []
-    rank = 0
-    for c in range(cols):
-        if rank == rows:
-            break
-        nz = np.nonzero(a[rank:, c])[0]
-        if nz.size == 0:
-            continue
-        r = rank + int(nz[0])
-        if r != rank:
-            a[[rank, r]] = a[[r, rank]]
-        a[rank] = a[rank] * inv_mod(int(a[rank, c]), p) % p
-        others = np.nonzero(a[:, c])[0]
-        others = others[others != rank]
-        if others.size:
-            a[others] = (a[others] - np.outer(a[others, c], a[rank])) % p
-        pivots.append(c)
-        rank += 1
-    return a, pivots
+def matrix_rank(mat, p: int) -> int:
+    """Rank over F_p: the number of pivots of `_eliminate`."""
+    return len(_eliminate(mat, p))
 
 
 def nullspace_vector(mat, p: int) -> np.ndarray | None:
-    """One nonzero kernel vector over F_p, or None if the kernel is 0."""
-    a, pivots = rref(mat, p)
-    cols = a.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    if not free:
+    """One nonzero kernel vector over F_p, or None if the kernel is 0.
+
+    The vector is 1 at the first non-pivot column and 0 at the other
+    free columns, which determines it; back substitution over the pivot
+    rows of `_eliminate` fills in the pivot columns.  The pivot columns
+    do not depend on how rows are pivoted, so neither does the vector.
+    """
+    pivots = _eliminate(mat, p)
+    cols = np.shape(mat)[1]
+    pivot_cols = {c for c, _, _ in pivots}
+    free = next((c for c in range(cols) if c not in pivot_cols), None)
+    if free is None:
         return None
-    c0 = free[0]
     v = np.zeros(cols, dtype=np.int64)
-    v[c0] = 1
-    for row, pc in enumerate(pivots):
-        v[pc] = (-a[row, c0]) % p
+    v[free] = 1
+    for c, piv, prow in reversed(pivots):
+        # each product reduced before the sum; the sum times the inverse in Python ints
+        dot = int((prow * v[c + 1 :] % p).sum())
+        v[c] = -dot * inv_mod(piv, p) % p
     return v
 
 
@@ -162,25 +153,3 @@ def batch_det_mod(mats, p: int) -> np.ndarray:
             pre = pre * piv % p
             den = den * pre % p
     return num * _pow_vec(den, p - 2, p) % p
-
-
-def fp2_matrix_rank(re, im, p: int, nr: int) -> int:
-    """Rank over F_p^2 of the matrix re + w*im, with w^2 = nr.
-
-    Uses the regular representation: each entry a + w*b becomes the 2x2
-    block [[a, nr*b], [b, a]], and the F_p rank of the blown-up matrix is
-    exactly twice the F_p^2 rank.
-    """
-    a = _as_mod_array(re, p)
-    b = _as_mod_array(im, p)
-    if a.shape != b.shape:
-        raise ValueError("real and imaginary parts must share a shape")
-    rows, cols = a.shape
-    big = np.zeros((2 * rows, 2 * cols), dtype=np.int64)
-    big[0::2, 0::2] = a
-    big[0::2, 1::2] = b * nr % p
-    big[1::2, 0::2] = b
-    big[1::2, 1::2] = a
-    r = matrix_rank(big, p)
-    assert r % 2 == 0
-    return r // 2

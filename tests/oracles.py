@@ -1,25 +1,47 @@
-"""Permutation-expansion oracles for the determinant map and its differential.
+"""Oracles for the tests: slow, independent routes to what src/ computes.
 
-These compute det(Ax + By), its block minors and single columns of the
-differential by expanding over all k! permutations in BinaryForm
-arithmetic.  They share no code with the evaluation kernels of
-hbn.determinantal and hbn.differential beyond the form arithmetic, which
-is what makes them useful as cross-checks; they are far too slow for
-anything else.
+Permutation expansion.  det(Ax + By), its block minors and single
+columns of the differential by expanding over all k! permutations in
+BinaryForm arithmetic.  They share no code with the evaluation kernels
+of hbn.determinantal and hbn.differential beyond the form arithmetic,
+which is what makes them useful as cross-checks; they are far too slow
+for anything else.
+
+Curve checks.  `discriminant_check` and `cokernel_rank_check` (with
+`curve_points`, `point_on_curve`, `pair_rank_at_point` and
+`fp2_matrix_rank`) test two implications of a SMOOTH certificate that
+`hbn sample` relies on without computing them (hbn.curves docstring).
+They share `resultants_v` and the factoring of hbn.exact.poly with src/,
+so they check the implications, not that arithmetic.
 """
 
+import random
 from dataclasses import dataclass
 from itertools import permutations
+from typing import Optional
 
 import numpy as np
 
+from hbn.curves import _deriv_v, _vtrim, chart_polys
 from hbn.determinantal import (
     BinaryFormCurve,
     MatrixPair,
     entry_form,
     forced_reducibility,
 )
+from hbn.exact.field import quadratic_nonresidue
 from hbn.exact.forms import BinaryForm
+from hbn.exact.linalg import matrix_rank
+from hbn.exact.poly import (
+    QuotientField,
+    irreducible_factors,
+    pdeg,
+    pdivmod,
+    peval,
+    ptrim,
+    quadratic_roots,
+)
+from hbn.exact.poly2 import resultants_v
 from hbn.splitting import HirzebruchClass
 
 
@@ -234,3 +256,165 @@ def dphi_column_dual(pair: MatrixPair, coord: tuple, include_p0: bool = False) -
         for idx, coeff in enumerate(eps.coeffs):
             vec[offsets[i] + idx] = coeff
     return vec
+
+
+# ---------------------------------------------------------------------------
+# discriminant
+# ---------------------------------------------------------------------------
+
+
+def discriminant_check(curve: BinaryFormCurve) -> tuple[int, int, bool]:
+    """Degree of the discriminant of the fiber polynomial vs 2g + 2k - 2.
+
+    The resultant of P and dP/dx in the fiber variable is P_k times the
+    discriminant; root count at s = 0 is recovered from the mirrored
+    computation.  An oracle only: SMOOTH with P_k != 0 implies
+    (E, E, True) (module docstring), so `hbn sample` does not call it.
+    Returns (deg_disc, expected, ok).
+    """
+    cls = curve.cls
+    k, m, delta = cls.k, cls.m, cls.delta
+    p = curve.p
+    expected = 2 * (k - 1) * delta + k * (k - 1) * m
+    if curve.P[k].is_zero():
+        raise ValueError("fiber polynomial must have full degree (P_k != 0)")
+
+    charts = chart_polys(curve)
+    sides = [_vtrim(charts[name]) for name in ("t_x", "s_x")]
+    quotients = []
+    for fv, r in zip(sides, resultants_v([(fv, _deriv_v(fv, p)) for fv in sides], p)):
+        quo, rem = pdivmod(r, fv[-1], p)
+        if not r or rem:
+            return (-1, expected, False)
+        quotients.append(quo)
+    t_side, s_side = quotients
+    ord_inf = next((i for i, c in enumerate(s_side) if c), None)
+    if ord_inf is None:
+        return (-1, expected, False)
+    deg_disc = pdeg(t_side) + ord_inf
+    return (deg_disc, expected, deg_disc == expected)
+
+
+# ---------------------------------------------------------------------------
+# points and cokernel ranks
+# ---------------------------------------------------------------------------
+
+
+def curve_points(curve: BinaryFormCurve, n_points: int, rng: random.Random) -> list[dict]:
+    """Up to n_points points of the curve over F_p^2.
+
+    A point is {'st': (s, t), 'xy': (x, y)}.  The base point (s, t) is a
+    pair of F_p ints: every fiber drawn is F_p-rational.  x is an F_p^2
+    pair (a, b) meaning a + b*w, with w^2 the standard nonresidue and
+    b = 0 for a rational root; y is an F_p int, 1 except at the point
+    x = infinity ((1, 0), 0).  Fibers are drawn in random order without
+    replacement, lazily, so the cost does not grow with p.  Each fiber is
+    factored once and contributes the point at x = infinity when the top
+    coefficient vanishes, the root of each linear factor and the two
+    roots of each quadratic factor.
+    """
+    p = curve.p
+    k = curve.cls.k
+    nr = quadratic_nonresidue(p)
+    pts: list[dict] = []
+    by_t = [form.dehomogenize_s() for form in curve.P]
+
+    def fiber_poly(t0: Optional[int]) -> list[int]:
+        if t0 is None:  # the fiber s = 0
+            return [form.coeffs[-1] if form.coeffs else 0 for form in curve.P]
+        return [peval(c, t0, p) for c in by_t]
+
+    # fibers are drawn without replacement as needed; draw p is s = 0
+    seen: set[int] = set()
+    while len(pts) < n_points and len(seen) <= p:
+        draw = rng.randrange(p + 1)
+        if draw in seen:
+            continue
+        seen.add(draw)
+        t0 = None if draw == p else draw
+        st = (0, 1) if t0 is None else (1, t0)
+        fib = fiber_poly(t0)
+        trimmed = ptrim(list(fib))
+        if not trimmed:
+            continue  # the whole fiber lies on the curve; skip as non-reduced data
+        if fib[k] % p == 0:
+            pts.append({"st": st, "xy": ((1, 0), 0)})
+        for q, _ in irreducible_factors(trimmed, p, rng):
+            if pdeg(q) == 1:
+                pts.append({"st": st, "xy": (((-q[0]) % p, 0), 1)})
+            elif pdeg(q) == 2:
+                pts.extend({"st": st, "xy": (x0, 1)} for x0 in quadratic_roots(q, p, nr))
+    return pts[:n_points]
+
+
+def point_on_curve(curve: BinaryFormCurve, pt: dict) -> bool:
+    """sum P_i(s,t) x^i y^(k-i) vanishes: Horner in x over F_p^2."""
+    p = curve.p
+    k = curve.cls.k
+    F = QuotientField([-quadratic_nonresidue(p) % p, 0, 1], p)  # F_p^2
+    (s0, t0), (x0, y0) = pt["st"], pt["xy"]
+    acc = F.zero
+    for i in range(k, -1, -1):
+        c = curve.P[i].eval(s0, t0) * pow(y0, k - i, p) % p
+        acc = F.add(F.mul(acc, x0), (c, 0))
+    return F.is_zero(acc)
+
+
+def pair_rank_at_point(pair: MatrixPair, pt: dict) -> int:
+    """Rank over F_p^2 of A*x + B*y at the point.
+
+    A and B are evaluated at the F_p base point; with x = a + b*w the
+    matrix is (A*a + B*y) + w*(A*b).
+    """
+    p, k = pair.p, pair.k
+    (s0, t0), ((a, b), y0) = pt["st"], pt["xy"]
+    va, vb = (
+        [[entry_form(pair, mat, i, j).eval(s0, t0) for j in range(k)] for i in range(k)]
+        for mat in (0, 1)
+    )
+    re = [[(u * a + v * y0) % p for u, v in zip(ra, rb)] for ra, rb in zip(va, vb)]
+    im = [[u * b % p for u in ra] for ra in va]
+    return fp2_matrix_rank(re, im, p, quadratic_nonresidue(p))
+
+
+def cokernel_rank_check(
+    pair: MatrixPair,
+    curve: BinaryFormCurve,
+    n_points: int,
+    rng: Optional[random.Random] = None,
+) -> bool:
+    """At sampled curve points the evaluated matrix has rank exactly k-1.
+
+    Raises if no points are found (inconclusive rather than vacuous).
+    """
+    rng = rng or random.Random(0)
+    pts = curve_points(curve, n_points, rng)
+    if not pts:
+        raise RuntimeError("no rational or quadratic points found; inconclusive")
+    k = pair.k
+    for pt in pts:
+        assert point_on_curve(curve, pt)
+        if pair_rank_at_point(pair, pt) != k - 1:
+            return False
+    return True
+
+def fp2_matrix_rank(re, im, p: int, nr: int) -> int:
+    """Rank over F_p^2 of the matrix re + w*im, with w^2 = nr.
+
+    Uses the regular representation: each entry a + w*b becomes the 2x2
+    block [[a, nr*b], [b, a]], and the F_p rank of the blown-up matrix is
+    exactly twice the F_p^2 rank.
+    """
+    a = np.asarray(re, dtype=np.int64) % p
+    b = np.asarray(im, dtype=np.int64) % p
+    if a.shape != b.shape:
+        raise ValueError("real and imaginary parts must share a shape")
+    rows, cols = a.shape
+    big = np.zeros((2 * rows, 2 * cols), dtype=np.int64)
+    big[0::2, 0::2] = a
+    big[0::2, 1::2] = b * nr % p
+    big[1::2, 0::2] = b
+    big[1::2, 1::2] = a
+    r = matrix_rank(big, p)
+    assert r % 2 == 0
+    return r // 2

@@ -12,15 +12,9 @@ from itertools import combinations_with_replacement
 
 import pytest
 from conftest import record_acceptance
+from oracles import cokernel_rank_check, discriminant_check
 
-from hbn.curves import (
-    SurfaceDivisor,
-    cokernel_rank_check,
-    connectedness,
-    discriminant_check,
-    h0_profile_splitting,
-    smoothness,
-)
+from hbn.curves import SurfaceDivisor, connectedness, h0_profile_splitting, smoothness
 from hbn.determinantal import (
     degree_grid,
     forced_reducibility,

@@ -11,6 +11,13 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    cokernel_rank_check,
+    curve_points,
+    discriminant_check,
+    pair_rank_at_point,
+    point_on_curve,
+)
 
 from hbn.curves import (
     SurfaceDivisor,
@@ -18,18 +25,13 @@ from hbn.curves import (
     canonical_divisor,
     chart_polys,
     chi_surface,
-    cokernel_rank_check,
     connectedness,
-    curve_points,
     directrix,
-    discriminant_check,
     h0_surface,
     h1_surface,
     h2_surface,
     h0_profile_splitting,
     intersection,
-    pair_rank_at_point,
-    point_on_curve,
     smoothness,
 )
 from hbn.determinantal import (

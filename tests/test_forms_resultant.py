@@ -19,16 +19,17 @@ from hbn.exact.linalg import batch_det_mod
 from hbn.exact.poly2 import resultants_v, sylvester
 
 P = DEFAULT_PRIME
-rng = random.Random(20240817)
+SEED = 20240817
 
 
-def rand_form(deg):
+def rand_form(deg, rng):
     return BinaryForm.random(deg, P, rng)
 
 
 def test_mul_degrees_add_and_eval_is_multiplicative():
+    rng = random.Random(SEED)
     for _ in range(20):
-        f, g = rand_form(rng.randrange(5)), rand_form(rng.randrange(5))
+        f, g = rand_form(rng.randrange(5), rng), rand_form(rng.randrange(5), rng)
         h = f.mul(g)
         assert h.degree == f.degree + g.degree
         s0, t0 = rng.randrange(P), rng.randrange(P)
@@ -36,7 +37,8 @@ def test_mul_degrees_add_and_eval_is_multiplicative():
 
 
 def test_add_requires_matching_degree_and_eval_is_additive():
-    f, g = rand_form(4), rand_form(4)
+    rng = random.Random(SEED)
+    f, g = rand_form(4, rng), rand_form(4, rng)
     h = f.add(g)
     s0, t0 = 3, 11
     assert h.eval(s0, t0) == (f.eval(s0, t0) + g.eval(s0, t0)) % P
@@ -62,10 +64,11 @@ def test_zero_and_constant():
 
 def test_dual_form_product_rule():
     # (f + eps f')(g + eps g') = fg + eps (f g' + f' g)
+    rng = random.Random(SEED)
     for _ in range(10):
         d1, d2 = rng.randrange(4), rng.randrange(4)
-        f, fp_ = rand_form(d1), rand_form(d1)
-        g, gp = rand_form(d2), rand_form(d2)
+        f, fp_ = rand_form(d1, rng), rand_form(d1, rng)
+        g, gp = rand_form(d2, rng), rand_form(d2, rng)
         prod = DualForm(f, fp_).mul(DualForm(g, gp))
         assert prod.base.coeffs == f.mul(g).coeffs
         want = f.mul(gp).add(fp_.mul(g))
@@ -75,6 +78,7 @@ def test_dual_form_product_rule():
 def test_resultant_univariate_matches_sylvester_and_sympy():
     # degrees (1, 3) always run the sign path: Res(v + 1, v^3 + 2) = 1
     cases = [([1, 1], [2, 0, 0, 1])]
+    rng = random.Random(SEED)
     for _ in range(8):
         f = [rng.randrange(P) for _ in range(rng.randrange(2, 5))]
         g = [rng.randrange(P) for _ in range(rng.randrange(2, 5))]

@@ -13,24 +13,18 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import fp2_matrix_rank
 
 from hbn.exact.birkhoff import TransitionMatrix, birkhoff_splitting
 from hbn.exact.field import DEFAULT_PRIME, PrimeTooSmallError, quadratic_nonresidue
-from hbn.exact.linalg import (
-    batch_det_mod,
-    fp2_matrix_rank,
-    matrix_rank,
-    nullspace_vector,
-    rref,
-)
+from hbn.exact.linalg import batch_det_mod, matrix_rank, nullspace_vector
 
 P = DEFAULT_PRIME
-rng = random.Random(99)
 
 
-def known_rank_matrix(rows, cols, r):
+def known_rank_matrix(rows, cols, r, rng):
     """U V with identity blocks, so the rank is exactly r."""
     U = np.zeros((rows, r), dtype=np.int64)
     V = np.zeros((r, cols), dtype=np.int64)
@@ -44,18 +38,20 @@ def known_rank_matrix(rows, cols, r):
 
 
 def test_matrix_rank_on_known_rank():
+    rng = random.Random(99)
     for _ in range(25):
         rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
         r = rng.randrange(0, min(rows, cols) + 1)
-        M = known_rank_matrix(rows, cols, r)
+        M = known_rank_matrix(rows, cols, r, rng)
         assert matrix_rank(M, P) == r
 
 
-def _python_rank(rows, p):
-    """Rank over F_p by Gaussian elimination on lists of Python ints."""
+def _python_pivots(rows, p):
+    """Pivot columns over F_p by Gaussian elimination on lists of Python ints."""
     rows = [[x % p for x in row] for row in rows]
-    rank = 0
+    pivots = []
     for c in range(len(rows[0])):
+        rank = len(pivots)
         piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
@@ -64,8 +60,22 @@ def _python_rank(rows, p):
         for i in range(rank + 1, len(rows)):
             f = rows[i][c] * inv % p
             rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+        pivots.append(c)
+    return pivots
+
+
+def _planted_rank(p, rows, cols, planted, seed, zero_share=0.2):
+    """U V with U, V random of inner size planted, some columns zeroed."""
+    r_ = random.Random(seed)
+    planted = min(planted, rows, cols)
+    U = [[r_.randrange(p) for _ in range(planted)] for _ in range(rows)]
+    V = [[r_.randrange(p) for _ in range(cols)] for _ in range(planted)]
+    M = [[sum(U[i][l] * V[l][j] for l in range(planted)) % p for j in range(cols)] for i in range(rows)]
+    for j in range(cols):
+        if r_.random() < zero_share:  # zero columns: pivot-free steps
+            for row in M:
+                row[j] = 0
+    return M, planted
 
 
 # matrix_rank reduces its block never at 10007, about every third pivot
@@ -79,29 +89,45 @@ def _python_rank(rows, p):
     st.integers(0, 2**32 - 1),
 )
 def test_matrix_rank_matches_python_elimination(p, rows, cols, planted, seed):
-    r_ = random.Random(seed)
-    planted = min(planted, rows, cols)
-    U = [[r_.randrange(p) for _ in range(planted)] for _ in range(rows)]
-    V = [[r_.randrange(p) for _ in range(cols)] for _ in range(planted)]
-    M = [[sum(U[i][l] * V[l][j] for l in range(planted)) % p for j in range(cols)] for i in range(rows)]
-    for j in range(cols):
-        if r_.random() < 0.2:  # zero columns: pivot-free steps
-            for row in M:
-                row[j] = 0
-    want = _python_rank(M, p)
+    M, planted = _planted_rank(p, rows, cols, planted, seed)
+    want = len(_python_pivots(M, p))
     assert want <= planted
     assert matrix_rank(np.array(M, dtype=np.int64), p) == want
 
 
+@pytest.mark.parametrize("p", [3, P, 1073741789, 2**31 - 1])
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 16),
+    st.integers(1, 40),
+    st.integers(0, 16),
+    st.integers(0, 2**32 - 1),
+)
+@example(rows=16, cols=40, planted=16, seed=0)  # back substitution over 16 pivots
+def test_nullspace_vector_on_planted_rank(p, rows, cols, planted, seed):
+    # few zero columns: a zero column before the rank is reached is the
+    # first free column, and the kernel vector is then a unit vector
+    M, _ = _planted_rank(p, rows, cols, planted, seed, zero_share=0.02)
+    v = nullspace_vector(np.array(M, dtype=np.int64), p)
+    pivots = _python_pivots(M, p)
+    free = [c for c in range(cols) if c not in pivots]
+    assert (v is None) == (len(pivots) == cols)
+    if v is None:
+        return
+    v = [int(x) for x in v]
+    assert all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in M)
+    assert [v[c] for c in free] == [1] + [0] * (len(free) - 1)
+
+
 def test_rref_pivots_and_nullspace():
-    M = known_rank_matrix(6, 8, 3)
-    R, pivots = rref(M, P)
-    assert len(pivots) == 3
+    rng = random.Random(99)
+    M = known_rank_matrix(6, 8, 3, rng)
+    assert matrix_rank(M, P) == 3
     v = nullspace_vector(M, P)
     assert v is not None
     assert not (M @ (np.asarray(v) % P) % P).any()
     # full column rank: no kernel
-    sq = known_rank_matrix(5, 5, 5)
+    sq = known_rank_matrix(5, 5, 5, rng)
     assert nullspace_vector(sq, P) is None
 
 
@@ -146,7 +172,7 @@ def test_batch_det_matches_permutation_expansion(p):
 
 def test_fp2_rank_embeds_and_detects_dependence():
     nr = quadratic_nonresidue(P)
-    M = known_rank_matrix(4, 6, 2)
+    M = known_rank_matrix(4, 6, 2, random.Random(99))
     assert fp2_matrix_rank(M, np.zeros_like(M), P, nr) == 2
     # second row = (a + b w) * first row: rank drops to 1 over F_p^2
     a, b = 3, 5
@@ -209,14 +235,19 @@ def test_birkhoff_recovers_diagonal():
 
 
 def test_birkhoff_invariant_under_unimodular_twists():
-    for trial in range(20):
-        n = rng.randrange(1, 4)
-        degs = sorted(rng.randrange(-3, 4) for _ in range(n))
-        T = _random_glued(n, degs, seed=trial)
-        assert birkhoff_splitting(T) == tuple(degs), (degs, trial)
+    # at 2^31 - 1 a product of two reduced entries nears 2^62, so the
+    # kernel vector's back substitution must reduce each before summing
+    rng = random.Random(99)
+    for p in (P, 2**31 - 1):
+        for trial in range(20):
+            n = rng.randrange(1, 4)
+            degs = sorted(rng.randrange(-3, 4) for _ in range(n))
+            T = _random_glued(n, degs, seed=trial, p=p)
+            assert birkhoff_splitting(T) == tuple(degs), (degs, trial, p)
 
 
 def test_birkhoff_degree_sum_matches_det_grading():
+    rng = random.Random(99)
     for trial in range(10):
         n = rng.randrange(1, 4)
         degs = [rng.randrange(-3, 4) for _ in range(n)]
@@ -227,6 +258,7 @@ def test_birkhoff_degree_sum_matches_det_grading():
 
 
 def test_birkhoff_matches_section_count_oracle():
+    rng = random.Random(99)
     for trial in range(8):
         n = rng.randrange(1, 4)
         degs = [rng.randrange(-3, 4) for _ in range(n)]
