@@ -7,20 +7,22 @@ Four subcommands cover the lab surface:
   dominance   exact rank certification of the determinant map, plus lemma harnesses
   section5    scrollar bound reports: triple constraint, polytopes, abundance
 
-Determinism contract: a fixed (config, seed) produces byte-identical output.
-JSON is dumped with sorted keys and no timestamps; when --seed is absent the
-HBN_SEED environment variable is used, and failing that a seed derived from
-the arguments themselves, so plain reruns also reproduce.
+Determinism contract: fixed (arguments, seed) produce byte-identical
+output.  JSON is dumped with sorted keys and no timestamps; when --seed is
+absent the HBN_SEED environment variable is used (by the subcommands that
+take --seed), and failing that a seed derived from the arguments
+themselves, so plain reruns also reproduce.  Each subcommand takes only
+the flags it reads.
 
 Exit codes: 0 success, 2 empty or forced-reducible stratum or a usage error
-(including a --p that is not an odd prime, is above 2^31 - 1, or is
-below a degree bound the computation needs, --trials or --retries below
-1, --lemma is on a grid without the inductive point, --general-cover
-with k < 2 or g < 0, an --out path whose directory is missing or not
-writable (refused before any work), and an HBN_SEED that is not an
-integer), 3
-certification inconclusive (sampling retries exhausted, rank target not
-reached, or a lemma harness returning False).
+(including a flag the subcommand does not read, an --e, --f or --d that is
+not weakly increasing, a --p that is not an odd prime, is above
+2^31 - 1, or is below a degree bound the computation needs, --trials or
+--retries below 1, --lemma is on a grid without the inductive point,
+--general-cover with k < 2 or g < 0, an --out path whose directory is
+missing or not writable (refused before any work), and an HBN_SEED that
+is not an integer), 3 certification inconclusive (sampling retries
+exhausted, rank target not reached, or a lemma harness returning False).
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import os
 import random
 import re
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from hbn.curves import connectedness, smoothness
@@ -71,6 +72,7 @@ from hbn.splitting import (
     enumerate_strata,
     genus,
     stratum_report,
+    validate_type,
 )
 
 EXIT_OK = 0
@@ -94,26 +96,9 @@ DISCRIMINANT_PROVENANCE = (
 LEMMA_SELECTOR = {"sq": "FULL_PRIME", "main": "T_PRIME", "is": "T_CORNER"}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Plumbing shared by all subcommands."""
-
-    p: int = DEFAULT_PRIME
-    seed: Optional[int] = None
-    window: Optional[tuple[int, int]] = None
-    trials: int = 5
-    out: Optional[str] = None
-    format: str = "json"
-
-    def __post_init__(self):
-        check_prime(self.p, "--p")
-        if self.format not in ("json", "csv", "pretty"):
-            raise ValueError(f"unknown format {self.format!r}")
-
-
-def _rng(config: RunConfig, *parts) -> random.Random:
-    if config.seed is not None:
-        return random.Random(derive_seed(config.seed, *parts))
+def _rng(args, *parts) -> random.Random:
+    if args.seed is not None:
+        return random.Random(derive_seed(args.seed, *parts))
     return random.Random(derive_seed(*parts))
 
 
@@ -124,13 +109,33 @@ def _parse_tuple(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _positive_int(text: str) -> int:
+def _parse_type(text: str) -> tuple[int, ...]:
     try:
-        value = int(text)
+        return validate_type(_parse_tuple(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+
+
+def _positive_int(text: str) -> int:
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _prime(text: str) -> int:
+    value = _int(text)
+    try:
+        check_prime(value, "--p")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     return value
 
 
@@ -198,16 +203,16 @@ def _render_pretty(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit(doc: dict, config: RunConfig, parser) -> None:
-    text = render(doc, config.format)
-    if not config.out:
+def emit(doc: dict, args, parser) -> None:
+    text = render(doc, args.format)
+    if not args.out:
         sys.stdout.write(text)
         return
     try:
-        with open(config.out, "w") as fh:
+        with open(args.out, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        parser.error(f"--out {config.out}: {exc.strerror}")
+        parser.error(f"--out {args.out}: {exc.strerror}")
 
 
 def _check_out(out: str, parser) -> None:
@@ -248,11 +253,11 @@ def _cover_class(args, parser):
 
 def _check_types(args, cls: HirzebruchClass, parser) -> None:
     """--e and --f, where given, have k entries and spend delta."""
-    for name in ("e", "f"):
-        given = getattr(args, name)
+    e, f = args.e, getattr(args, "f", None)  # enumerate takes no --f
+    for name, given in (("e", e), ("f", f)):
         if given is not None and len(given) != cls.k:
             parser.error(f"--{name} must have k = {cls.k} entries, got {len(given)}")
-    if args.e is not None and args.f is not None and sum(args.f) - sum(args.e) != cls.delta:
+    if e is not None and f is not None and sum(f) - sum(e) != cls.delta:
         parser.error("sum(f) - sum(e) must equal delta")
 
 
@@ -260,14 +265,14 @@ def _check_types(args, cls: HirzebruchClass, parser) -> None:
 # subcommands
 
 
-def cmd_enumerate(args, config: RunConfig, parser) -> int:
+def cmd_enumerate(args, parser) -> int:
     cls = _class(args, parser)
     _check_types(args, cls, parser)
     if (args.degree, args.sections) != (None, None) and (args.degree is None or cls.delta or args.e):
         parser.error("--degree/--sections need --degree, delta = 0 and no --e")
     reports = enumerate_strata(
         cls,
-        window=config.window,
+        window=args.window,
         e=args.e,
         degree=args.degree,
         sections=args.sections,
@@ -275,7 +280,7 @@ def cmd_enumerate(args, config: RunConfig, parser) -> int:
     doc = {
         "command": "enumerate",
         "class": {"m": cls.m, "k": cls.k, "delta": cls.delta, "genus": genus(cls)},
-        "window": list(config.window or default_window(cls)),
+        "window": list(args.window or default_window(cls)),
         "columns": ["e", "f", "cond", "u_e", "u_f", "nu", "dim"],
         "rows": [r.to_json_dict() for r in reports],
         "provenance": {
@@ -285,11 +290,11 @@ def cmd_enumerate(args, config: RunConfig, parser) -> int:
             "nu": "nu: matrix entry degrees below zero on the (e, f) grid",
         },
     }
-    emit(doc, config, parser)
+    emit(doc, args, parser)
     return EXIT_OK
 
 
-def cmd_sample(args, config: RunConfig, parser) -> int:
+def cmd_sample(args, parser) -> int:
     _require(args, parser, "e", "f")
     cls = _class(args, parser)
     _check_types(args, cls, parser)
@@ -309,17 +314,17 @@ def cmd_sample(args, config: RunConfig, parser) -> int:
                 "forced_reducibility": "degree grid inspection: negative anti-diagonal entry"
             },
         }
-        emit(doc, config, parser)
+        emit(doc, args, parser)
         return EXIT_EMPTY
 
-    rng = _rng(config, "sample", args.e, args.f, cls.m, cls.k, cls.delta, config.p)
+    rng = _rng(args, "sample", args.e, args.f, cls.m, cls.k, cls.delta, args.p)
     pair = curve = cert = None
     success = False
     attempts = 0
     # a degenerate draw (det identically zero, or P_k = 0 so that the
     # discriminant is undefined) is a failed attempt like a singular one
     for attempts in range(1, args.retries + 1):
-        pair = sample_pair(grid, args.pattern, config.p, rng)
+        pair = sample_pair(grid, args.pattern, args.p, rng)
         try:
             curve = phi(pair)
         except DegenerateCurveError:
@@ -352,11 +357,11 @@ def cmd_sample(args, config: RunConfig, parser) -> int:
             "cokernel_rank_ok": COKERNEL_PROVENANCE,
         },
     }
-    emit(doc, config, parser)
+    emit(doc, args, parser)
     return EXIT_OK if success else EXIT_INCONCLUSIVE
 
 
-def _lemma_run(args, config: RunConfig, parser) -> int:
+def _lemma_run(args, parser) -> int:
     _require(args, parser, "e", "f")
     cls = _class(args, parser)
     _check_types(args, cls, parser)
@@ -364,11 +369,11 @@ def _lemma_run(args, config: RunConfig, parser) -> int:
     reason = is_point_obstruction(grid) if args.lemma == "is" else None
     if reason is not None:
         parser.error(f"--lemma is: {reason}")
-    rng = _rng(config, "lemma", args.lemma, args.e, args.f, cls.m, config.p)
+    rng = _rng(args, "lemma", args.lemma, args.e, args.f, cls.m, args.p)
     if args.lemma == "is":
-        ok = lemma_is_check(cls.k, args.e, args.f, cls.m, rng=rng, p=config.p)
+        ok = lemma_is_check(cls.k, args.e, args.f, cls.m, rng=rng, p=args.p)
     else:
-        pair = sample_pair(grid, "SUT", config.p, rng)
+        pair = sample_pair(grid, "SUT", args.p, rng)
         check = lemma_sq_check if args.lemma == "sq" else lemma_main_check
         ok = check(pair)
     doc = {
@@ -386,13 +391,13 @@ def _lemma_run(args, config: RunConfig, parser) -> int:
             }[args.lemma]
         },
     }
-    emit(doc, config, parser)
+    emit(doc, args, parser)
     return EXIT_OK if ok else EXIT_INCONCLUSIVE
 
 
-def cmd_dominance(args, config: RunConfig, parser) -> int:
+def cmd_dominance(args, parser) -> int:
     if args.lemma is not None:
-        return _lemma_run(args, config, parser)
+        return _lemma_run(args, parser)
     _require(args, parser, "e")
     cls = _class(args, parser)
     _check_types(args, cls, parser)
@@ -400,7 +405,7 @@ def cmd_dominance(args, config: RunConfig, parser) -> int:
         strata = [(args.e, args.f)]
     else:
         strata = [
-            (r.e, r.f) for r in enumerate_strata(cls, window=config.window, e=args.e)
+            (r.e, r.f) for r in enumerate_strata(cls, window=args.window, e=args.e)
         ]
     if not strata:
         doc = {
@@ -410,31 +415,31 @@ def cmd_dominance(args, config: RunConfig, parser) -> int:
             "columns": [],
             "provenance": {"rows": "no companion type passes the stratum conditions"},
         }
-        emit(doc, config, parser)
+        emit(doc, args, parser)
         return EXIT_EMPTY
 
     rows = []
     for e, f in strata:
         rng = None
-        if config.seed is not None:
-            rng = _rng(config, "dominance", e, f, cls.m, cls.k, cls.delta, config.p)
-        rep = dict(dominance_rank(e, f, cls, trials=config.trials, rng=rng, p=config.p))
+        if args.seed is not None:
+            rng = _rng(args, "dominance", e, f, cls.m, cls.k, cls.delta, args.p)
+        rep = dict(dominance_rank(e, f, cls, trials=args.trials, rng=rng, p=args.p))
         rep["e"], rep["f"] = list(e), list(f)
         rows.append(rep)
     doc = {
         "command": "dominance",
         "class": {"m": cls.m, "k": cls.k, "delta": cls.delta},
-        "p": config.p,
+        "p": args.p,
         "columns": ["e", "f", "target_dim", "source_dim", "max_rank", "trials", "verdict"],
         "rows": rows,
         "provenance": {
             "target_dim": "sum of coefficient block lengths delta + (k - i) m + 1",
             "source_dim": "count of nonnegative-degree matrix entries, both letters",
-            "max_rank": f"exact Gaussian elimination over F_{config.p}",
-            "verdict": f"DOMINANT when some trial among {config.trials} reaches the target",
+            "max_rank": f"exact Gaussian elimination over F_{args.p}",
+            "verdict": f"DOMINANT when some trial among {args.trials} reaches the target",
         },
     }
-    emit(doc, config, parser)
+    emit(doc, args, parser)
     bad = [(r["e"], r["f"]) for r in rows if r["verdict"] != "DOMINANT"]
     if not bad:
         return EXIT_OK
@@ -446,13 +451,8 @@ def cmd_dominance(args, config: RunConfig, parser) -> int:
     return EXIT_INCONCLUSIVE
 
 
-def cmd_section5(args, config: RunConfig, parser) -> int:
-    modes = [m for m in ("abundance", "oo", "ol", "general_cover", "triple") if getattr(args, m)]
-    if len(modes) != 1:
-        parser.error("pick exactly one of --abundance, --oo, --ol, --general-cover, --triple")
-    mode = modes[0]
-
-    if mode == "abundance":
+def cmd_section5(args, parser) -> int:
+    if args.mode == "abundance":
         cls, a = _cover_class(args, parser)
         res = abundance_verdict(cls, e_bound=args.bound)
         doc = {
@@ -468,7 +468,7 @@ def cmd_section5(args, config: RunConfig, parser) -> int:
                 "witness": "least conjectured type failing the realizability test",
             },
         }
-    elif mode == "oo":
+    elif args.mode == "oo":
         _require(args, parser, "k")
         if args.bound is None:
             parser.error("--oo requires --bound")
@@ -484,7 +484,7 @@ def cmd_section5(args, config: RunConfig, parser) -> int:
             "rows": rows,
             "provenance": {"rows": "a_{i+j} <= a_i + a_j with 0 < a_1 <= ... <= a_{k-1} <= bound"},
         }
-    elif mode == "ol":
+    elif args.mode == "ol":
         cls, a = _cover_class(args, parser)
         bound = args.bound if args.bound is not None else a.a[-1] + 2
         rows = [{"e": list(e)} for e in ol_polytope(a, bound)]
@@ -498,7 +498,7 @@ def cmd_section5(args, config: RunConfig, parser) -> int:
             "rows": rows,
             "provenance": {"rows": "e_{i+j} <= a_i + e_j, normalized e_1 = 0, entries <= bound"},
         }
-    elif mode == "general_cover":
+    elif args.mode == "general_cover":
         _require(args, parser, "k", "g")
         if args.k < 2 or args.g < 0:
             parser.error(f"--general-cover needs k >= 2 and g >= 0, got k = {args.k}, g = {args.g}")
@@ -528,12 +528,44 @@ def cmd_section5(args, config: RunConfig, parser) -> int:
                 "degree_ok": "sum(d) + sum(e) - sum(f) against -(g + k - 1)",
             },
         }
-    emit(doc, config, parser)
+    emit(doc, args, parser)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # argument plumbing
+
+
+# every flag a subcommand may take, as add_argument keywords
+FLAGS = {
+    "m": dict(type=int),
+    "k": dict(type=int),
+    "delta": dict(type=int),
+    "e": dict(type=_parse_type, help="comma-separated, weakly increasing"),
+    "f": dict(type=_parse_type, help="comma-separated, weakly increasing"),
+    "d": dict(type=_parse_type, help="comma-separated, weakly increasing"),
+    "p": dict(type=_prime, default=DEFAULT_PRIME, help="field characteristic"),
+    "seed": dict(type=int, help="seed (fallback: HBN_SEED)"),
+    "window": dict(type=_parse_window, help="lo,hi"),
+    "trials": dict(type=_positive_int, default=5),
+    "retries": dict(type=_positive_int, default=8),
+    "pattern": dict(choices=("FULL", "SUT"), default="FULL", help="sampling pattern"),
+    "lemma": dict(choices=("sq", "main", "is")),
+    "degree": dict(type=int),
+    "sections": dict(type=int),
+    "g": dict(type=int),
+    "bound": dict(type=int),
+    "format": dict(choices=("json", "csv", "pretty"), default="json"),
+    "out": dict(help="write output to this path"),
+}
+
+# subcommand: (help, the flags it reads besides --format and --out)
+SUBCOMMANDS = {
+    "enumerate": ("stratum tables", "m k delta e window degree sections"),
+    "sample": ("sample and certify a curve", "m k delta e f p seed pattern retries"),
+    "dominance": ("rank certification", "m k delta e f p seed window trials lemma"),
+    "section5": ("scrollar bound reports", "m k delta e f d g bound"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -542,47 +574,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Splitting-type experiments for curves on Hirzebruch surfaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--p", type=int, default=DEFAULT_PRIME, help="field characteristic")
-        p.add_argument("--seed", type=int, default=None, help="seed (fallback: HBN_SEED)")
-        p.add_argument("--m", type=int, default=None)
-        p.add_argument("--k", type=int, default=None)
-        p.add_argument("--delta", type=int, default=None)
-        p.add_argument("--e", type=_parse_tuple, default=None, help="comma-separated type")
-        p.add_argument("--f", type=_parse_tuple, default=None, help="comma-separated type")
-        p.add_argument("--window", type=_parse_window, default=None, help="lo,hi")
-        p.add_argument("--trials", type=_positive_int, default=5)
-        p.add_argument(
-            "--pattern", choices=("FULL", "SUT"), default="FULL", help="sampling pattern"
-        )
-        p.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
-        p.add_argument("--out", default=None, help="write output to this path")
-
-    p_enum = sub.add_parser("enumerate", help="stratum tables")
-    common(p_enum)
-    p_enum.add_argument("--degree", type=int, default=None)
-    p_enum.add_argument("--sections", type=int, default=None)
-
-    p_sample = sub.add_parser("sample", help="sample and certify a curve")
-    common(p_sample)
-    p_sample.add_argument("--retries", type=_positive_int, default=8)
-
-    p_dom = sub.add_parser("dominance", help="rank certification")
-    common(p_dom)
-    p_dom.add_argument("--lemma", choices=("sq", "main", "is"), default=None)
-
-    p_s5 = sub.add_parser("section5", help="scrollar bound reports")
-    common(p_s5)
-    p_s5.add_argument("--abundance", action="store_true")
-    p_s5.add_argument("--oo", action="store_true")
-    p_s5.add_argument("--ol", action="store_true")
-    p_s5.add_argument("--general-cover", dest="general_cover", action="store_true")
-    p_s5.add_argument("--triple", action="store_true")
-    p_s5.add_argument("--bound", type=int, default=None)
-    p_s5.add_argument("--g", type=int, default=None)
-    p_s5.add_argument("--d", type=_parse_tuple, default=None)
-
+    for command, (help_text, names) in SUBCOMMANDS.items():
+        # no prefix matching: `enumerate --f` must not be read as --format
+        cmd_parser = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        for name in names.split() + ["format", "out"]:
+            cmd_parser.add_argument("--" + name, **FLAGS[name])
+    modes = sub.choices["section5"].add_mutually_exclusive_group(required=True)
+    for mode in ("abundance", "oo", "ol", "general-cover", "triple"):
+        modes.add_argument("--" + mode, dest="mode", action="store_const", const=mode.replace("-", "_"))
     return parser
 
 
@@ -619,33 +618,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_merge_negative_values(list(argv)))
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get("HBN_SEED")
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                parser.error(f"HBN_SEED must be an integer, got {env!r}")
-    try:
-        config = RunConfig(
-            p=args.p,
-            seed=seed,
-            window=args.window,
-            trials=args.trials,
-            out=args.out,
-            format=args.format,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-    if config.out:
-        _check_out(config.out, parser)
+    env = os.environ.get("HBN_SEED")
+    if "seed" in args and args.seed is None and env is not None:
+        try:
+            args.seed = int(env)
+        except ValueError:
+            parser.error(f"HBN_SEED must be an integer, got {env!r}")
+    if args.out:
+        _check_out(args.out, parser)
     # looked up at call time, so a patched or traced command is the one run
     command = globals()["cmd_" + args.command]
     try:
-        return command(args, config, parser)
+        return command(args, parser)
     except PrimeTooSmallError as exc:
-        parser.error(f"--p {config.p}: {exc}")
+        parser.error(f"--p {args.p}: {exc}")
 
 
 if __name__ == "__main__":

@@ -291,28 +291,19 @@ def _analyze_chart(name: str, p: int, rng: random.Random, table: dict):
         wit = {var + "_minpoly": w["minpoly"], other: 0, "symbolic": True}
         return ("singular", wit, "RESULTANT")
 
-    if len(fv) == 1:
-        # no fiber variable: union of fibers; singular iff repeated root
-        c = fv[0]
-        if pdeg(c) <= 0:
-            return ("clean", None, "RESULTANT")
-        rep = pgcd(c, pderiv(c, p), p)
-        if pdeg(rep) < 1:
-            return ("clean", None, "RESULTANT")
-        return root_witness(rep, "u", "v")  # every point over a root of rep
-
     if pdeg(cont) >= 1:
         rep = pgcd(cont, pderiv(cont, p), p)
         if pdeg(rep) >= 1:
             # repeated vertical component: non-reduced, singular everywhere on it
             return root_witness(rep, "u", "v")
+        if len(h) <= 1:
+            # no fiber variable: a reduced union of fibers
+            return ("clean", None, "RESULTANT")
         # a vertical component meets the residual curve wherever the
         # residual has positive fiber degree over a content root
         for q, _ in irreducible_factors(cont, p, rng):
             if any(pmod(c, q, p) for c in h[1:]):
                 return ("singular", _base_root_point(q, h, p, nr, rng), "RESULTANT")
-        if len(h) <= 1:
-            return ("clean", None, "RESULTANT")
 
     hu = _deriv_u(h, p)
     hv = _deriv_v(h, p)

@@ -269,7 +269,8 @@ def discriminant_check(curve: BinaryFormCurve) -> tuple[int, int, bool]:
     The resultant of P and dP/dx in the fiber variable is P_k times the
     discriminant; root count at s = 0 is recovered from the mirrored
     computation.  An oracle only: SMOOTH with P_k != 0 implies
-    (E, E, True) (module docstring), so `hbn sample` does not call it.
+    (E, E, True) (`hbn.curves` module docstring), so `hbn sample` does not
+    call it.
     Returns (deg_disc, expected, ok).
     """
     cls = curve.cls

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -286,7 +287,7 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
 def test_seed_env_that_is_not_an_integer_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("HBN_SEED", "abc")
     with pytest.raises(SystemExit) as exc:
-        main(["enumerate", *TRIG, "--e", "-8,-4,-1", "--out", os.devnull])
+        main(["dominance", *TRIG, "--e", "-8,-4,-1", "--out", os.devnull])
     assert exc.value.code == 2
     assert "HBN_SEED must be an integer, got 'abc'" in capsys.readouterr().err
 
@@ -315,7 +316,7 @@ def test_unwritable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch
 def test_main_runs_the_command_patched_after_the_parser_is_built(monkeypatch):
     hbn.cli._parser()  # cached before the patch, as in a traced benchmark run
     calls = []
-    monkeypatch.setattr(hbn.cli, "cmd_sample", lambda args, config, parser: calls.append(args.e) or 0)
+    monkeypatch.setattr(hbn.cli, "cmd_sample", lambda args, parser: calls.append(args.e) or 0)
     assert main(["sample", *TRIG, "--e=-8,-4,-1", "--f=-7,-4,0", "--out", os.devnull]) == 0
     assert calls == [(-8, -4, -1)]
 
@@ -335,7 +336,7 @@ def test_csv_and_pretty_renderers(tmp_path, capsys):
 
 def test_nonprime_p_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["enumerate", *TRIG, "--e", "-8,-4,-1", "--p", "10"])
+        main(["dominance", *TRIG, "--e", "-8,-4,-1", "--p", "10"])
     assert exc.value.code == 2
     # p = 2 is prime but has no quadratic nonresidue for F_p^2
     argv = ["sample", "--m", "1", "--k", "2", "--delta", "1", "--e=0,0", "--f=0,1", "--p", "2"]
@@ -462,6 +463,16 @@ def test_sample_degenerate_draw_is_a_failed_attempt(tmp_path, argv):
          "--lemma is: the inductive point needs k >= 3"),
         (["section5", "--general-cover", "--k", "-1", "--g", "-2"],
          "--general-cover needs k >= 2 and g >= 0, got k = -1, g = -2"),
+        (["dominance", "--m", "1", "--k", "2", "--delta", "1", "--e=1,0"],
+         "argument --e: entries must be weakly increasing: (1, 0)"),
+        (["enumerate", "--m", "1", "--k", "2", "--delta", "1", "--e=1,0"],
+         "argument --e: entries must be weakly increasing: (1, 0)"),
+        (["sample", "--m", "1", "--k", "2", "--delta", "1", "--e=1,0", "--f=1,1"],
+         "argument --e: entries must be weakly increasing: (1, 0)"),
+        (["sample", "--m", "1", "--k", "2", "--delta", "1", "--e=0,0", "--f=1,0"],
+         "argument --f: entries must be weakly increasing: (1, 0)"),
+        (["section5", "--triple", "--d=1,0", "--e=0,0", "--f=0,0"],
+         "argument --d: entries must be weakly increasing: (1, 0)"),
     ],
 )  # fmt: skip
 def test_vacuous_arguments_are_usage_errors(capsys, argv, message):
@@ -519,7 +530,11 @@ def _cli_cases(draw):
     if mode == "sample":
         argv += ["--retries", str(draw(st.integers(1, 3)))]
     p = draw(st.sampled_from([3, 5, 7, 11, 13, 101]))
-    return argv + ["--p", str(p), "--seed", str(draw(st.integers(0, 9))), "--trials", "2"]
+    seed = draw(st.integers(0, 9))
+    if mode == "enumerate":
+        return argv
+    argv += ["--p", str(p), "--seed", str(seed)]
+    return argv + (["--trials", "2"] if argv[0] == "dominance" else [])
 
 
 @settings(max_examples=600, deadline=None, derandomize=True)
@@ -531,6 +546,48 @@ def test_cli_gives_a_verdict_or_a_usage_error(argv):
     except SystemExit as exc:
         code = exc.code
     assert code in (0, 2, 3), argv
+
+
+# (subcommand, flag) pairs the subcommand does not read, with a value the
+# subcommands that do read the flag accept
+DROPPED_FLAGS = [
+    ("enumerate", "--p=10007"), ("enumerate", "--seed=1"), ("enumerate", "--f=-7,-4,0"),
+    ("enumerate", "--trials=2"), ("enumerate", "--pattern=FULL"),
+    ("sample", "--window=0,0"), ("sample", "--trials=2"),
+    ("dominance", "--pattern=FULL"),
+    ("section5", "--p=10007"), ("section5", "--seed=1"), ("section5", "--window=0,0"),
+    ("section5", "--trials=2"), ("section5", "--pattern=FULL"),
+]  # fmt: skip
+DROPPED_BASE = {
+    "enumerate": ["enumerate", *TRIG, "--e=-8,-4,-1"],
+    "sample": ["sample", *TRIG, "--e=-8,-4,-1", "--f=-7,-4,0"],
+    "dominance": ["dominance", *TRIG, "--e=-8,-4,-1", "--f=-7,-4,0"],
+    "section5": ["section5", "--general-cover", "--k", "4", "--g", "9"],
+}
+
+
+@pytest.mark.parametrize("command, flag", DROPPED_FLAGS)
+def test_flag_the_subcommand_does_not_read_is_usage_error(capsys, command, flag):
+    argv = DROPPED_BASE[command]
+    hbn.cli.build_parser().parse_args(argv)  # well formed without the flag
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, "--out", os.devnull])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_readme_flag_table_matches_the_parser():
+    readme = Path(hbn.cli.__file__).resolve().parents[2] / "README.md"
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", readme.read_text(), re.M)
+    # the README lists each subcommand's flags but --format and --out
+    table = {command: set(re.findall(r"--[a-z-]+", flags)) | {"--format", "--out"} for command, flags in rows}
+    subparsers = next(a for a in hbn.cli.build_parser()._actions if a.choices)
+    parsed = {
+        command: {opt for a in sub._actions for opt in a.option_strings} - {"-h", "--help"}
+        for command, sub in subparsers.choices.items()
+    }
+    assert table == parsed
+    assert sum(map(len, parsed.values())) == 47
 
 
 def test_dominance_prime_below_cofactor_bound_is_usage_error(capsys):
