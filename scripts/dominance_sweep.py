@@ -32,9 +32,9 @@ def main() -> int:
     ap.add_argument("--out", default=None, help="write failing strata as JSON")
     args = ap.parse_args()
     try:
-        check_prime(args.p, "--p")
+        check_prime(args.p)
     except ValueError as exc:
-        ap.error(str(exc))
+        ap.error(f"--p {exc}")
     if args.trials < 1:
         ap.error(f"--trials must be at least 1, got {args.trials}")
 

@@ -133,7 +133,7 @@ def _positive_int(text: str) -> int:
 def _prime(text: str) -> int:
     value = _int(text)
     try:
-        check_prime(value, "--p")
+        check_prime(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
     return value

@@ -24,9 +24,16 @@ the curve over Q is smooth.
 
 The surface is covered by the four torus charts of its quotient
 construction; a curve sum P_i(s,t) x^i y^(k-i) dehomogenizes by setting
-one of s,t and one of x,y to 1.  Every closed point lies in at least one
-chart, so chart-by-chart Jacobian analysis is a complete smoothness
-test.
+one of s,t and one of x,y to 1.  Chart t_x (s = y = 1) holds every
+closed point with s != 0 and y != 0.  The rest is three pieces: y = 0
+with s = 1 (a line of chart t_y), s = 0 with y = 1 (a line of chart s_x,
+the fiber over s = 0) and the corner s = y = 0 (the origin of chart s_y).
+On each piece the chart polynomial and its two partials restrict to
+univariate polynomials in the free coordinate, or to constants at the
+corner, so a singular point there is a common root found by a gcd.
+Jacobian analysis of chart t_x plus these three tests is a complete
+smoothness test; the analysis of all four charts stays as the fallback
+for the cases the boundary tests do not cover (`smoothness`).
 """
 
 from __future__ import annotations
@@ -238,21 +245,26 @@ def _fiber_point(u0: int, g: Poly, p: int, nr: int, rng: random.Random) -> dict:
     return {"u": u0, "v_poly": g, "symbolic": True}
 
 
-def _chart_batch(curve: BinaryFormCurve) -> dict:
+def _chart_batch(curve: BinaryFormCurve, charts: tuple[str, ...] = CHARTS) -> dict:
     """What the smoothness certificate of the curve computes without
-    randomness, with every resultant from one `resultants_v` call.
+    randomness on the named charts, with every resultant from one
+    `resultants_v` call.
 
     table[chart] = (fv, cont, h): the trimmed chart polynomial, its
     content in the base variable and fv / cont.  table[chart, 'r1' | 'r2']
     = Res_v(h, h_v), Res_v(h, h_u) for every chart with len(h) >= 2.  A
     pair whose degree bound reaches p is left out, so it raises only where
-    it is read (`_lookup`).
+    it is read (`_lookup`).  Charts on the same base variable hold the same
+    coefficients in reverse order, so they share one content.
     """
     p = curve.p
-    table, pairs = {}, {}
-    for name, fv in chart_polys(curve).items():
-        fv = _vtrim(fv)
-        cont = _content(fv, p)
+    polys = chart_polys(curve)
+    table, pairs, contents = {}, {}, {}
+    for name in charts:
+        fv = _vtrim(polys[name])
+        if name[0] not in contents:
+            contents[name[0]] = _content(fv, p)
+        cont = contents[name[0]]
         h = _vtrim([pdivmod(c, cont, p)[0] for c in fv]) if pdeg(cont) >= 1 else fv
         table[name] = (fv, cont, h)
         if len(h) > 1:
@@ -368,13 +380,58 @@ def _base_root_point(q: Poly, fv: list, p: int, nr: int, rng: random.Random, fac
     return wit
 
 
-def smoothness(curve: BinaryFormCurve, rng: Optional[random.Random] = None) -> SmoothnessCertificate:
-    """Chartwise Jacobian certificate over the algebraic closure.
+def _boundary_decides(curve: BinaryFormCurve, polys: dict[str, list[Poly]]) -> bool:
+    """Whether chart t_x and `_boundary_singular` can certify the curve
+    with the verdicts and errors of `_four_charts`: P_k != 0 and the fiber
+    s = 0 is not a component (so the boundary tests are defined), p > k,
+    and no chart polynomial's resultant pairs reach p.
 
-    SMOOTH is exact (resultant + gcd degree checks in every chart);
-    SINGULAR carries a witnessing chart and point; UNKNOWN means a
-    degenerate branch where no explicit witness was found and the caller
-    should resample.
+    The last bound is taken on the raw chart polynomials.  It caps their
+    base degrees below p, and then dividing out the content cannot raise
+    a pair's bound, so no chart of `_four_charts` would raise
+    PrimeTooSmallError.
+    """
+    p, k = curve.p, curve.cls.k
+    if k >= p or curve.P[k].is_zero() or not any(c and c[0] for c in polys["s_x"]):
+        return False
+    for fv in map(_vtrim, polys.values()):
+        if len(fv) > 1 and max(
+            resultant_bound(fv, _deriv_v(fv, p)), resultant_bound(fv, _deriv_u(fv, p))
+        ) >= p:
+            return False
+    return True
+
+
+def _boundary_singular(polys: dict[str, list[Poly]], p: int) -> bool:
+    """Whether the curve is singular off chart t_x, i.e. where s = 0 or
+    y = 0.  Needs P_k != 0 and the fiber s = 0 not a component.
+
+    The chart polynomial and its two partials restricted to each piece
+    (module docstring), with h_j(x) = sum_i [s^j]P_i(s,1) x^i:
+    y = 0, s = 1 (chart t_y at v = 0): P_k(1,t), P_k'(1,t), P_(k-1)(1,t);
+    s = 0, y = 1 (chart s_x at u = 0): h_0(x), h_0'(x), h_1(x);
+    s = y = 0 (chart s_y at the origin): [x^k]h_0, [x^k]h_1, [x^(k-1)]h_0.
+    """
+    by_t, by_s = polys["t_x"], polys["s_x"]
+    k = len(by_t) - 1
+
+    def common_root(f: Poly, g: Poly) -> bool:
+        return pdeg(pgcd(pgcd(f, pderiv(f, p), p), g, p)) >= 1
+
+    def coef(c: Poly, j: int) -> int:
+        return c[j] if j < len(c) else 0
+
+    h0 = ptrim([coef(c, 0) for c in by_s])
+    h1 = ptrim([coef(c, 1) for c in by_s])
+    return (
+        common_root(by_t[k], by_t[k - 1])
+        or common_root(h0, h1)
+        or not (coef(h0, k) or coef(h0, k - 1) or coef(h1, k))
+    )
+
+
+def _four_charts(curve: BinaryFormCurve, rng: random.Random) -> SmoothnessCertificate:
+    """Smoothness from all four torus charts, analysed in CHARTS order.
 
     The resultants of all four charts come from one batched pass before
     the first chart is analysed (`_chart_batch`), grouped by Sylvester
@@ -383,7 +440,6 @@ def smoothness(curve: BinaryFormCurve, rng: Optional[random.Random] = None) -> S
     raises only in the chart that reads it, so the charts keep their
     sequential verdicts and errors.
     """
-    rng = rng or random.Random(0)
     p = curve.p
     table = _chart_batch(curve)
     unknown_hit = False
@@ -396,6 +452,41 @@ def smoothness(curve: BinaryFormCurve, rng: Optional[random.Random] = None) -> S
     if unknown_hit:
         return SmoothnessCertificate(UNKNOWN, method="BRUTE_FORCE")
     return SmoothnessCertificate("SMOOTH", method="RESULTANT")
+
+
+def smoothness(curve: BinaryFormCurve, rng: Optional[random.Random] = None) -> SmoothnessCertificate:
+    """Jacobian certificate over the algebraic closure.
+
+    SMOOTH is exact (resultant + gcd degree checks); SINGULAR carries a
+    witnessing chart and point; UNKNOWN means a degenerate branch where no
+    explicit witness was found and the caller should resample.
+
+    Chart t_x is analysed first, and if it is clean, the three boundary
+    pieces off it are tested by univariate gcds (`_boundary_singular`).
+    Both clean is SMOOTH.  A SINGULAR chart t_x is returned as is: the
+    four-chart path (`_four_charts`) analyses t_x first, on the same
+    table entries and rng state, so it returns the same.  On any other
+    outcome (t_x UNKNOWN, a boundary singular point) and whenever
+    `_boundary_decides` is false, rng is restored to its state on entry
+    and `_four_charts` runs from the top.  So every SINGULAR and UNKNOWN
+    certificate, every raise and the rng state after them are those of
+    `_four_charts`.  After SMOOTH the rng state can differ: `_four_charts`
+    also draws rng for nontrivial gcd candidates in the other charts that
+    turn out clean.  `hbn sample` draws nothing after a SMOOTH certificate
+    with P_k != 0, so its output does not depend on that state.
+    """
+    rng = rng or random.Random(0)
+    p = curve.p
+    polys = chart_polys(curve)
+    if _boundary_decides(curve, polys):
+        state = rng.getstate()
+        status, wit, method = _analyze_chart("t_x", p, rng, _chart_batch(curve, ("t_x",)))
+        if status == "singular":
+            return SmoothnessCertificate("SINGULAR", chart="t_x", witness=wit, method=method)
+        if status == "clean" and not _boundary_singular(polys, p):
+            return SmoothnessCertificate("SMOOTH", method="RESULTANT")
+        rng.setstate(state)
+    return _four_charts(curve, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -47,13 +47,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def check_prime(p: int, name: str) -> None:
-    """Raise ValueError, naming p as `name`, unless p is an odd prime
-    <= MAX_PRIME; F_p^2 = F_p[w]/(w^2 - nonresidue) needs p odd."""
+def check_prime(p: int) -> None:
+    """Raise ValueError unless p is an odd prime <= MAX_PRIME; F_p^2 =
+    F_p[w]/(w^2 - nonresidue) needs p odd.  The message leaves the name of
+    p to the caller, as argparse prefixes "argument --p:" itself."""
     if not is_prime(p) or p == 2:
-        raise ValueError(f"{name} must be an odd prime, got {p}")
+        raise ValueError(f"must be an odd prime, got {p}")
     if p > MAX_PRIME:
-        raise ValueError(f"{name} must be at most 2^31 - 1 = {MAX_PRIME}, got {p}")
+        raise ValueError(f"must be at most 2^31 - 1 = {MAX_PRIME}, got {p}")
 
 
 def inv_mod(a: int, p: int) -> int:

@@ -343,10 +343,10 @@ def test_nonprime_p_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "--p must be an odd prime, got 2" in capsys.readouterr().err
+    assert "argument --p: must be an odd prime, got 2\n" in capsys.readouterr().err
 
 
-BIG_P_ERROR = "--p must be at most 2^31 - 1 = 2147483647, got 2305843009213693951"
+BIG_P_ERROR = "must be at most 2^31 - 1 = 2147483647, got 2305843009213693951"
 
 
 def test_prime_above_int64_bound_is_usage_error(capsys):
@@ -356,7 +356,7 @@ def test_prime_above_int64_bound_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--p", str(2**61 - 1)])
     assert exc.value.code == 2
-    assert BIG_P_ERROR in capsys.readouterr().err
+    assert f"argument --p: {BIG_P_ERROR}\n" in capsys.readouterr().err
     assert main(argv + ["--p", str(2**31 - 1), "--out", os.devnull]) == 0
 
 
@@ -399,7 +399,7 @@ def test_dominance_sweep_certifies_a_small_box():
 def test_dominance_sweep_rejects_prime_above_int64_bound():
     proc = _script("dominance_sweep.py", "--p", str(2**61 - 1))
     assert proc.returncode == 2
-    assert BIG_P_ERROR in proc.stderr
+    assert f"--p {BIG_P_ERROR}\n" in proc.stderr
 
 
 def test_dominance_sweep_rejects_trials_below_one():

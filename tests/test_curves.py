@@ -20,8 +20,12 @@ from oracles import (
 )
 
 from hbn.curves import (
+    CHARTS,
     SurfaceDivisor,
+    _analyze_chart,
     _chart_batch,
+    _content,
+    _four_charts,
     canonical_divisor,
     chart_polys,
     chi_surface,
@@ -155,6 +159,9 @@ def test_chart_content_keeps_verdicts_and_its_own_resultants():
     # sees the fiber meet the residual at (0, 0).
     curve = _forms_curve(HirzebruchClass(m=0, k=2, delta=2), [[0, 1, 2], [0, 0, 3], [0, 0, 5]], P)
     table = _chart_batch(curve)
+    # the content shared by the two charts on a base variable is each one's own
+    assert all(table[name][1] == _content(table[name][0], P) for name in CHARTS)
+    assert table["t_x"][1] == [0, 1]
     h = [[1, 2], [0, 3], [0, 5]]
     raw = [form.dehomogenize_s() for form in curve.P]
     assert table["t_x", "r1"] == resultants_v([(h, [pscale(h[j], j, P) for j in (1, 2)])], P)[0]
@@ -185,6 +192,33 @@ def test_prime_below_a_resultant_bound_raises_only_where_read():
     assert (cert.verdict, cert.chart, cert.witness) == ("SINGULAR", "t_x", {"u": 0, "v": 0, "ext": 1})
     with pytest.raises(PrimeTooSmallError, match="degree up to 12 needs p > 12"):
         discriminant_check(curve)
+
+
+# One singular point planted on each piece of the complement of chart t_x
+# (s = y = 1), on class m = 1, k = 2, delta = 2 (P_0, P_1, P_2 of degrees
+# 4, 3, 2), in the `_forms_curve` layout: [s^0]P_i(s,1) is the last entry
+# of coeffs[i] and [s^1]P_i(s,1) the one before it.
+BOUNDARY_PLANTS = {
+    # P_2 = t^2 has a double root at t = 0 and P_1 = t(s^2 + 2st + 3t^2)
+    # shares it: chart t_y is singular at (t, y) = (0, 0)
+    "y = 0, s = 1": ([[5, 1, 4, 2, 7], [0, 1, 2, 3], [0, 0, 1]], "t_y", {"u": 0, "v": 0, "ext": 1}),
+    # on the fiber s = 0, h_0 = (x - 1)^2 and h_1 = 3 + 4x - 7x^2 vanishes
+    # at x = 1: chart s_x is singular at (s, x) = (0, 1)
+    "s = 0, y = 1": ([[5, 1, 4, 3, 1], [2, 7, 4, P - 2], [3, P - 7, 1]], "s_x", {"u": 0, "v": 1, "ext": 1}),
+    # P_2 = s^2 and s divides P_1: chart s_y is singular at its origin
+    "s = y = 0": ([[5, 1, 4, 3, 1], [2, 7, 4, 0], [1, 0, 0]], "s_y", {"u": 0, "v": 0, "ext": 1}),
+}
+
+
+@pytest.mark.parametrize("piece", BOUNDARY_PLANTS)
+def test_boundary_plant_is_singular_although_chart_t_x_is_clean(piece):
+    coeffs, chart, witness = BOUNDARY_PLANTS[piece]
+    curve = _forms_curve(HirzebruchClass(m=1, k=2, delta=2), coeffs, P)
+    # the point lies off chart t_x, so only a boundary test can see it
+    assert _analyze_chart("t_x", P, random.Random(1), _chart_batch(curve, ("t_x",)))[0] == "clean"
+    cert = smoothness(curve, random.Random(1))
+    assert (cert.verdict, cert.chart, cert.witness) == ("SINGULAR", chart, witness)
+    assert cert == _four_charts(curve, random.Random(1))
 
 
 def _plant_rank_drop(pair, t0, x0, rng):
@@ -310,15 +344,15 @@ def test_profile_twists_by_fiber_divisor(m, k, delta, n):
 
 
 @st.composite
-def _small_curves(draw):
+def _small_curves(draw, primes=(11, 13, 101, 10007)):
     """A sampled curve on a small class: e has k entries and f is e plus
-    delta unit steps, at a small or the default prime, FULL or SUT."""
+    delta unit steps, at one of the primes, FULL or SUT."""
     m, k, delta = draw(st.integers(0, 2)), draw(st.integers(1, 4)), draw(st.integers(0, 3))
     e = sorted(draw(st.lists(st.integers(-3, 2), min_size=k, max_size=k)))
     f = list(e)
     for i in draw(st.lists(st.integers(0, k - 1), min_size=delta, max_size=delta)):
         f[i] += 1
-    p = draw(st.sampled_from([11, 13, 101, 10007]))
+    p = draw(st.sampled_from(primes))
     rng = random.Random(draw(st.integers(0, 2**32)))
     pair = sample_pair(degree_grid(e, sorted(f), m), draw(st.sampled_from(["FULL", "SUT"])), p, rng)
     return pair, rng
@@ -338,6 +372,33 @@ def test_smooth_certificate_implies_the_discriminant_degree(case):
     if cert.verdict == "SMOOTH" and not curve.P[pair.k].is_zero():
         want = 2 * genus(curve.cls) + 2 * pair.k - 2
         assert discriminant_check(curve) == (want, want, True)
+
+
+def _outcome(certify, curve, rng):
+    try:
+        return certify(curve, rng)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_small_curves(primes=(11, 13, 31, 37, 101)))
+def test_smoothness_agrees_with_the_four_chart_path(case):
+    # one chart plus the boundary gives the four-chart verdict; every other
+    # certificate, every raise and the rng state after them are identical
+    pair, rng = case
+    try:
+        curve = phi(pair)
+    except (DegenerateCurveError, PrimeTooSmallError):
+        return
+    rng4 = random.Random()
+    rng4.setstate(rng.getstate())
+    got, want = _outcome(smoothness, curve, rng), _outcome(_four_charts, curve, rng4)
+    if isinstance(want, tuple) or want.verdict != "SMOOTH":
+        assert got == want
+        assert rng.getstate() == rng4.getstate()
+    else:
+        assert got.verdict == "SMOOTH"
 
 
 def _chart_values_at(fv, u, v, F):
