@@ -32,8 +32,9 @@ On each piece the chart polynomial and its two partials restrict to
 univariate polynomials in the free coordinate, or to constants at the
 corner, so a singular point there is a common root found by a gcd.
 Jacobian analysis of chart t_x plus these three tests is a complete
-smoothness test; the analysis of all four charts stays as the fallback
-for the cases the boundary tests do not cover (`smoothness`).
+smoothness test, and it is the only one `smoothness` runs: the other
+three charts are never analysed, so a resultant of theirs too large for
+p raises nothing.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from hbn.exact.poly import (
     qgcd,
     squarefree_part,
 )
-from hbn.exact.poly2 import check_resultant_prime, resultant_bound, resultants_v
+from hbn.exact.poly2 import resultant_v
 from hbn.splitting import HirzebruchClass, SplittingType
 
 UNKNOWN = "UNKNOWN"
@@ -139,9 +140,6 @@ def connectedness(cls: HirzebruchClass) -> int:
 # charts and smoothness
 # ---------------------------------------------------------------------------
 
-CHARTS = ("t_x", "t_y", "s_x", "s_y")
-
-
 def chart_polys(curve: BinaryFormCurve) -> dict[str, list[Poly]]:
     """Dehomogenizations on the four torus charts.
 
@@ -203,6 +201,16 @@ def _root_witness(g: Poly, p: int, nr: int, rng: random.Random):
     return {"minpoly": q, "ext": pdeg(q)}
 
 
+def _axis_point(g: Poly, var: str, p: int, nr: int, rng: random.Random) -> dict:
+    """The point with coordinate var ('u' or 'v') at a root of g and the
+    other coordinate 0."""
+    other = "v" if var == "u" else "u"
+    w = _root_witness(g, p, nr, rng)
+    if "value" in w:
+        return {var: w["value"], other: 0, "ext": w["ext"]}
+    return {var + "_minpoly": w["minpoly"], other: 0, "symbolic": True}
+
+
 def _content(fv: list[Poly], p: int) -> Poly:
     g: Poly = []
     for c in fv:
@@ -245,69 +253,29 @@ def _fiber_point(u0: int, g: Poly, p: int, nr: int, rng: random.Random) -> dict:
     return {"u": u0, "v_poly": g, "symbolic": True}
 
 
-def _chart_batch(curve: BinaryFormCurve, charts: tuple[str, ...] = CHARTS) -> dict:
-    """What the smoothness certificate of the curve computes without
-    randomness on the named charts, with every resultant from one
-    `resultants_v` call.
-
-    table[chart] = (fv, cont, h): the trimmed chart polynomial, its
-    content in the base variable and fv / cont.  table[chart, 'r1' | 'r2']
-    = Res_v(h, h_v), Res_v(h, h_u) for every chart with len(h) >= 2.  A
-    pair whose degree bound reaches p is left out, so it raises only where
-    it is read (`_lookup`).  Charts on the same base variable hold the same
-    coefficients in reverse order, so they share one content.
-    """
-    p = curve.p
-    polys = chart_polys(curve)
-    table, pairs, contents = {}, {}, {}
-    for name in charts:
-        fv = _vtrim(polys[name])
-        if name[0] not in contents:
-            contents[name[0]] = _content(fv, p)
-        cont = contents[name[0]]
-        h = _vtrim([pdivmod(c, cont, p)[0] for c in fv]) if pdeg(cont) >= 1 else fv
-        table[name] = (fv, cont, h)
-        if len(h) > 1:
-            pairs[name, "r1"] = (h, _deriv_v(h, p))
-            pairs[name, "r2"] = (h, _deriv_u(h, p))
-    pairs = {key: pair for key, pair in pairs.items() if resultant_bound(*pair) < p}
-    table.update(zip(pairs, resultants_v(pairs.values(), p)))
-    return table
-
-
-def _lookup(table: dict, key, f: list[Poly], g: list[Poly], p: int) -> Poly:
-    if key not in table:
-        check_resultant_prime(f, g, p)  # left out of the batch: raises
-    return table[key]
-
-
-def _analyze_chart(name: str, p: int, rng: random.Random, table: dict):
+def _analyze_chart(fv: list[Poly], p: int, rng: random.Random):
     """Returns (status, witness, method) with status in
-    {'clean', 'singular', 'unknown'}.
+    {'clean', 'singular', 'unknown'} for one chart polynomial fv
+    (`chart_polys`).
 
     Complete in the generic branches: 'clean' certifies that no point of
     the chart, over the algebraic closure, is a common zero of the
-    polynomial and its two partials.  The chart's polynomial and its
-    resultants come from the curve's `_chart_batch` table.
+    polynomial and its two partials.  The content of fv in the base
+    variable (its vertical components) is divided out first, and the two
+    resultants are taken of the residual h.
     """
     nr = quadratic_nonresidue(p)
-    fv, cont, h = table[name]
+    fv = _vtrim(fv)
     if not fv:
         raise ValueError("chart polynomial is identically zero")
-
-    def root_witness(g: Poly, var: str, other: str):
-        # singular points with coordinate var at a root of g and other = 0
-        w = _root_witness(g, p, nr, rng)
-        if "value" in w:
-            return ("singular", {var: w["value"], other: 0, "ext": w["ext"]}, "RESULTANT")
-        wit = {var + "_minpoly": w["minpoly"], other: 0, "symbolic": True}
-        return ("singular", wit, "RESULTANT")
-
+    cont = _content(fv, p)
+    h = fv
     if pdeg(cont) >= 1:
         rep = pgcd(cont, pderiv(cont, p), p)
         if pdeg(rep) >= 1:
             # repeated vertical component: non-reduced, singular everywhere on it
-            return root_witness(rep, "u", "v")
+            return ("singular", _axis_point(rep, "u", p, nr, rng), "RESULTANT")
+        h = _vtrim([pdivmod(c, cont, p)[0] for c in fv])
         if len(h) <= 1:
             # no fiber variable: a reduced union of fibers
             return ("clean", None, "RESULTANT")
@@ -325,16 +293,16 @@ def _analyze_chart(name: str, p: int, rng: random.Random, table: dict):
         g = pgcd(g0, pderiv(g0, p), p)
         if pdeg(g) < 1:
             return ("clean", None, "RESULTANT")
-        return root_witness(g, "v", "u")
+        return ("singular", _axis_point(g, "v", p, nr, rng), "RESULTANT")
     if all(not c for c in hv):
         # fiber degree a multiple of p cannot happen at this scale; be safe
         return _brute_scan(h, p, rng)
-    r1 = _lookup(table, (name, "r1"), h, hv, p)
+    r1 = resultant_v(h, hv, p)
     if not ptrim(r1):
         # repeated fiber-direction factor: multiple component, singular;
         # hunt for an explicit point
         return _brute_scan(h, p, rng)
-    r2 = _lookup(table, (name, "r2"), h, hu, p)
+    r2 = resultant_v(h, hu, p)
     if not ptrim(r2):
         return _brute_scan(h, p, rng)
     cand = squarefree_part(pgcd(r1, r2, p), p)
@@ -380,113 +348,78 @@ def _base_root_point(q: Poly, fv: list, p: int, nr: int, rng: random.Random, fac
     return wit
 
 
-def _boundary_decides(curve: BinaryFormCurve, polys: dict[str, list[Poly]]) -> bool:
-    """Whether chart t_x and `_boundary_singular` can certify the curve
-    with the verdicts and errors of `_four_charts`: P_k != 0 and the fiber
-    s = 0 is not a component (so the boundary tests are defined), p > k,
-    and no chart polynomial's resultant pairs reach p.
-
-    The last bound is taken on the raw chart polynomials.  It caps their
-    base degrees below p, and then dividing out the content cannot raise
-    a pair's bound, so no chart of `_four_charts` would raise
-    PrimeTooSmallError.
-    """
-    p, k = curve.p, curve.cls.k
-    if k >= p or curve.P[k].is_zero() or not any(c and c[0] for c in polys["s_x"]):
-        return False
-    for fv in map(_vtrim, polys.values()):
-        if len(fv) > 1 and max(
-            resultant_bound(fv, _deriv_v(fv, p)), resultant_bound(fv, _deriv_u(fv, p))
-        ) >= p:
-            return False
-    return True
-
-
-def _boundary_singular(polys: dict[str, list[Poly]], p: int) -> bool:
-    """Whether the curve is singular off chart t_x, i.e. where s = 0 or
-    y = 0.  Needs P_k != 0 and the fiber s = 0 not a component.
+def _boundary_point(polys: dict[str, list[Poly]], p: int, rng: random.Random):
+    """A singular point of the curve off chart t_x, where s = 0 or y = 0,
+    as (chart, witness); None if there is none.
 
     The chart polynomial and its two partials restricted to each piece
     (module docstring), with h_j(x) = sum_i [s^j]P_i(s,1) x^i:
     y = 0, s = 1 (chart t_y at v = 0): P_k(1,t), P_k'(1,t), P_(k-1)(1,t);
     s = 0, y = 1 (chart s_x at u = 0): h_0(x), h_0'(x), h_1(x);
     s = y = 0 (chart s_y at the origin): [x^k]h_0, [x^k]h_1, [x^(k-1)]h_0.
+    A singular point of a line is a common root of its three
+    restrictions; where all three vanish, the line is a multiple
+    component, singular along its whole length, and its origin is
+    returned.
     """
     by_t, by_s = polys["t_x"], polys["s_x"]
     k = len(by_t) - 1
-
-    def common_root(f: Poly, g: Poly) -> bool:
-        return pdeg(pgcd(pgcd(f, pderiv(f, p), p), g, p)) >= 1
+    nr = quadratic_nonresidue(p)
 
     def coef(c: Poly, j: int) -> int:
         return c[j] if j < len(c) else 0
 
+    def common_roots(f: Poly, g: Poly) -> Poly:
+        return pgcd(pgcd(f, pderiv(f, p), p), g, p)
+
     h0 = ptrim([coef(c, 0) for c in by_s])
     h1 = ptrim([coef(c, 1) for c in by_s])
-    return (
-        common_root(by_t[k], by_t[k - 1])
-        or common_root(h0, h1)
-        or not (coef(h0, k) or coef(h0, k - 1) or coef(h1, k))
-    )
-
-
-def _four_charts(curve: BinaryFormCurve, rng: random.Random) -> SmoothnessCertificate:
-    """Smoothness from all four torus charts, analysed in CHARTS order.
-
-    The resultants of all four charts come from one batched pass before
-    the first chart is analysed (`_chart_batch`), grouped by Sylvester
-    shape, with one determinant kernel call and one interpolation per
-    shape.  That pass draws nothing from rng, and a pair too large for p
-    raises only in the chart that reads it, so the charts keep their
-    sequential verdicts and errors.
-    """
-    p = curve.p
-    table = _chart_batch(curve)
-    unknown_hit = False
-    for name in CHARTS:
-        status, wit, method = _analyze_chart(name, p, rng, table)
-        if status == "singular":
-            return SmoothnessCertificate("SINGULAR", chart=name, witness=wit, method=method)
-        if status == "unknown":
-            unknown_hit = True
-    if unknown_hit:
-        return SmoothnessCertificate(UNKNOWN, method="BRUTE_FORCE")
-    return SmoothnessCertificate("SMOOTH", method="RESULTANT")
+    origin = {"u": 0, "v": 0, "ext": 1}
+    line = common_roots(by_t[k], by_t[k - 1])
+    if not line:
+        return "t_y", origin
+    if pdeg(line) >= 1:
+        return "t_y", _axis_point(line, "u", p, nr, rng)
+    line = common_roots(h0, h1)
+    if not line:
+        return "s_x", origin
+    if pdeg(line) >= 1:
+        return "s_x", _fiber_point(0, line, p, nr, rng)
+    if not (coef(h0, k) or coef(h0, k - 1) or coef(h1, k)):
+        return "s_y", origin
+    return None
 
 
 def smoothness(curve: BinaryFormCurve, rng: Optional[random.Random] = None) -> SmoothnessCertificate:
     """Jacobian certificate over the algebraic closure.
 
-    SMOOTH is exact (resultant + gcd degree checks); SINGULAR carries a
-    witnessing chart and point; UNKNOWN means a degenerate branch where no
-    explicit witness was found and the caller should resample.
+    Chart t_x is analysed first (`_analyze_chart`); unless it is
+    SINGULAR, the three pieces off it are tested by univariate gcds
+    (`_boundary_point`), in the order y = 0, the fiber s = 0, the corner,
+    and a singular point there is returned on its own chart.
 
-    Chart t_x is analysed first, and if it is clean, the three boundary
-    pieces off it are tested by univariate gcds (`_boundary_singular`).
-    Both clean is SMOOTH.  A SINGULAR chart t_x is returned as is: the
-    four-chart path (`_four_charts`) analyses t_x first, on the same
-    table entries and rng state, so it returns the same.  On any other
-    outcome (t_x UNKNOWN, a boundary singular point) and whenever
-    `_boundary_decides` is false, rng is restored to its state on entry
-    and `_four_charts` runs from the top.  So every SINGULAR and UNKNOWN
-    certificate, every raise and the rng state after them are those of
-    `_four_charts`.  After SMOOTH the rng state can differ: `_four_charts`
-    also draws rng for nontrivial gcd candidates in the other charts that
-    turn out clean.  `hbn sample` draws nothing after a SMOOTH certificate
-    with P_k != 0, so its output does not depend on that state.
+    SMOOTH is exact: chart t_x clean (resultant + gcd degree checks) and
+    no boundary piece singular.  SINGULAR carries a witnessing chart and
+    point.  UNKNOWN means chart t_x took a degenerate branch (a resultant
+    that vanishes identically) where the bounded point search found no
+    witness and the boundary holds none either; the caller should
+    resample.  The other three charts are never analysed, so
+    PrimeTooSmallError comes only from a resultant of chart t_x with a
+    degree bound of p or more, or from factoring a polynomial of degree
+    p or more.
     """
     rng = rng or random.Random(0)
     p = curve.p
     polys = chart_polys(curve)
-    if _boundary_decides(curve, polys):
-        state = rng.getstate()
-        status, wit, method = _analyze_chart("t_x", p, rng, _chart_batch(curve, ("t_x",)))
-        if status == "singular":
-            return SmoothnessCertificate("SINGULAR", chart="t_x", witness=wit, method=method)
-        if status == "clean" and not _boundary_singular(polys, p):
-            return SmoothnessCertificate("SMOOTH", method="RESULTANT")
-        rng.setstate(state)
-    return _four_charts(curve, rng)
+    status, wit, method = _analyze_chart(polys["t_x"], p, rng)
+    if status == "singular":
+        return SmoothnessCertificate("SINGULAR", chart="t_x", witness=wit, method=method)
+    boundary = _boundary_point(polys, p, rng)
+    if boundary:
+        return SmoothnessCertificate("SINGULAR", chart=boundary[0], witness=boundary[1])
+    if status == "unknown":
+        return SmoothnessCertificate(UNKNOWN, method="BRUTE_FORCE")
+    return SmoothnessCertificate("SMOOTH")
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,7 @@ def pderiv(f: Poly, p: int) -> Poly:
 # One table per node count and prime.  At p = 10007 the three benchmark
 # workloads read 16 (dominance-desk), 15 (lemma-sut) and 28
 # (sample-certify: n = 2..16 for the determinant and cofactor grids,
-# and resultants_v's multiples of 8 up to 120), 29 together.  64 entries
+# and resultant_v's multiples of 8 up to 120), 29 together.  64 entries
 # hold every table of two primes at once.
 @functools.lru_cache(maxsize=64)
 def _inverse_vandermonde(n: int, p: int) -> np.ndarray:

@@ -7,14 +7,13 @@ specialization then commutes with the determinant, so
 evaluation-interpolation stays valid even when leading coefficients
 vanish at individual points.
 
-`resultants_v` takes a whole batch of pairs in one pass (Collins'
-evaluation-interpolation scheme, run on many pairs at once).  It groups
-the pairs by Sylvester shape (len f, len g), and per group evaluates
-every u-coefficient at the shared nodes u = 0..n-1 in one Horner pass
-(`_eval_at_nodes` on the zero-padded coefficients), fills one Sylvester
-stack, makes one `batch_det_mod` call and one `interp_nodes` call.  n is
-the group's largest degree bound + 1, rounded up to a multiple of 8 and
-capped at p, so a few interpolation tables per prime serve every group.
+`resultant_v` is Collins' evaluation-interpolation scheme: one Horner
+pass evaluates every u-coefficient of the pair at the nodes u = 0..n-1
+(`_eval_at_nodes` on the zero-padded coefficients), one `batch_det_mod`
+call takes the stack of n Sylvester matrices and one `interp_nodes` call
+recovers the coefficients.  n is the degree bound + 1, rounded up to a
+multiple of 8 and capped at p, so a few interpolation tables per prime
+serve every pair.
 """
 
 from __future__ import annotations
@@ -48,53 +47,31 @@ def sylvester(f, g) -> np.ndarray:
     return out
 
 
-def resultant_bound(f: list[Poly], g: list[Poly]) -> int:
-    """Degree bound in u of Res_v(f, g) from the declared v-degrees."""
-    max_f = max((len(c) - 1 for c in f if c), default=0)
-    max_g = max((len(c) - 1 for c in g if c), default=0)
-    return (len(g) - 1) * max_f + (len(f) - 1) * max_g
-
-
-def check_resultant_prime(f: list[Poly], g: list[Poly], p: int) -> None:
-    bound = resultant_bound(f, g)
-    if p <= bound:
-        raise PrimeTooSmallError(
-            f"prime too small for interpolation: a resultant of degree up to {bound} "
-            f"needs p > {bound}"
-        )
-
-
-def resultants_v(pairs, p: int) -> list[Poly]:
-    """Res_v(f, g) for every pair (f, g), in one batched pass.
+def resultant_v(f: list[Poly], g: list[Poly], p: int) -> Poly:
+    """Res_v(f, g) by evaluation at the nodes u = 0..n-1 and interpolation.
 
     f, g are coefficient lists in v (index = power of v), entries are
     univariate polys in u.  Declared v-degrees are len-1 even when the
     leading coefficient polynomial vanishes at a node.  A pair whose
     degree bound is p or more raises PrimeTooSmallError before any work.
     """
-    pairs = list(pairs)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, (f, g) in enumerate(pairs):
-        if not f or not g:
-            raise ValueError("resultant of the zero polynomial")
-        check_resultant_prime(f, g, p)
-        groups.setdefault((len(f), len(g)), []).append(i)
-    out: list[Poly] = [[1] for _ in pairs]  # v-degrees (0, 0) keep [1]
-    for (len_f, len_g), members in groups.items():
-        if len_f == len_g == 1:
-            continue
-        bound = max(resultant_bound(*pairs[i]) for i in members)
-        n = min(-(-(bound + 1) // NODE_STEP) * NODE_STEP, p)
-        polys = [list(c) for i in members for side in pairs[i] for c in side]
-        width = max(map(len, polys))
-        coeffs = np.array([c + [0] * (width - len(c)) for c in polys], dtype=np.int64)
-        vals = _eval_at_nodes(coeffs, n, p).reshape(n, len(members), len_f + len_g)
-        size = len_f + len_g - 2
-        # the stack goes in unnamed, so the kernel frees it once copied
-        dets = batch_det_mod(
-            sylvester(vals[..., :len_f], vals[..., len_f:]).reshape(-1, size, size), p
+    if not f or not g:
+        raise ValueError("resultant of the zero polynomial")
+    # degree bound in u from the declared v-degrees
+    max_f = max((len(c) - 1 for c in f if c), default=0)
+    max_g = max((len(c) - 1 for c in g if c), default=0)
+    bound = (len(g) - 1) * max_f + (len(f) - 1) * max_g
+    if p <= bound:
+        raise PrimeTooSmallError(
+            f"prime too small for interpolation: a resultant of degree up to {bound} "
+            f"needs p > {bound}"
         )
-        coef = interp_nodes(dets.reshape(n, len(members)), p)
-        for j, i in enumerate(members):
-            out[i] = ptrim(coef[:, j].tolist())
-    return out
+    if len(f) == len(g) == 1:
+        return [1]
+    n = min(-(-(bound + 1) // NODE_STEP) * NODE_STEP, p)
+    polys = [list(c) for c in (*f, *g)]
+    width = max(map(len, polys))
+    coeffs = np.array([c + [0] * (width - len(c)) for c in polys], dtype=np.int64)
+    vals = _eval_at_nodes(coeffs, n, p)
+    dets = batch_det_mod(sylvester(vals[:, : len(f)], vals[:, len(f) :]), p)
+    return ptrim(interp_nodes(dets, p).tolist())

@@ -11,8 +11,13 @@ Curve checks.  `discriminant_check` and `cokernel_rank_check` (with
 `curve_points`, `point_on_curve`, `pair_rank_at_point` and
 `fp2_matrix_rank`) test two implications of a SMOOTH certificate that
 `hbn sample` relies on without computing them (hbn.curves docstring).
-They share `resultants_v` and the factoring of hbn.exact.poly with src/,
+They share `resultant_v` and the factoring of hbn.exact.poly with src/,
 so they check the implications, not that arithmetic.
+
+Four charts.  `four_charts` certifies smoothness by the Jacobian
+analysis of all four torus charts, the reference for `hbn.curves`'
+one chart plus three boundary gcds.  It shares `_analyze_chart` with
+src/, so it checks the boundary reduction, not the chart analysis.
 """
 
 import random
@@ -22,7 +27,14 @@ from typing import Optional
 
 import numpy as np
 
-from hbn.curves import _deriv_v, _vtrim, chart_polys
+from hbn.curves import (
+    UNKNOWN,
+    SmoothnessCertificate,
+    _analyze_chart,
+    _deriv_v,
+    _vtrim,
+    chart_polys,
+)
 from hbn.determinantal import (
     BinaryFormCurve,
     MatrixPair,
@@ -41,7 +53,7 @@ from hbn.exact.poly import (
     ptrim,
     quadratic_roots,
 )
-from hbn.exact.poly2 import resultants_v
+from hbn.exact.poly2 import resultant_v
 from hbn.splitting import HirzebruchClass
 
 
@@ -259,6 +271,31 @@ def dphi_column_dual(pair: MatrixPair, coord: tuple, include_p0: bool = False) -
 
 
 # ---------------------------------------------------------------------------
+# four charts
+# ---------------------------------------------------------------------------
+
+CHARTS = ("t_x", "t_y", "s_x", "s_y")
+
+
+def four_charts(curve: BinaryFormCurve, rng: random.Random) -> SmoothnessCertificate:
+    """Smoothness from all four torus charts, analysed in CHARTS order:
+    the first SINGULAR chart, else UNKNOWN if some chart was, else SMOOTH.
+    A chart raises PrimeTooSmallError only when it reads a resultant too
+    large for p."""
+    p = curve.p
+    polys = chart_polys(curve)
+    unknown_hit = False
+    for name in CHARTS:
+        status, wit, method = _analyze_chart(polys[name], p, rng)
+        if status == "singular":
+            return SmoothnessCertificate("SINGULAR", chart=name, witness=wit, method=method)
+        unknown_hit = unknown_hit or status == "unknown"
+    if unknown_hit:
+        return SmoothnessCertificate(UNKNOWN, method="BRUTE_FORCE")
+    return SmoothnessCertificate("SMOOTH")
+
+
+# ---------------------------------------------------------------------------
 # discriminant
 # ---------------------------------------------------------------------------
 
@@ -283,7 +320,7 @@ def discriminant_check(curve: BinaryFormCurve) -> tuple[int, int, bool]:
     charts = chart_polys(curve)
     sides = [_vtrim(charts[name]) for name in ("t_x", "s_x")]
     quotients = []
-    for fv, r in zip(sides, resultants_v([(fv, _deriv_v(fv, p)) for fv in sides], p)):
+    for fv, r in zip(sides, [resultant_v(fv, _deriv_v(fv, p), p) for fv in sides]):
         quo, rem = pdivmod(r, fv[-1], p)
         if not r or rem:
             return (-1, expected, False)

@@ -16,7 +16,7 @@ from hbn.exact.field import DEFAULT_PRIME
 from hbn.exact.forms import BinaryForm
 from hbn.exact.poly import pmul, ptrim
 from hbn.exact.linalg import batch_det_mod
-from hbn.exact.poly2 import resultants_v, sylvester
+from hbn.exact.poly2 import resultant_v, sylvester
 
 P = DEFAULT_PRIME
 SEED = 20240817
@@ -116,7 +116,7 @@ def test_resultant_v_linear_case():
     b = [4, 0, 0, 5]
     f = [[(P - c) % P for c in a], [1]]
     g = [[(P - c) % P for c in b], [1]]
-    r = ptrim(resultants_v([(f, g)], P)[0])
+    r = ptrim(resultant_v(f, g, P))
     diff = ptrim([(x - y) % P for x, y in zip(a + [0] * 4, b + [0] * 4)])
     neg = ptrim([(-c) % P for c in diff])
     assert r in (diff, neg)
@@ -149,7 +149,7 @@ def test_resultant_v_matches_sympy_on_bivariate_pair():
     f_s = 3 + u + (2 + u**2) * w + 5 * w**2
     g_s = 1 + 4 * u + (7 + u) * w
     want = sympy.Poly(sympy.resultant(f_s, g_s, w), u).all_coeffs()[::-1]
-    r = resultants_v([([[3, 1], [2, 0, 1], [5]], [[1, 4], [7, 1]])], P)[0]
+    r = resultant_v([[3, 1], [2, 0, 1], [5]], [[1, 4], [7, 1]], P)
     assert ptrim(r) == ptrim([int(c) % P for c in want])
 
 
@@ -176,16 +176,16 @@ def test_resultant_v_matches_sympy_on_random_inputs(dv_f, dv_g, du, seed):
 
     f = rand_coeffs(dv_f, r.random() < 0.5)
     g = rand_coeffs(dv_g, r.random() < 0.5)
-    assert ptrim(resultants_v([(f, g)], P)[0]) == _sympy_res_v(f, g, P)
+    assert ptrim(resultant_v(f, g, P)) == _sympy_res_v(f, g, P)
     # v-degree 0 on one side: Res(f, c(u)) = c(u)^deg f
     c = [r.randrange(P) for _ in range(du)] + [r.randrange(1, P)]
-    assert ptrim(resultants_v([(f, [c])], P)[0]) == _sympy_res_v(f, [c], P)
-    assert ptrim(resultants_v([([c], g)], P)[0]) == _sympy_res_v([c], g, P)
+    assert ptrim(resultant_v(f, [c], P)) == _sympy_res_v(f, [c], P)
+    assert ptrim(resultant_v([c], g, P)) == _sympy_res_v([c], g, P)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([P, 2**31 - 1]), st.integers(0, 2**32 - 1))
-def test_resultants_v_batch_matches_sympy_pair_by_pair(p, seed):
+def test_resultant_v_matches_sympy_on_mixed_shapes(p, seed):
     # mixed Sylvester shapes and u-degrees, repeated pairs (one with
     # untrimmed u-coefficients), a pair that differs from another only by
     # a zero v-coefficient, v-degree 0 on either side, and leading
@@ -211,6 +211,6 @@ def test_resultants_v_batch_matches_sympy_pair_by_pair(p, seed):
     f, g = r.choice(pairs)
     pairs += [r.choice(pairs), ([c + [0] for c in f], g), ([[]] + f, g)]
     r.shuffle(pairs)
-    got = resultants_v(pairs, p)
+    got = [resultant_v(f, g, p) for f, g in pairs]
     assert [ptrim(x) for x in got] == [_sympy_res_v(f, g, p) for f, g in pairs]
-    assert resultants_v(pairs + [([[3, 1]], [[2]])], p)[-1] == [1]
+    assert resultant_v([[3, 1]], [[2]], p) == [1]
