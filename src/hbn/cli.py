@@ -330,7 +330,7 @@ def cmd_sample(args, parser) -> int:
         except DegenerateCurveError:
             curve = cert = None
             continue
-        cert = smoothness(curve, rng)
+        cert = smoothness(curve)
         success = cert.verdict == "SMOOTH" and not curve.P[cls.k].is_zero()
         if success:
             break

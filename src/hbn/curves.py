@@ -35,16 +35,22 @@ Jacobian analysis of chart t_x plus these three tests is a complete
 smoothness test, and it is the only one `smoothness` runs: the other
 three charts are never analysed, so a resultant of theirs too large for
 p raises nothing.
+
+Chart t_x reads r1 = Res_v(h, h_v) and r2 = Res_v(h, h_u) of its
+residual h.  r1 = 0 means a multiple component, whose point is found on
+the first fiber u = 0, 1, 2, ... that keeps it; r2 = 0 alone means a
+section x = c*y (every SUT curve has one), the content of the chart with
+u and v exchanged, which is analysed instead.  Nothing is random or
+budgeted: the certificate is SMOOTH or SINGULAR, a function of the curve.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from hbn.determinantal import BinaryFormCurve
-from hbn.exact.field import quadratic_nonresidue
+from hbn.exact.field import PrimeTooSmallError, quadratic_nonresidue
 from hbn.exact.poly import (
     Poly,
     QuotientField,
@@ -161,10 +167,11 @@ def chart_polys(curve: BinaryFormCurve) -> dict[str, list[Poly]]:
 
 @dataclass(frozen=True)
 class SmoothnessCertificate:
-    verdict: str  # SMOOTH | SINGULAR | UNKNOWN
+    verdict: str  # SMOOTH | SINGULAR
     chart: Optional[str] = None
     witness: Optional[dict] = None
-    method: str = "RESULTANT"
+    # a class constant, not a field: documents keep their "method" key
+    method = "RESULTANT"
 
     def to_json_dict(self) -> dict:
         return {
@@ -190,10 +197,10 @@ def _deriv_v(fv: list[Poly], p: int) -> list[Poly]:
     return [pscale(fv[j], j, p) for j in range(1, len(fv))]
 
 
-def _root_witness(g: Poly, p: int, nr: int, rng: random.Random):
+def _root_witness(g: Poly, p: int, nr: int):
     """One root of g presented concretely: F_p element, F_p2 pair, or a
     symbolic minimal polynomial when all factors are large."""
-    q = irreducible_factors(g, p, rng)[0][0]  # monic, of least degree; deg g >= 1
+    q = irreducible_factors(g, p)[0][0]  # monic, of least degree; deg g >= 1
     if pdeg(q) == 1:
         return {"value": -q[0] % p, "ext": 1}
     if pdeg(q) == 2:
@@ -201,14 +208,12 @@ def _root_witness(g: Poly, p: int, nr: int, rng: random.Random):
     return {"minpoly": q, "ext": pdeg(q)}
 
 
-def _axis_point(g: Poly, var: str, p: int, nr: int, rng: random.Random) -> dict:
-    """The point with coordinate var ('u' or 'v') at a root of g and the
-    other coordinate 0."""
-    other = "v" if var == "u" else "u"
-    w = _root_witness(g, p, nr, rng)
+def _axis_point(g: Poly, p: int, nr: int) -> dict:
+    """The point with u at a root of g and v = 0."""
+    w = _root_witness(g, p, nr)
     if "value" in w:
-        return {var: w["value"], other: 0, "ext": w["ext"]}
-    return {var + "_minpoly": w["minpoly"], other: 0, "symbolic": True}
+        return {"u": w["value"], "v": 0, "ext": w["ext"]}
+    return {"u_minpoly": w["minpoly"], "v": 0, "symbolic": True}
 
 
 def _content(fv: list[Poly], p: int) -> Poly:
@@ -220,49 +225,44 @@ def _content(fv: list[Poly], p: int) -> Poly:
     return pmonic(g, p) if g else []
 
 
-# fibers u = u0 that `_brute_scan` tries before it gives up
-BRUTE_BUDGET = 400
-
-
-def _brute_scan(fv: list[Poly], p: int, rng: random.Random):
-    """Search common zeros of (f, f_u, f_v) over F_p and F_p2 directly;
-    returns the chart triple of `_analyze_chart`."""
-    fu, fvv = _deriv_u(fv, p), _deriv_v(fv, p)
-    nr = quadratic_nonresidue(p)
-    us = list(range(min(p, BRUTE_BUDGET)))
-    rng.shuffle(us)
-    for u0 in us:
-        g = ptrim([peval(c, u0, p) for c in fv])
-        gu = ptrim([peval(c, u0, p) for c in fu])
-        gv = ptrim([peval(c, u0, p) for c in fvv])
-        w = pgcd(pgcd(g, gu, p), gv, p) if (g or gu or gv) else []
-        if not w:
-            # all three specializations vanish identically: any v works
-            return ("singular", {"u": u0, "v": 0, "ext": 1}, "BRUTE_FORCE")
-        wit = _fiber_point(u0, w, p, nr, rng) if pdeg(w) >= 1 else {}
-        if "v" in wit:
-            return ("singular", wit, "BRUTE_FORCE")
-    return ("unknown", None, "BRUTE_FORCE")
-
-
-def _fiber_point(u0: int, g: Poly, p: int, nr: int, rng: random.Random) -> dict:
+def _fiber_point(u0: int, g: Poly, p: int, nr: int) -> dict:
     """(u0, v) for a root v of g over F_p, else over F_p2, else g itself."""
-    w = _root_witness(g, p, nr, rng)
+    w = _root_witness(g, p, nr)
     if "value" in w:
         return {"u": u0, "v": w["value"], "ext": w["ext"]}
     return {"u": u0, "v_poly": g, "symbolic": True}
 
 
-def _analyze_chart(fv: list[Poly], p: int, rng: random.Random):
-    """Returns (status, witness, method) with status in
-    {'clean', 'singular', 'unknown'} for one chart polynomial fv
-    (`chart_polys`).
+def _multiple_component_point(h: list[Poly], hu: list[Poly], hv: list[Poly], p: int, nr: int) -> dict:
+    """A point on the first fiber u = u0 where h, h_u and h_v restrict to
+    polynomials in v with a common root.  h is a residual, so h(u0, v) is
+    never identically zero.  A repeated factor of h with positive fiber
+    degree divides all three, and its leading coefficient in v, of degree
+    <= deg_u h < p, is nonzero at some u0 <= deg_u h: the scan ends there
+    at the latest."""
+    for u0 in range(max(map(len, h))):
+        g, gu, gv = (ptrim([peval(c, u0, p) for c in f]) for f in (h, hu, hv))
+        w = pgcd(pgcd(g, gu, p), gv, p)
+        if pdeg(w) >= 1:
+            return _fiber_point(u0, w, p, nr)
+    raise AssertionError("a multiple component meets no fiber u <= deg_u h")
 
-    Complete in the generic branches: 'clean' certifies that no point of
-    the chart, over the algebraic closure, is a common zero of the
-    polynomial and its two partials.  The content of fv in the base
-    variable (its vertical components) is divided out first, and the two
-    resultants are taken of the residual h.
+
+def _transpose(fv: list[Poly]) -> list[Poly]:
+    """The chart polynomial with u and v exchanged."""
+    width = max(map(len, fv))
+    return [[c[j] if j < len(c) else 0 for c in fv] for j in range(width)]
+
+
+def _analyze_chart(fv: list[Poly], p: int):
+    """Returns (status, witness) with status in {'clean', 'singular'} for
+    one chart polynomial fv (`chart_polys`).
+
+    'clean' certifies that no point of the chart, over the algebraic
+    closure, is a common zero of the polynomial and its two partials.
+    The content of fv in the base variable (its vertical components) is
+    divided out first, and the two resultants are taken of the residual
+    h.  Needs p above k and above every resultant's degree bound.
     """
     nr = quadratic_nonresidue(p)
     fv = _vtrim(fv)
@@ -274,49 +274,43 @@ def _analyze_chart(fv: list[Poly], p: int, rng: random.Random):
         rep = pgcd(cont, pderiv(cont, p), p)
         if pdeg(rep) >= 1:
             # repeated vertical component: non-reduced, singular everywhere on it
-            return ("singular", _axis_point(rep, "u", p, nr, rng), "RESULTANT")
+            return ("singular", _axis_point(rep, p, nr))
         h = _vtrim([pdivmod(c, cont, p)[0] for c in fv])
-        if len(h) <= 1:
-            # no fiber variable: a reduced union of fibers
-            return ("clean", None, "RESULTANT")
         # a vertical component meets the residual curve wherever the
         # residual has positive fiber degree over a content root
-        for q, _ in irreducible_factors(cont, p, rng):
+        for q, _ in irreducible_factors(cont, p):
             if any(pmod(c, q, p) for c in h[1:]):
-                return ("singular", _base_root_point(q, h, p, nr, rng), "RESULTANT")
+                return ("singular", _base_root_point(q, h, p, nr))
+    if len(h) <= 1:
+        # no fiber variable: a reduced union of fibers, or no point at all
+        return ("clean", None)
 
     hu = _deriv_u(h, p)
     hv = _deriv_v(h, p)
-    if all(not c for c in hu):
-        # constant in the base variable: singular iff repeated fiber root
-        g0 = ptrim([c[0] if c else 0 for c in h])
-        g = pgcd(g0, pderiv(g0, p), p)
-        if pdeg(g) < 1:
-            return ("clean", None, "RESULTANT")
-        return ("singular", _axis_point(g, "v", p, nr, rng), "RESULTANT")
-    if all(not c for c in hv):
-        # fiber degree a multiple of p cannot happen at this scale; be safe
-        return _brute_scan(h, p, rng)
     r1 = resultant_v(h, hv, p)
     if not ptrim(r1):
-        # repeated fiber-direction factor: multiple component, singular;
-        # hunt for an explicit point
-        return _brute_scan(h, p, rng)
+        # a repeated factor of positive fiber degree: a multiple component
+        return ("singular", _multiple_component_point(h, hu, hv, p, nr))
     r2 = resultant_v(h, hu, p)
     if not ptrim(r2):
-        return _brute_scan(h, p, rng)
+        # a factor free of u (a section x = c*y here) is the content of the
+        # transposed chart, which divides it out; the transposed residual
+        # has no factor free of v, so this recursion is one level deep
+        status, wit = _analyze_chart(_transpose(h), p)
+        flip = {"u": "v", "v": "u"}  # every witness key names its coordinate first
+        return status, wit and {flip.get(key[0], key[0]) + key[1:]: x for key, x in wit.items()}
     cand = squarefree_part(pgcd(r1, r2, p), p)
     if pdeg(cand) < 1:
-        return ("clean", None, "RESULTANT")
-    for q, _ in irreducible_factors(cand, p, rng):
+        return ("clean", None)
+    for q, _ in irreducible_factors(cand, p):
         L = QuotientField(q, p)
         hL = _specialize(h, q, L)
         huL = _specialize(hu, q, L)
         hvL = _specialize(hv, q, L)
         g = qgcd(qgcd(hL, hvL, L), huL, L)
         if len(g) - 1 >= 1:
-            return ("singular", _base_root_point(q, g, p, nr, rng, factor=True), "RESULTANT")
-    return ("clean", None, "RESULTANT")
+            return ("singular", _base_root_point(q, g, p, nr, factor=True))
+    return ("clean", None)
 
 
 def _reduce_elt(c: Poly, L: QuotientField):
@@ -333,7 +327,7 @@ def _specialize(fv: list[Poly], q: Poly, L: QuotientField) -> list:
     return out
 
 
-def _base_root_point(q: Poly, fv: list, p: int, nr: int, rng: random.Random, factor=False):
+def _base_root_point(q: Poly, fv: list, p: int, nr: int, factor=False):
     """Singular point over a root of the monic irreducible q in the base
     variable, on the fiber polynomial fv: the residual curve where a
     vertical component meets it, or (factor=True) the common
@@ -341,14 +335,14 @@ def _base_root_point(q: Poly, fv: list, p: int, nr: int, rng: random.Random, fac
     otherwise symbolic, with fv itself when it is that factor."""
     if pdeg(q) == 1:
         u0 = -q[0] % p
-        return _fiber_point(u0, ptrim([peval(c, u0, p) for c in fv]), p, nr, rng)
+        return _fiber_point(u0, ptrim([peval(c, u0, p) for c in fv]), p, nr)
     wit = {"u_minpoly": q, "symbolic": True}
     if factor:
         wit["v_factor_over_extension"] = [list(c) for c in fv]
     return wit
 
 
-def _boundary_point(polys: dict[str, list[Poly]], p: int, rng: random.Random):
+def _boundary_point(polys: dict[str, list[Poly]], p: int):
     """A singular point of the curve off chart t_x, where s = 0 or y = 0,
     as (chart, witness); None if there is none.
 
@@ -379,19 +373,20 @@ def _boundary_point(polys: dict[str, list[Poly]], p: int, rng: random.Random):
     if not line:
         return "t_y", origin
     if pdeg(line) >= 1:
-        return "t_y", _axis_point(line, "u", p, nr, rng)
+        return "t_y", _axis_point(line, p, nr)
     line = common_roots(h0, h1)
     if not line:
         return "s_x", origin
     if pdeg(line) >= 1:
-        return "s_x", _fiber_point(0, line, p, nr, rng)
+        return "s_x", _fiber_point(0, line, p, nr)
     if not (coef(h0, k) or coef(h0, k - 1) or coef(h1, k)):
         return "s_y", origin
     return None
 
 
-def smoothness(curve: BinaryFormCurve, rng: Optional[random.Random] = None) -> SmoothnessCertificate:
-    """Jacobian certificate over the algebraic closure.
+def smoothness(curve: BinaryFormCurve) -> SmoothnessCertificate:
+    """Jacobian certificate over the algebraic closure: SMOOTH or
+    SINGULAR, a function of the curve alone.
 
     Chart t_x is analysed first (`_analyze_chart`); unless it is
     SINGULAR, the three pieces off it are tested by univariate gcds
@@ -400,25 +395,22 @@ def smoothness(curve: BinaryFormCurve, rng: Optional[random.Random] = None) -> S
 
     SMOOTH is exact: chart t_x clean (resultant + gcd degree checks) and
     no boundary piece singular.  SINGULAR carries a witnessing chart and
-    point.  UNKNOWN means chart t_x took a degenerate branch (a resultant
-    that vanishes identically) where the bounded point search found no
-    witness and the boundary holds none either; the caller should
-    resample.  The other three charts are never analysed, so
-    PrimeTooSmallError comes only from a resultant of chart t_x with a
-    degree bound of p or more, or from factoring a polynomial of degree
-    p or more.
+    point.  The other three charts are never analysed, so
+    PrimeTooSmallError comes only from p <= k, from a resultant of chart
+    t_x (or of its transpose, when a section x = c*y is a component)
+    with a degree bound of p or more, or from factoring a polynomial of
+    degree p or more.
     """
-    rng = rng or random.Random(0)
-    p = curve.p
+    p, k = curve.p, curve.cls.k
+    if p <= k:
+        raise PrimeTooSmallError(f"smoothness needs p > k = {k}")
     polys = chart_polys(curve)
-    status, wit, method = _analyze_chart(polys["t_x"], p, rng)
+    status, wit = _analyze_chart(polys["t_x"], p)
     if status == "singular":
-        return SmoothnessCertificate("SINGULAR", chart="t_x", witness=wit, method=method)
-    boundary = _boundary_point(polys, p, rng)
+        return SmoothnessCertificate("SINGULAR", chart="t_x", witness=wit)
+    boundary = _boundary_point(polys, p)
     if boundary:
         return SmoothnessCertificate("SINGULAR", chart=boundary[0], witness=boundary[1])
-    if status == "unknown":
-        return SmoothnessCertificate(UNKNOWN, method="BRUTE_FORCE")
     return SmoothnessCertificate("SMOOTH")
 
 

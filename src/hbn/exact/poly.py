@@ -247,10 +247,12 @@ def _equal_degree_split(f: Poly, d: int, p: int, rng: random.Random) -> list[Pol
             return _equal_degree_split(g, d, p, rng) + _equal_degree_split(rest, d, p, rng)
 
 
-def irreducible_factors(f: Poly, p: int, rng: random.Random) -> list[tuple[Poly, int]]:
+def irreducible_factors(f: Poly, p: int) -> list[tuple[Poly, int]]:
     """Monic irreducible factors of f with multiplicities, sorted by degree.
 
     Requires p > deg f so the classical squarefree recursion applies.
+    The Cantor-Zassenhaus draws come from a generator seeded here; the
+    factors are unique and sorted, so the result does not depend on them.
     """
     f = ptrim(f)
     if pdeg(f) < 1:
@@ -259,6 +261,7 @@ def irreducible_factors(f: Poly, p: int, rng: random.Random) -> list[tuple[Poly,
         raise PrimeTooSmallError(f"factoring a degree-{pdeg(f)} polynomial needs p > {pdeg(f)}")
     sf = squarefree_part(f, p)
     factors: list[Poly] = []
+    rng = random.Random(0)
     for block, d in distinct_degree_factor(sf, p):
         factors.extend(_equal_degree_split(block, d, p, rng))
     out = []

@@ -12,12 +12,16 @@ Curve checks.  `discriminant_check` and `cokernel_rank_check` (with
 `fp2_matrix_rank`) test two implications of a SMOOTH certificate that
 `hbn sample` relies on without computing them (hbn.curves docstring).
 They share `resultant_v` and the factoring of hbn.exact.poly with src/,
-so they check the implications, not that arithmetic.
+so they check the implications, not that arithmetic; where p is at or
+below `resultant_v`'s degree bound, `discriminant_check` takes
+`sympy_resultant_v`, which needs no bound.
 
 Four charts.  `four_charts` certifies smoothness by the Jacobian
 analysis of all four torus charts, the reference for `hbn.curves`'
 one chart plus three boundary gcds.  It shares `_analyze_chart` with
-src/, so it checks the boundary reduction, not the chart analysis.
+src/ (its multiple-component scan and its transposed pass included), so
+it checks the boundary reduction, not the chart analysis.  Like
+`smoothness` it draws nothing random and answers SMOOTH or SINGULAR.
 """
 
 import random
@@ -26,9 +30,9 @@ from itertools import permutations
 from typing import Optional
 
 import numpy as np
+import sympy
 
 from hbn.curves import (
-    UNKNOWN,
     SmoothnessCertificate,
     _analyze_chart,
     _deriv_v,
@@ -277,21 +281,16 @@ def dphi_column_dual(pair: MatrixPair, coord: tuple, include_p0: bool = False) -
 CHARTS = ("t_x", "t_y", "s_x", "s_y")
 
 
-def four_charts(curve: BinaryFormCurve, rng: random.Random) -> SmoothnessCertificate:
+def four_charts(curve: BinaryFormCurve) -> SmoothnessCertificate:
     """Smoothness from all four torus charts, analysed in CHARTS order:
-    the first SINGULAR chart, else UNKNOWN if some chart was, else SMOOTH.
-    A chart raises PrimeTooSmallError only when it reads a resultant too
-    large for p."""
+    the first SINGULAR chart, else SMOOTH.  A chart raises
+    PrimeTooSmallError only when it reads a resultant too large for p."""
     p = curve.p
     polys = chart_polys(curve)
-    unknown_hit = False
     for name in CHARTS:
-        status, wit, method = _analyze_chart(polys[name], p, rng)
+        status, wit = _analyze_chart(polys[name], p)
         if status == "singular":
-            return SmoothnessCertificate("SINGULAR", chart=name, witness=wit, method=method)
-        unknown_hit = unknown_hit or status == "unknown"
-    if unknown_hit:
-        return SmoothnessCertificate(UNKNOWN, method="BRUTE_FORCE")
+            return SmoothnessCertificate("SINGULAR", chart=name, witness=wit)
     return SmoothnessCertificate("SMOOTH")
 
 
@@ -300,14 +299,38 @@ def four_charts(curve: BinaryFormCurve, rng: random.Random) -> SmoothnessCertifi
 # ---------------------------------------------------------------------------
 
 
-def discriminant_check(curve: BinaryFormCurve) -> tuple[int, int, bool]:
+def sympy_resultant_v(f: list[list[int]], g: list[list[int]], p: int) -> list[int]:
+    """sympy.resultant in v of coefficient lists over Z[u], reduced mod p.
+
+    Exact, so unlike `resultant_v` it needs no prime above a degree bound.
+    The leading v-coefficients here are nonzero polynomials, so sympy's
+    degrees are the declared ones.  sympy (1.14) drops the sign
+    (-1)^(deg f * deg g) when deg f < deg g, e.g. it gives -1 for
+    Res(v + 1, v^3 + 2) = 1, so the larger degree goes first and the
+    sign is restored by hand.
+    """
+    u, v = sympy.symbols("u v")
+    fs = sum(sum(c * u**i for i, c in enumerate(cf)) * v**j for j, cf in enumerate(f))
+    gs = sum(sum(c * u**i for i, c in enumerate(cg)) * v**j for j, cg in enumerate(g))
+    n, m = len(f) - 1, len(g) - 1
+    if n >= m:
+        res = sympy.resultant(fs, gs, v)
+    else:
+        res = (-1) ** (n * m) * sympy.resultant(gs, fs, v)
+    res = sympy.Poly(res, u)
+    return ptrim([int(c) % p for c in res.all_coeffs()[::-1]])
+
+
+def discriminant_check(curve: BinaryFormCurve, resultant=resultant_v) -> tuple[int, int, bool]:
     """Degree of the discriminant of the fiber polynomial vs 2g + 2k - 2.
 
     The resultant of P and dP/dx in the fiber variable is P_k times the
     discriminant; root count at s = 0 is recovered from the mirrored
     computation.  An oracle only: SMOOTH with P_k != 0 implies
     (E, E, True) (`hbn.curves` module docstring), so `hbn sample` does not
-    call it.
+    call it.  `resultant` takes the two resultants in v; the default
+    raises PrimeTooSmallError where its degree bound reaches p, and
+    `sympy_resultant_v` answers at every p.
     Returns (deg_disc, expected, ok).
     """
     cls = curve.cls
@@ -320,7 +343,7 @@ def discriminant_check(curve: BinaryFormCurve) -> tuple[int, int, bool]:
     charts = chart_polys(curve)
     sides = [_vtrim(charts[name]) for name in ("t_x", "s_x")]
     quotients = []
-    for fv, r in zip(sides, [resultant_v(fv, _deriv_v(fv, p), p) for fv in sides]):
+    for fv, r in zip(sides, [resultant(fv, _deriv_v(fv, p), p) for fv in sides]):
         quo, rem = pdivmod(r, fv[-1], p)
         if not r or rem:
             return (-1, expected, False)
@@ -377,7 +400,7 @@ def curve_points(curve: BinaryFormCurve, n_points: int, rng: random.Random) -> l
             continue  # the whole fiber lies on the curve; skip as non-reduced data
         if fib[k] % p == 0:
             pts.append({"st": st, "xy": ((1, 0), 0)})
-        for q, _ in irreducible_factors(trimmed, p, rng):
+        for q, _ in irreducible_factors(trimmed, p):
             if pdeg(q) == 1:
                 pts.append({"st": st, "xy": (((-q[0]) % p, 0), 1)})
             elif pdeg(q) == 2:

@@ -205,7 +205,7 @@ def test_criterion_07_smooth_connected_realization():
             for _ in range(8):
                 pair = sample_pair(grid, "FULL", P, rng)
                 curve = phi(pair)
-                if smoothness(curve, rng).verdict != "SMOOTH":
+                if smoothness(curve).verdict != "SMOOTH":
                     continue
                 deg, expected, ok = discriminant_check(curve)
                 assert ok and deg == expected == 2 * g + 2 * cls.k - 2, (cls, e, f, deg)
@@ -290,7 +290,7 @@ def test_criterion_10_pushforward_oracle_consistency():
                     done = False
                     for _ in range(8):
                         pair = sample_pair(grid, "FULL", P, rng)
-                        if smoothness(phi(pair), rng).verdict == "SMOOTH":
+                        if smoothness(phi(pair)).verdict == "SMOOTH":
                             done = True
                             smooth_samples += 1
                             break

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import resource
 import subprocess
@@ -17,6 +18,8 @@ from hypothesis import strategies as st
 
 import hbn.cli
 from hbn.cli import main
+from hbn.determinantal import degree_grid, pair_to_json_dict, sample_pair
+from hbn.seeds import derive_seed
 from hbn.splitting import HirzebruchClass, enumerate_strata
 
 TRIG = ["--m", "3", "--k", "3", "--delta", "2"]
@@ -95,6 +98,23 @@ def test_sample_triangular_pattern_is_never_smooth(tmp_path):
     assert code == 3
     assert doc["certification"]["verdict"] == "INCONCLUSIVE"
     assert doc["curve"]["P"][0] == []
+
+
+def test_sample_certification_draws_nothing_from_the_sampling_stream(tmp_path):
+    # every SUT attempt is singular, so the document holds the last
+    # attempt's pair: the third draw of the seeded stream, untouched by
+    # the three certificates in between
+    e, f = (-8, -4, -1), (-7, -4, 0)
+    code, doc = run(
+        tmp_path,
+        ["sample", *TRIG, "--e=-8,-4,-1", "--f=-7,-4,0",
+         "--pattern", "SUT", "--retries", "3", "--seed", "5"],
+    )
+    assert code == 3
+    assert doc["certification"]["attempts"] == 3
+    rng = random.Random(derive_seed(5, "sample", e, f, 3, 3, 2, 10007))
+    pairs = [sample_pair(degree_grid(e, f, 3), "SUT", 10007, rng) for _ in range(3)]
+    assert doc["pair"] == pair_to_json_dict(pairs[-1])
 
 
 def test_sample_forced_reducible_exit_two(tmp_path):

@@ -18,11 +18,11 @@ from oracles import (
     four_charts,
     pair_rank_at_point,
     point_on_curve,
+    sympy_resultant_v,
 )
 
 from hbn import curves
 from hbn.curves import (
-    UNKNOWN,
     SurfaceDivisor,
     _analyze_chart,
     canonical_divisor,
@@ -114,7 +114,7 @@ def test_smoothness_flags_double_line():
     cls = HirzebruchClass(m=1, k=2, delta=0)
     curve = _curve(cls, [None, None, [1]])
     cert = smoothness(curve)
-    assert cert.verdict != "SMOOTH"
+    assert (cert.verdict, cert.chart, cert.witness) == ("SINGULAR", "t_x", {"u": 0, "v": 0, "ext": 1})
 
 
 def test_smoothness_flags_cusp():
@@ -129,7 +129,7 @@ def test_smoothness_flags_cusp():
         ],
     )
     cert = smoothness(curve)
-    assert cert.verdict != "SMOOTH"
+    assert (cert.verdict, cert.chart, cert.witness) == ("SINGULAR", "t_x", {"u": 0, "v": 0, "ext": 1})
 
 
 def test_smooth_sample_full_certificate():
@@ -138,7 +138,7 @@ def test_smooth_sample_full_certificate():
     grid = degree_grid((-8, -4, -1), (-7, -4, 0), cls.m)
     pair = sample_pair(grid, "FULL", P, rng)
     curve = phi(pair)
-    cert = smoothness(curve, rng)
+    cert = smoothness(curve)
     assert cert.verdict == "SMOOTH"
     deg, want, ok = discriminant_check(curve)
     assert ok and deg == want == 2 * genus(cls) + 2 * cls.k - 2
@@ -170,11 +170,11 @@ def test_chart_content_keeps_verdicts_and_its_own_resultants(monkeypatch):
     # meets the residual at y = 0, the origin of chart t_y.
     curve = _forms_curve(HirzebruchClass(m=0, k=2, delta=2), [[0, 1, 2], [0, 0, 3], [0, 0, 5]], P)
     calls = _spy_resultants(monkeypatch)
-    cert = smoothness(curve, random.Random(1))
+    cert = smoothness(curve)
     assert (cert.verdict, cert.chart, cert.witness) == ("SINGULAR", "t_y", {"u": 0, "v": 0, "ext": 1})
     h = [[1, 2], [0, 3], [0, 5]]
     assert calls == [(h, [[0, 3], [0, 10]]), (h, [[2], [3], [5]])]
-    assert cert == four_charts(curve, random.Random(1))
+    assert cert == four_charts(curve)
     raw = [form.dehomogenize_s() for form in curve.P]
     assert resultant_v(*calls[0], P) != resultant_v(raw, [pscale(raw[j], j, P) for j in (1, 2)], P)
     # disc = P_1^2 - 4 P_0 P_2 = t^3 ((9 - 40) t - 20 s): four roots
@@ -182,7 +182,7 @@ def test_chart_content_keeps_verdicts_and_its_own_resultants(monkeypatch):
     # t (s + t) y + t s x: the residual 1 + u + v has fiber degree 1 over
     # the content root u = 0 and meets the fiber there at v = -1
     curve = _forms_curve(HirzebruchClass(m=0, k=1, delta=2), [[0, 1, 1], [0, 1, 0]], P)
-    cert = smoothness(curve, random.Random(1))
+    cert = smoothness(curve)
     assert (cert.verdict, cert.chart, cert.witness) == ("SINGULAR", "t_x", {"u": 0, "v": P - 1, "ext": 1})
 
 
@@ -195,13 +195,16 @@ def test_prime_below_a_resultant_bound_raises_only_where_read(monkeypatch):
         HirzebruchClass(m=0, k=2, delta=4), [[0, 0, 1, 1, 1], [0, 0, 2, 1, 3], [0, 0, 1, 3, 1]], p
     )
     calls = _spy_resultants(monkeypatch)
-    cert = smoothness(curve, random.Random(1))
+    cert = smoothness(curve)
     assert (cert.verdict, cert.chart, cert.witness) == ("SINGULAR", "t_x", {"u": 0, "v": 0, "ext": 1})
     assert calls == []
     with pytest.raises(PrimeTooSmallError, match="degree up to 6 needs p > 6"):
-        _analyze_chart(chart_polys(curve)["s_x"], p, random.Random(1))
+        _analyze_chart(chart_polys(curve)["s_x"], p)
     with pytest.raises(PrimeTooSmallError, match="degree up to 12 needs p > 12"):
         discriminant_check(curve)
+    # p <= k is refused before any chart is read
+    with pytest.raises(PrimeTooSmallError, match="smoothness needs p > k = 2"):
+        smoothness(_forms_curve(HirzebruchClass(m=0, k=2, delta=0), [[1], [0], [1]], 2))
 
 
 def test_smooth_where_a_chart_the_one_path_never_reads_raises():
@@ -209,11 +212,46 @@ def test_smooth_where_a_chart_the_one_path_never_reads_raises():
     # chart t_x polynomial has base degree 3, so its resultants stay below
     # p = 11, while chart s_x's has base degree 4 and a resultant of degree
     # bound 14, so the four-chart analysis raises here.
-    rng = random.Random(1404279109)
-    curve = phi(sample_pair(degree_grid((0, 1), (1, 2), 1), "FULL", 11, rng))
-    assert smoothness(curve, rng).verdict == "SMOOTH"
+    curve = phi(sample_pair(degree_grid((0, 1), (1, 2), 1), "FULL", 11, random.Random(1404279109)))
+    assert smoothness(curve).verdict == "SMOOTH"
     with pytest.raises(PrimeTooSmallError, match="degree up to 14 needs p > 14"):
-        four_charts(curve, random.Random(1))
+        four_charts(curve)
+
+
+def test_smooth_curve_whose_interpolated_discriminant_needs_a_larger_prime():
+    # a SMOOTH example of the discriminant-degree test below: chart s_x's
+    # P_i(s, 1) have degrees 3, 2, 1, 0, so Res_x(f, f_x) has degree at
+    # most 2*3 + 3*2 - 2*3 = 6, but `resultant_v` bounds it by 12 >= p
+    curve = _forms_curve(HirzebruchClass(m=1, k=3, delta=0), [[4, 5, 4, 0], [4, 0, 6], [10, 5], [3]], 11)
+    assert smoothness(curve).verdict == "SMOOTH"
+    with pytest.raises(PrimeTooSmallError, match="degree up to 12 needs p > 12"):
+        discriminant_check(curve)
+    want = 2 * genus(curve.cls) + 2 * 3 - 2
+    assert discriminant_check(curve, resultant=sympy_resultant_v) == (want, want, True) == (6, 6, True)
+
+
+def test_section_component_meets_the_rest_over_f_p2():
+    # (x - y)(s^2 x + t^2 y) = s^2 x^2 + (t^2 - s^2) x y - t^2 y^2: in chart
+    # t_x, h = (v - 1)(v + u^2) and h_u = 2u (v - 1) share the section
+    # v = 1, so Res_v(h, h_u) vanishes identically.  The section meets
+    # v + u^2 where u^2 = -1, which has no root in F_p at p = 3 mod 4.
+    assert P % 4 == 3
+    curve = _forms_curve(HirzebruchClass(m=0, k=2, delta=2), [[0, 0, P - 1], [P - 1, 0, 1], [1, 0, 0]], P)
+    cert = smoothness(curve)
+    assert (cert.verdict, cert.chart, cert.witness["v"], cert.witness["ext"]) == ("SINGULAR", "t_x", 1, 2)
+    F = QuotientField([-quadratic_nonresidue(P) % P, 0, 1], P)
+    u = tuple(cert.witness["u"])
+    assert F.mul(u, u) == (P - 1, 0)
+    assert all(F.is_zero(x) for x in _chart_values_at(chart_polys(curve)["t_x"], u, (1, 0), F))
+
+
+def test_double_component_witness_is_the_first_fiber_that_keeps_it():
+    # (t x - s y)^2: in chart t_x, h = (u v - 1)^2 and Res_v(h, h_v)
+    # vanishes identically.  Over u = 0 the component's leading coefficient
+    # in v, u, vanishes and h restricts to 1; u = 1 keeps it, at v = 1.
+    curve = _forms_curve(HirzebruchClass(m=0, k=2, delta=2), [[1, 0, 0], [0, P - 2, 0], [0, 0, 1]], P)
+    cert = smoothness(curve)
+    assert (cert.verdict, cert.chart, cert.witness) == ("SINGULAR", "t_x", {"u": 1, "v": 1, "ext": 1})
 
 
 # One singular point planted on each piece of the complement of chart t_x
@@ -248,13 +286,13 @@ def test_boundary_plant_is_singular_although_chart_t_x_is_clean(piece):
     curve = _forms_curve(HirzebruchClass(m=1, k=2, delta=2), coeffs, P)
     polys = chart_polys(curve)
     # the point lies off chart t_x, so only a boundary test can see it
-    assert _analyze_chart(polys["t_x"], P, random.Random(1))[0] == "clean"
-    cert = smoothness(curve, random.Random(1))
+    assert _analyze_chart(polys["t_x"], P)[0] == "clean"
+    cert = smoothness(curve)
     assert (cert.verdict, cert.chart, cert.witness) == ("SINGULAR", chart, witness)
     F = QuotientField([-quadratic_nonresidue(P) % P, 0, 1], P)
     point = ((witness["u"], 0), (witness["v"], 0))
     assert all(F.is_zero(x) for x in _chart_values_at(polys[chart], *point, F))
-    want = four_charts(curve, random.Random(1))
+    want = four_charts(curve)
     assert (want.verdict, want.chart) == ("SINGULAR", chart)
 
 
@@ -286,7 +324,7 @@ def test_planted_rank_drop_point_is_singular():
             t0, x0 = rng.randrange(P), rng.randrange(P)
             pair = _plant_rank_drop(sample_pair(grid, "FULL", P, rng), t0, x0, rng)
             assert pair_rank_at_point(pair, {"st": (1, t0), "xy": ((x0, 0), 1)}) == pair.k - 2
-            cert = smoothness(phi(pair), rng)
+            cert = smoothness(phi(pair))
             assert cert.verdict == "SINGULAR", (e, f, cert)
 
 
@@ -391,52 +429,52 @@ def _small_curves(draw, primes=(11, 13, 101, 10007)):
         f[i] += 1
     p = draw(st.sampled_from(primes))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    pair = sample_pair(degree_grid(e, sorted(f), m), draw(st.sampled_from(["FULL", "SUT"])), p, rng)
-    return pair, rng
+    return sample_pair(degree_grid(e, sorted(f), m), draw(st.sampled_from(["FULL", "SUT"])), p, rng)
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(_small_curves())
-def test_smooth_certificate_implies_the_discriminant_degree(case):
+def test_smooth_certificate_implies_the_discriminant_degree(pair):
     # what `hbn sample` reports without computing it: a curve certified
     # SMOOTH with P_k != 0 has a discriminant of degree exactly 2g + 2k - 2
-    pair, rng = case
     try:
         curve = phi(pair)
-        cert = smoothness(curve, rng)
+        cert = smoothness(curve)
     except (DegenerateCurveError, PrimeTooSmallError):
         return
     if cert.verdict == "SMOOTH" and not curve.P[pair.k].is_zero():
         want = 2 * genus(curve.cls) + 2 * pair.k - 2
-        assert discriminant_check(curve) == (want, want, True)
+        try:
+            got = discriminant_check(curve)
+        except PrimeTooSmallError:
+            # the oracle also reads chart s_x, which `smoothness` never
+            # does; where its interpolation bound reaches p, sympy's exact
+            # resultant takes its place
+            got = discriminant_check(curve, resultant=sympy_resultant_v)
+        assert got == (want, want, True)
 
 
-def _outcome(certify, curve, rng):
+def _outcome(certify, curve):
     try:
-        return certify(curve, rng)
+        return certify(curve)
     except Exception as exc:
         return type(exc), str(exc)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_small_curves(primes=(11, 13, 31, 37, 101)))
-def test_smoothness_agrees_with_the_four_chart_path(case):
-    # one chart plus the boundary never contradicts the four charts: SMOOTH
-    # never meets SINGULAR, two decided certificates name the same chart
-    # and point, and a raise is the four-chart raise.  The four charts may
-    # raise on a chart the one path never reads, and either path may be
-    # UNKNOWN (a bounded point search) where the other decides.
-    pair, rng = case
+def test_smoothness_agrees_with_the_four_chart_path(pair):
+    # one chart plus the boundary never contradicts the four charts: both
+    # name the same verdict, chart and point, and a raise is the four-chart
+    # raise.  The four charts may raise on a chart the one path never reads.
     try:
         curve = phi(pair)
     except (DegenerateCurveError, PrimeTooSmallError):
         return
-    rng4 = random.Random()
-    rng4.setstate(rng.getstate())
-    got, want = _outcome(smoothness, curve, rng), _outcome(four_charts, curve, rng4)
+    got, want = _outcome(smoothness, curve), _outcome(four_charts, curve)
     if isinstance(got, tuple):
         assert got == want
-    elif not isinstance(want, tuple) and UNKNOWN not in (got.verdict, want.verdict):
+    elif not isinstance(want, tuple):
         assert (got.verdict, got.chart, got.witness) == (want.verdict, want.chart, want.witness)
 
 
@@ -462,13 +500,12 @@ def _chart_values_at(fv, u, v, F):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_small_curves())
-def test_concrete_singular_witness_is_a_singular_point(case):
+def test_concrete_singular_witness_is_a_singular_point(pair):
     # every witness with F_p or F_p^2 coordinates zeroes the chart
     # polynomial and both its partials
-    pair, rng = case
     try:
         curve = phi(pair)
-        cert = smoothness(curve, rng)
+        cert = smoothness(curve)
     except (DegenerateCurveError, PrimeTooSmallError):
         return
     wit = cert.witness

@@ -115,9 +115,9 @@ def test_pgcd_divides_both(f, g):
     assert d[-1] == 1
 
 
-def _roots(f, rng):
+def _roots(f):
     """Distinct F_p roots of f, from its linear irreducible factors."""
-    return sorted(-q[0] % P for q, _ in irreducible_factors(f, P, rng) if pdeg(q) == 1)
+    return sorted(-q[0] % P for q, _ in irreducible_factors(f, P) if pdeg(q) == 1)
 
 
 def test_roots_of_split_polynomial():
@@ -126,23 +126,21 @@ def test_roots_of_split_polynomial():
     f = [1]
     for a in pts:
         f = pmul(f, [(-a) % P, 1], P)
-    assert _roots(f, rng) == sorted(pts)
+    assert _roots(f) == sorted(pts)
     for a in pts:
         assert peval(f, a, P) == 0
 
 
 def test_roots_with_multiplicity_and_irreducible_part():
-    rng = random.Random(7)
     # (x - 2)^2 * (x^2 - nr) has the double root once in the root list
     nr = quadratic_nonresidue(P)
     f = pmul(pmul([P - 2, 1], [P - 2, 1], P), [(-nr) % P, 0, 1], P)
-    assert _roots(f, rng) == [2]
+    assert _roots(f) == [2]
 
 
 def test_irreducible_factors_reconstruct():
-    rng = random.Random(11)
     f = [3, 1, 4, 1, 5, 9, 2, 6]
-    fac = irreducible_factors(f, P, rng)
+    fac = irreducible_factors(f, P)
     prod = [1]
     for g, mult in fac:
         assert g[-1] == 1

@@ -10,7 +10,7 @@ import random
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import DualForm
+from oracles import DualForm, sympy_resultant_v
 
 from hbn.exact.field import DEFAULT_PRIME
 from hbn.exact.forms import BinaryForm
@@ -88,7 +88,7 @@ def test_resultant_univariate_matches_sylvester_and_sympy():
         if len(f) < 2 or len(g) < 2:
             continue
         r = batch_det_mod(sylvester(f, g)[None], P)[0]
-        want = _sympy_res_v([[c] for c in f], [[c] for c in g], P)
+        want = sympy_resultant_v([[c] for c in f], [[c] for c in g], P)
         assert r == (want[0] if want else 0)
         syl = sylvester(f, g)
         assert syl.shape == (len(f) + len(g) - 2, len(f) + len(g) - 2)
@@ -120,27 +120,6 @@ def test_resultant_v_linear_case():
     diff = ptrim([(x - y) % P for x, y in zip(a + [0] * 4, b + [0] * 4)])
     neg = ptrim([(-c) % P for c in diff])
     assert r in (diff, neg)
-
-
-def _sympy_res_v(f, g, p):
-    """sympy.resultant in v of coefficient lists over Z[u], reduced mod p.
-
-    The leading v-coefficients here are nonzero polynomials, so sympy's
-    degrees are the declared ones.  sympy (1.14) drops the sign
-    (-1)^(deg f * deg g) when deg f < deg g, e.g. it gives -1 for
-    Res(v + 1, v^3 + 2) = 1, so the larger degree goes first and the
-    sign is restored by hand.
-    """
-    u, v = sympy.symbols("u v")
-    fs = sum(sum(c * u**i for i, c in enumerate(cf)) * v**j for j, cf in enumerate(f))
-    gs = sum(sum(c * u**i for i, c in enumerate(cg)) * v**j for j, cg in enumerate(g))
-    n, m = len(f) - 1, len(g) - 1
-    if n >= m:
-        res = sympy.resultant(fs, gs, v)
-    else:
-        res = (-1) ** (n * m) * sympy.resultant(gs, fs, v)
-    res = sympy.Poly(res, u)
-    return ptrim([int(c) % p for c in res.all_coeffs()[::-1]])
 
 
 def test_resultant_v_matches_sympy_on_bivariate_pair():
@@ -176,11 +155,11 @@ def test_resultant_v_matches_sympy_on_random_inputs(dv_f, dv_g, du, seed):
 
     f = rand_coeffs(dv_f, r.random() < 0.5)
     g = rand_coeffs(dv_g, r.random() < 0.5)
-    assert ptrim(resultant_v(f, g, P)) == _sympy_res_v(f, g, P)
+    assert ptrim(resultant_v(f, g, P)) == sympy_resultant_v(f, g, P)
     # v-degree 0 on one side: Res(f, c(u)) = c(u)^deg f
     c = [r.randrange(P) for _ in range(du)] + [r.randrange(1, P)]
-    assert ptrim(resultant_v(f, [c], P)) == _sympy_res_v(f, [c], P)
-    assert ptrim(resultant_v([c], g, P)) == _sympy_res_v([c], g, P)
+    assert ptrim(resultant_v(f, [c], P)) == sympy_resultant_v(f, [c], P)
+    assert ptrim(resultant_v([c], g, P)) == sympy_resultant_v([c], g, P)
 
 
 @settings(max_examples=30, deadline=None)
@@ -212,5 +191,5 @@ def test_resultant_v_matches_sympy_on_mixed_shapes(p, seed):
     pairs += [r.choice(pairs), ([c + [0] for c in f], g), ([[]] + f, g)]
     r.shuffle(pairs)
     got = [resultant_v(f, g, p) for f, g in pairs]
-    assert [ptrim(x) for x in got] == [_sympy_res_v(f, g, p) for f, g in pairs]
+    assert [ptrim(x) for x in got] == [sympy_resultant_v(f, g, p) for f, g in pairs]
     assert resultant_v([[3, 1]], [[2]], p) == [1]
