@@ -97,10 +97,6 @@ def canonical_divisor(m: int) -> SurfaceDivisor:
     return SurfaceDivisor(-2, m - 2)
 
 
-def directrix(m: int) -> SurfaceDivisor:
-    return SurfaceDivisor(1, -m)
-
-
 def intersection(d1: SurfaceDivisor, d2: SurfaceDivisor, m: int) -> int:
     # H.H = m, H.F = 1, F.F = 0
     return d1.a * d2.a * m + d1.a * d2.b + d1.b * d2.a
@@ -121,16 +117,6 @@ def h1_surface(d: SurfaceDivisor, m: int) -> int:
     # H-coefficient here
     kd = canonical_divisor(m).sub(d)
     return sum(max(0, -(kd.b + i * m) - 1) for i in range(kd.a + 1))
-
-
-def h2_surface(d: SurfaceDivisor, m: int) -> int:
-    return h0_surface(canonical_divisor(m).sub(d), m)
-
-
-def chi_surface(d: SurfaceDivisor, m: int) -> int:
-    """Euler characteristic by surface Riemann-Roch."""
-    k = canonical_divisor(m)
-    return 1 + (intersection(d, d, m) - intersection(d, k, m)) // 2
 
 
 def connectedness(cls: HirzebruchClass) -> int:
@@ -419,27 +405,22 @@ def smoothness(curve: BinaryFormCurve) -> SmoothnessCertificate:
 # ---------------------------------------------------------------------------
 
 
-def h0_profile_splitting(
-    cls: HirzebruchClass,
-    divisor: SurfaceDivisor,
-    window: Optional[tuple[int, int]] = None,
-) -> Union[SplittingType, str]:
+def h0_profile_splitting(cls: HirzebruchClass, divisor: SurfaceDivisor) -> Union[SplittingType, str]:
     """Splitting type of the pushforward of O_C(divisor) along the ruling.
 
     Section counts h(n) = h0(C, O(divisor + nF)) are computed from the
     surface via the restriction sequence whenever h1 of the ambient twist
     vanishes; when the twist has negative degree on C the count is 0
     outright (the class is connected).  First differences recover
-    #{i: d_i >= -n}, whose jumps give the degree multiset.  Returns
-    UNKNOWN when validity fails somewhere needed or the window does not
-    saturate.
+    #{i: d_i >= -n}, whose jumps give the degree multiset.  The twists
+    run over n in [-reach, reach], a reach computed from the class and
+    the divisor.  Returns UNKNOWN when validity fails somewhere needed or
+    the jumps do not saturate inside that window.
     """
     m, k, delta = cls.m, cls.k, cls.delta
     C = SurfaceDivisor(k, delta)
-    if window is None:
-        reach = (k - 1) * m + delta + (abs(divisor.a) + 1) * (m + 2) + abs(divisor.b) + k + 3
-        window = (-reach, reach)
-    lo, hi = window
+    reach = (k - 1) * m + delta + (abs(divisor.a) + 1) * (m + 2) + abs(divisor.b) + k + 3
+    lo, hi = -reach, reach
     deg_on_c = intersection(divisor, C, m)
     connected = connectedness(cls) == 1
 

@@ -39,10 +39,10 @@ import numpy as np
 from hbn.exact.field import PrimeTooSmallError
 from hbn.exact.forms import BinaryForm
 from hbn.exact.linalg import batch_det_mod
-from hbn.exact.poly import _eval_at_nodes, interp_nodes
+from hbn.exact.poly import _eval_at_nodes, interp_nodes, pmul
 from hbn.splitting import HirzebruchClass
 
-PATTERNS = ("FULL", "SUT", "IS_POINT")
+PATTERNS = ("FULL", "SUT")
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,6 @@ class DegreeGrid:
     b: tuple[tuple[int, ...], ...]
     m: int
     delta: int
-    e: Optional[tuple[int, ...]] = None
-    f: Optional[tuple[int, ...]] = None
 
     @property
     def k(self) -> int:
@@ -69,7 +67,7 @@ def degree_grid(e, f, m: int) -> DegreeGrid:
         raise ValueError("types must have equal length")
     a = tuple(tuple(f[i] - e[k - 1 - j] for j in range(k)) for i in range(k))
     b = tuple(tuple(a[i][j] + m for j in range(k)) for i in range(k))
-    return DegreeGrid(a=a, b=b, m=m, delta=sum(f) - sum(e), e=e, f=f)
+    return DegreeGrid(a=a, b=b, m=m, delta=sum(f) - sum(e))
 
 
 def pattern_allows(pattern: str, k: int, mat: str, i: int, j: int) -> bool:
@@ -133,9 +131,7 @@ def entry_form(pair: MatrixPair, mat: int, i: int, j: int) -> BinaryForm:
 def sample_pair(grid: DegreeGrid, pattern: str, p: int, rng: random.Random) -> MatrixPair:
     """Pair in the open locus of the pattern: allowed entries are random
     nonzero forms of the grid degree, forced entries stay zero.  Entry
-    (i, j) of A is drawn before that of B."""
-    if pattern == "IS_POINT":
-        return sample_is_point(grid, p, rng)[0]
+    (i, j) of A is drawn before that of B.  The pattern is FULL or SUT."""
     if pattern not in PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}")
     k = grid.k
@@ -149,18 +145,12 @@ def sample_pair(grid: DegreeGrid, pattern: str, p: int, rng: random.Random) -> M
     return MatrixPair(coeffs, grid, pattern, p)
 
 
-def split_form(degree: int, roots: list[int], p: int) -> list[int]:
+def split_form(roots: list[int], p: int) -> list[int]:
     """Coefficients (index = power of t) of the monic product of
     (t - root * s) over the given roots."""
-    if degree != len(roots):
-        raise ValueError("need exactly degree many roots")
     coeffs = [1]
     for r in roots:
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] = (nxt[i + 1] + c) % p
-            nxt[i] = (nxt[i] - r * c) % p
-        coeffs = nxt
+        coeffs = pmul(coeffs, [-r % p, 1], p)
     return coeffs
 
 
@@ -211,10 +201,10 @@ def sample_is_point(
     for i in range(2, k):
         d = f_degrees[i]
         F_roots[i] = pool[pos : pos + d]
-        coeffs[1, k - i - 1, i - 1, : d + 1] = split_form(d, F_roots[i], p)
+        coeffs[1, k - i - 1, i - 1, : d + 1] = split_form(F_roots[i], p)
         pos += d
     G_roots = pool[pos : pos + g_degree]
-    coeffs[0, k - 1, 0, : g_degree + 1] = split_form(g_degree, G_roots, p)
+    coeffs[0, k - 1, 0, : g_degree + 1] = split_form(G_roots, p)
 
     def draw(mat, i, j):  # 1-based; an entry of negative degree stays zero
         d = (grid.a, grid.b)[mat][i - 1][j - 1]
@@ -372,29 +362,6 @@ def reducibility_witness(pair: MatrixPair) -> bool:
     # det M = (-1)^(i0 * (k - i0)) * det(top-right) * det(bottom-left)
     sign = -1 if (i0 * (k - i0)) % 2 else 1
     return bool(np.array_equal(dets, sign * top * bottom % p))
-
-
-def p1_pk_closed_form(pair: MatrixPair) -> tuple[BinaryForm, BinaryForm]:
-    """Closed forms of the x*y^(k-1) and x^k coefficients on the SUT locus.
-
-    P_1 = sign * B_{1,k-1} ... B_{k-1,1} * A_{k,k} where the sign is the
-    parity of the reversal on k-1 letters; P_k carries the reversal sign
-    on k letters times the anti-diagonal product of A.
-    """
-    if pair.pattern not in ("SUT", "IS_POINT"):
-        raise ValueError("closed form requires the strictly-upper pattern")
-    k = pair.k
-    p = pair.p
-    sign1 = -1 if ((k - 1) * (k - 2) // 2) % 2 else 1
-    p1 = BinaryForm.constant(sign1, p)
-    for i in range(1, k):
-        p1 = p1.mul(entry_form(pair, 1, i - 1, k - i - 1))
-    p1 = p1.mul(entry_form(pair, 0, k - 1, k - 1))
-    sign_k = -1 if (k * (k - 1) // 2) % 2 else 1
-    pk = BinaryForm.constant(sign_k, p)
-    for i in range(1, k + 1):
-        pk = pk.mul(entry_form(pair, 0, i - 1, k - i))
-    return p1, pk
 
 
 def pair_to_json_dict(pair: MatrixPair) -> dict:

@@ -74,21 +74,7 @@ SELECTORS = ("FULL_PRIME", "T_PRIME", "T_DOUBLE_PRIME", "T_CORNER", "T_INDUCTIVE
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TangentBasis:
-    """Ordered coordinates (matrix, row, col, t-power) of a tangent subspace.
-
-    One coordinate per monomial of each admitted entry, so the cardinality
-    is the sum of (degree + 1) over admitted entries.
-    """
-
-    coords: tuple[tuple[str, int, int, int], ...]
-    selector: str
-    pattern: str
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.coords)
+Coord = tuple[str, int, int, int]  # (matrix, row, col, t-power)
 
 
 def _selector_admits(selector: str, k: int, mat: str, i: int, j: int) -> bool:
@@ -113,11 +99,15 @@ def _selector_admits(selector: str, k: int, mat: str, i: int, j: int) -> bool:
     raise ValueError(f"unknown selector {selector!r}")
 
 
-def tangent_basis(grid: DegreeGrid, selector: str, pattern: str | None = None) -> TangentBasis:
-    """Coordinates of a tangent subspace over an ambient entry pattern.
+def tangent_basis(
+    grid: DegreeGrid, selector: str, pattern: str | None = None
+) -> tuple[Coord, ...]:
+    """Ordered coordinates of a tangent subspace over an ambient entry pattern.
 
-    The ambient defaults to FULL for FULL_PRIME and SUT otherwise; the
-    triangular selectors only make sense over SUT.
+    One coordinate per monomial of each admitted entry, so there are
+    sum(degree + 1) over the admitted entries.  The ambient defaults to
+    FULL for FULL_PRIME and SUT otherwise; the triangular selectors only
+    make sense over SUT.
     """
     if selector not in SELECTORS:
         raise ValueError(f"unknown selector {selector!r}")
@@ -140,7 +130,7 @@ def tangent_basis(grid: DegreeGrid, selector: str, pattern: str | None = None) -
                 if not _selector_admits(selector, k, mat, i, j):
                     continue
                 coords.extend((mat, i, j, jj) for jj in range(d + 1))
-    return TangentBasis(coords=tuple(coords), selector=selector, pattern=pattern)
+    return tuple(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +140,10 @@ def tangent_basis(grid: DegreeGrid, selector: str, pattern: str | None = None) -
 
 @dataclass(frozen=True, eq=False)
 class DifferentialMatrix:
-    """Matrix of the differential from a tangent basis to P-coefficient blocks."""
+    """Matrix of the differential from tangent coordinates to P-coefficient blocks."""
 
     entries: np.ndarray
-    basis: TangentBasis
+    coords: tuple[Coord, ...]
     blocks: tuple[int, ...]
     sizes: tuple[int, ...]
     p: int
@@ -233,12 +223,12 @@ def dphi_matrix(pair: MatrixPair, selector: str, include_p0: bool = False) -> Di
     entries[row, col] = coef[r, c, xpow, row_local - j], 0 out of range.
     """
     grid = pair.grid
-    basis = tangent_basis(grid, selector, pattern=pair.pattern)
+    coords = tangent_basis(grid, selector, pattern=pair.pattern)
     blocks, sizes = _block_layout(grid, include_p0)
     coef = cofactor_forms(pair)
     k, tlen = coef.shape[2], coef.shape[3]
     cols = np.array(
-        [(mat == "A", r, c, jj) for mat, r, c, jj in basis.coords], dtype=np.intp
+        [(mat == "A", r, c, jj) for mat, r, c, jj in coords], dtype=np.intp
     ).reshape(-1, 4)
     is_a, r, c, jj = cols.T
     row_block = np.repeat(blocks, sizes)[:, None]
@@ -248,7 +238,7 @@ def dphi_matrix(pair: MatrixPair, selector: str, include_p0: bool = False) -> Di
     inside = (xpow >= 0) & (xpow < k) & (tpow >= 0) & (tpow < tlen)
     gathered = coef[r, c, np.clip(xpow, 0, k - 1), np.clip(tpow, 0, tlen - 1)]
     mat = np.where(inside, gathered, 0)
-    return DifferentialMatrix(entries=mat, basis=basis, blocks=blocks, sizes=sizes, p=pair.p)
+    return DifferentialMatrix(entries=mat, coords=coords, blocks=blocks, sizes=sizes, p=pair.p)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +279,7 @@ def dominance_rank(
         used += 1
         pair = sample_pair(grid, "FULL", p, rng)
         M = dphi_matrix(pair, "FULL_PRIME", include_p0=True)
-        source = M.basis.cardinality  # the same basis on every trial
+        source = len(M.coords)  # the same coordinates on every trial
         max_rank = max(max_rank, M.rank())
         if max_rank == target:
             break
@@ -378,15 +368,10 @@ def lemma_sq_check(pair: MatrixPair) -> bool:
     return matrix_rank(outer, pair.p) == want
 
 
-def lemma_main_containment(pair: MatrixPair) -> bool:
-    """Image of the T_PRIME restriction always lands in the subspace where
-    the super-anti-diagonal product divides P_1 and P_k vanishes."""
-    _require_triangular(pair)
-    return _main_containment(pair, dphi_matrix(pair, "T_PRIME"))
-
-
-def _main_containment(pair: MatrixPair, M: DifferentialMatrix) -> bool:
-    """lemma_main_containment on the pair's T_PRIME differential M."""
+def lemma_main_containment(pair: MatrixPair, M: DifferentialMatrix) -> bool:
+    """Whether every column of M, the pair's T_PRIME differential, lands in
+    the subspace where the super-anti-diagonal product divides P_1 and P_k
+    vanishes."""
     grid = pair.grid
     k = grid.k
     p = pair.p
@@ -417,7 +402,7 @@ def lemma_main_check(pair: MatrixPair) -> bool:
     grid = pair.grid
     k = grid.k
     M = dphi_matrix(pair, "T_PRIME")
-    if not _main_containment(pair, M):
+    if not lemma_main_containment(pair, M):
         return False
     dim_w = grid.a[k - 1][k - 1] + 1
     dim_w += sum(grid.delta + (k - i) * grid.m + 1 for i in range(2, k))
@@ -471,20 +456,3 @@ def _eval_row(M: DifferentialMatrix, block: int, t0: int, p: int) -> np.ndarray:
     sub = M.block_rows(block) % p
     weights = np.array([pow(t0, idx, p) for idx in range(sub.shape[0])], dtype=np.int64)
     return (sub * weights[:, None] % p).sum(axis=0) % p
-
-
-# ---------------------------------------------------------------------------
-# degeneration family for the flat-limit step
-# ---------------------------------------------------------------------------
-
-
-def bottom_row_scale(pair: MatrixPair, h: int) -> MatrixPair:
-    """Scale the bottom-row A entries outside the first column by h.
-
-    At h = 1 this is the pair itself; at h = 0 the bottom row degenerates
-    and the inductive-subspace image drops, which is what the rank
-    semicontinuity harness measures.
-    """
-    coeffs = pair.coeffs.copy()
-    coeffs[0, pair.k - 1, 1:] = coeffs[0, pair.k - 1, 1:] * (h % pair.p) % pair.p
-    return MatrixPair(coeffs, pair.grid, pair.pattern, pair.p)

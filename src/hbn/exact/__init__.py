@@ -1,5 +1,7 @@
 """Exact arithmetic kernels: prime fields, polynomials, forms, linear algebra.
 
-Everything in this subpackage is deterministic and allocation-light; all
-randomness is injected through explicit ``random.Random`` instances.
+Everything in this subpackage is deterministic and allocation-light.
+Randomness is injected through explicit ``random.Random`` instances, with
+one exception: ``poly.irreducible_factors`` seeds its own ``Random(0)``
+for the equal-degree splits, and its sorted result does not depend on it.
 """

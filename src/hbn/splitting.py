@@ -79,21 +79,6 @@ def nu(e, f, m: int) -> int:
     return total
 
 
-def dominates(e_lo, e_hi) -> bool:
-    """Partial order: every partial sum of e_lo is <= that of e_hi, with
-    equal totals.  True means e_lo can specialize to e_hi's locus closure."""
-    e_lo, e_hi = tuple(e_lo), tuple(e_hi)
-    if len(e_lo) != len(e_hi):
-        raise ValueError("types must have equal length")
-    s_lo = s_hi = 0
-    for a, b in zip(e_lo, e_hi):
-        s_lo += a
-        s_hi += b
-        if s_lo > s_hi:
-            return False
-    return s_lo == s_hi
-
-
 def structure_sheaf_type(cls: HirzebruchClass) -> SplittingType:
     """Type of the pushforward of the structure sheaf: (-(k-1)m-d, ..., -m-d, 0)."""
     m, k, d = cls.m, cls.k, cls.delta
@@ -177,14 +162,6 @@ def witness_f(e, cls: HirzebruchClass) -> Union[SplittingType, str]:
     f = tuple(sorted(f))
     assert all(check_conditions(e, f, cls)), (e, f, cls)
     return f
-
-
-def rho_classical(g: int, r: int, d: int) -> int:
-    return g - (r + 1) * (g - d + r)
-
-
-def rho_prime(g: int, e) -> int:
-    return g - u(e)
 
 
 # ---------------------------------------------------------------------------

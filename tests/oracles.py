@@ -22,6 +22,13 @@ one chart plus three boundary gcds.  It shares `_analyze_chart` with
 src/ (its multiple-component scan and its transposed pass included), so
 it checks the boundary reduction, not the chart analysis.  Like
 `smoothness` it draws nothing random and answers SMOOTH or SINGULAR.
+
+Closed forms.  `p1_pk_closed_form` writes the outer coefficients P_1
+and P_k of det(Ax + By) on the SUT locus as signed products of entries,
+`chi_surface` is surface Riemann-Roch, `h2_surface` is Serre duality
+and `directrix` is the class of the negative section.  The tests hold
+`phi`, `h0_surface`, `h1_surface` and `intersection` to these formulas;
+nothing in hbn calls them.
 """
 
 import random
@@ -34,10 +41,14 @@ import sympy
 
 from hbn.curves import (
     SmoothnessCertificate,
+    SurfaceDivisor,
     _analyze_chart,
     _deriv_v,
     _vtrim,
+    canonical_divisor,
     chart_polys,
+    h0_surface,
+    intersection,
 )
 from hbn.determinantal import (
     BinaryFormCurve,
@@ -479,3 +490,40 @@ def fp2_matrix_rank(re, im, p: int, nr: int) -> int:
     r = matrix_rank(big, p)
     assert r % 2 == 0
     return r // 2
+
+
+def p1_pk_closed_form(pair: MatrixPair) -> tuple[BinaryForm, BinaryForm]:
+    """Closed forms of the x*y^(k-1) and x^k coefficients on the SUT locus.
+
+    P_1 = sign * B_{1,k-1} ... B_{k-1,1} * A_{k,k} where the sign is the
+    parity of the reversal on k-1 letters; P_k carries the reversal sign
+    on k letters times the anti-diagonal product of A.
+    """
+    if pair.pattern not in ("SUT", "IS_POINT"):
+        raise ValueError("closed form requires the strictly-upper pattern")
+    k = pair.k
+    p = pair.p
+    sign1 = -1 if ((k - 1) * (k - 2) // 2) % 2 else 1
+    p1 = BinaryForm.constant(sign1, p)
+    for i in range(1, k):
+        p1 = p1.mul(entry_form(pair, 1, i - 1, k - i - 1))
+    p1 = p1.mul(entry_form(pair, 0, k - 1, k - 1))
+    sign_k = -1 if (k * (k - 1) // 2) % 2 else 1
+    pk = BinaryForm.constant(sign_k, p)
+    for i in range(1, k + 1):
+        pk = pk.mul(entry_form(pair, 0, i - 1, k - i))
+    return p1, pk
+
+
+def directrix(m: int) -> SurfaceDivisor:
+    return SurfaceDivisor(1, -m)
+
+
+def h2_surface(d: SurfaceDivisor, m: int) -> int:
+    return h0_surface(canonical_divisor(m).sub(d), m)
+
+
+def chi_surface(d: SurfaceDivisor, m: int) -> int:
+    """Euler characteristic by surface Riemann-Roch."""
+    k = canonical_divisor(m)
+    return 1 + (intersection(d, d, m) - intersection(d, k, m)) // 2

@@ -12,10 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    chi_surface,
     cokernel_rank_check,
     curve_points,
+    directrix,
     discriminant_check,
     four_charts,
+    h2_surface,
     pair_rank_at_point,
     point_on_curve,
     sympy_resultant_v,
@@ -27,12 +30,9 @@ from hbn.curves import (
     _analyze_chart,
     canonical_divisor,
     chart_polys,
-    chi_surface,
     connectedness,
-    directrix,
     h0_surface,
     h1_surface,
-    h2_surface,
     h0_profile_splitting,
     intersection,
     smoothness,

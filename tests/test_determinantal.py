@@ -6,6 +6,7 @@ the scalar matrix A(s,t) x + B(s,t) y.  That check is independent of the
 cofactor bookkeeping inside det_xy.
 """
 
+import hashlib
 import json
 import random
 
@@ -13,7 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import det_xy, phi_by_permutations, reducibility_witness_by_permutations, xy_mul
+from oracles import (
+    det_xy,
+    p1_pk_closed_form,
+    phi_by_permutations,
+    reducibility_witness_by_permutations,
+    xy_mul,
+)
 
 from hbn.determinantal import (
     DegenerateCurveError,
@@ -29,7 +36,6 @@ from hbn.determinantal import (
     pair_values,
     pattern_allows,
     phi,
-    p1_pk_closed_form,
     reducibility_witness,
     sample_pair,
     sample_is_point,
@@ -183,7 +189,7 @@ def test_reducibility_witness_factors_violating_samples():
 
 def test_split_form_roots():
     roots = [3, 7, 11, 2]
-    coeffs = split_form(4, roots, P)
+    coeffs = split_form(roots, P)
     form = BinaryForm(4, tuple(coeffs), P)
     assert form.degree == 4
     for r in roots:
@@ -202,6 +208,35 @@ def test_is_point_sample_structure():
         form = entry_form(pair, 1, 4 - i - 1, i - 1)
         for r in roots:
             assert form.eval(1, r) == 0
+
+
+@pytest.mark.parametrize(
+    "e, f, digest",
+    [
+        (
+            (-8, -4, -1),
+            (-7, -4, 0),
+            "05105b973dfd103036d76a8ad4e1efc2011e2abd715931dfacc9a8a1a80c91b6",
+        ),
+        (
+            (-8, -6, -3, -1),
+            (-7, -5, -3, 0),
+            "8c9d6628269e25ac86fe484df51818aa92bbcaff5d4f022f0484c3b7f854c0da",
+        ),
+    ],
+    ids=["k3", "k4"],
+)
+def test_is_point_draws_are_pinned(e, f, digest):
+    # no CLI digest covers these draws: `section5 --lemma is` prints only ok
+    pair, meta = sample_is_point(degree_grid(e, f, 3), P, random.Random(4))
+    doc = json.dumps([pair.coeffs.tolist(), meta])
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
+def test_sample_pair_rejects_is_point():
+    grid = degree_grid((-8, -4, -1), (-7, -4, 0), 3)
+    with pytest.raises(ValueError, match="unknown pattern"):
+        sample_pair(grid, "IS_POINT", P, random.Random(0))
 
 
 def test_xy_mul_is_pointwise_product():
@@ -241,7 +276,10 @@ def _desk_pairs(draw):
     patterns = ["FULL", "SUT"] + (["IS_POINT"] if is_point_obstruction(grid) is None else [])
     pattern = draw(st.sampled_from(patterns))
     p = draw(st.sampled_from([101, P]))
-    return sample_pair(grid, pattern, p, random.Random(draw(st.integers(0, 2**32))))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if pattern == "IS_POINT":
+        return sample_is_point(grid, p, rng)[0]
+    return sample_pair(grid, pattern, p, rng)
 
 
 def _padded(coeffs, width):

@@ -16,7 +16,6 @@ from hbn.splitting import (
     check_conditions,
     corollary_check,
     default_window,
-    dominates,
     enumerate_strata,
     genus,
     iter_companions,
@@ -26,8 +25,6 @@ from hbn.splitting import (
     odelta_type,
     plane_curve_dim,
     predicted_dim,
-    rho_classical,
-    rho_prime,
     stratum_report,
     structure_sheaf_type,
     u,
@@ -91,7 +88,6 @@ def test_structure_sheaf_and_odelta_types():
     # entries -(im + delta) for i = 1..k-1, plus the trivial summand
     assert sum(sst) == -sum(i * cls.m + cls.delta for i in range(1, cls.k))
     assert odelta_type(cls) == (-5, -4, -1, 0)
-    assert dominates(sst, sst)
 
 
 def test_conditions_trigonal_table():
@@ -184,17 +180,6 @@ def test_stratum_report_json_round_trip():
     cls = HirzebruchClass(m=3, k=3, delta=2)
     doc = stratum_report((-8, -4, -1), (-7, -4, 0), cls).to_json_dict()
     assert doc["dim"] == 0 and doc["u_e"] == 11 and doc["nu"] == 11
-
-
-def test_rho_relations():
-    # classical Brill-Noether number rho = g - (r+1)(g - d + r)
-    assert rho_classical(4, 1, 3) == 0
-    assert rho_classical(6, 1, 4) == 6 - 2 * (6 - 4 + 1)
-    # refined count never exceeds the classical one
-    e = (-4, -2, -1)
-    g = 11
-    assert rho_prime(g, e) <= rho_classical(g, 1, 0) or True
-    assert isinstance(rho_prime(g, e), int)
 
 
 @given(types4, st.integers(0, 3))
