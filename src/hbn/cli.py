@@ -19,10 +19,11 @@ Exit codes: 0 success, 2 empty or forced-reducible stratum or a usage error
 not weakly increasing, a --p that is not an odd prime, is above
 2^31 - 1, or is below a degree bound the computation needs, --trials or
 --retries below 1, --lemma is on a grid without the inductive point,
---general-cover with k < 2 or g < 0, an --out path whose directory is
-missing or not writable (refused before any work), and an HBN_SEED that
-is not an integer), 3 certification inconclusive (sampling retries
-exhausted, rank target not reached, or a lemma harness returning False).
+--general-cover with k < 2 or g < 0, --abundance with a --bound below 0,
+an --out path whose directory is missing or not writable (refused
+before any work), and an HBN_SEED that is not an integer), 3
+certification inconclusive (sampling retries exhausted, rank target not
+reached, or a lemma harness returning False).
 """
 
 from __future__ import annotations
@@ -331,7 +332,7 @@ def cmd_sample(args, parser) -> int:
             curve = cert = None
             continue
         cert = smoothness(curve)
-        success = cert.verdict == "SMOOTH" and not curve.P[cls.k].is_zero()
+        success = cert.verdict == "SMOOTH" and any(curve.P[cls.k])
         if success:
             break
     disc_degree = 2 * genus(cls) + 2 * cls.k - 2 if success else None
@@ -454,6 +455,10 @@ def cmd_dominance(args, parser) -> int:
 def cmd_section5(args, parser) -> int:
     if args.mode == "abundance":
         cls, a = _cover_class(args, parser)
+        if args.bound is not None and args.bound < 0:
+            parser.error(
+                f"--abundance needs --bound >= 0 (the window has e_1 = 0), got {args.bound}"
+            )
         res = abundance_verdict(cls, e_bound=args.bound)
         doc = {
             "command": "section5",

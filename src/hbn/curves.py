@@ -133,21 +133,15 @@ def connectedness(cls: HirzebruchClass) -> int:
 # ---------------------------------------------------------------------------
 
 def chart_polys(curve: BinaryFormCurve) -> dict[str, list[Poly]]:
-    """Dehomogenizations on the four torus charts.
+    """Dehomogenizations on the two charts `smoothness` reads.
 
     Keys name (base coordinate, fiber coordinate): t_x sets s = y = 1,
-    t_y sets s = x = 1, s_x sets t = y = 1, s_y sets t = x = 1.  Values
-    are lists indexed by the fiber-variable power, entries univariate in
-    the base variable.
+    s_x sets t = y = 1.  Values are lists indexed by the fiber-variable
+    power (x), entries univariate in the base variable.
     """
-    k = curve.cls.k
-    by_t = [form.dehomogenize_s() for form in curve.P]
-    by_s = [form.dehomogenize_t() for form in curve.P]
     return {
-        "t_x": list(by_t),
-        "t_y": [by_t[k - j] for j in range(k + 1)],
-        "s_x": list(by_s),
-        "s_y": [by_s[k - j] for j in range(k + 1)],
+        "t_x": [ptrim(list(c)) for c in curve.P],
+        "s_x": [ptrim(list(reversed(c))) for c in curve.P],
     }
 
 

@@ -9,7 +9,9 @@ what detects reducibility for bad strata.
 A pair is one int64 array `coeffs` of shape (2, k, k, L): coeffs[0] is
 A, coeffs[1] is B, and slot l of entry (i, j) holds the coefficient of
 s^(d - l) t^l, d its grid degree; every slot above d is zero, so an
-entry of negative degree is all zeros.
+entry of negative degree is all zeros.  A curve stores each binary form
+P_i the same way, as the tuple of its delta + (k - i)m + 1 coefficients
+in [0, p), slot l for s^(d - l) t^l; a zero form is all zeros.
 
 Triangularity conventions are with respect to the ANTI-diagonal: in the
 SUT pattern, A is supported on and below it (i + j >= k + 1) and B
@@ -37,7 +39,6 @@ from typing import Optional
 import numpy as np
 
 from hbn.exact.field import PrimeTooSmallError
-from hbn.exact.forms import BinaryForm
 from hbn.exact.linalg import batch_det_mod
 from hbn.exact.poly import _eval_at_nodes, interp_nodes, pmul
 from hbn.splitting import HirzebruchClass
@@ -117,15 +118,6 @@ def _random_nonzero(degree: int, p: int, rng: random.Random) -> list[int]:
         coeffs = [rng.randrange(p) for _ in range(degree + 1)]
         if any(coeffs):
             return coeffs
-
-
-def entry_form(pair: MatrixPair, mat: int, i: int, j: int) -> BinaryForm:
-    """Entry (i, j) (0-based) of A (mat = 0) or B (mat = 1) as a form of
-    its grid degree."""
-    degree = (pair.grid.a, pair.grid.b)[mat][i][j]
-    if degree < 0:
-        return BinaryForm.zero(degree, pair.p)
-    return BinaryForm(degree, tuple(pair.coeffs[mat, i, j, : degree + 1].tolist()), pair.p)
 
 
 def sample_pair(grid: DegreeGrid, pattern: str, p: int, rng: random.Random) -> MatrixPair:
@@ -234,24 +226,24 @@ class DegenerateCurveError(ValueError):
 
 @dataclass(frozen=True)
 class BinaryFormCurve:
-    """Curve of class kH + delta*F cut out by sum of P_i(s,t) x^i y^(k-i)."""
+    """Curve of class kH + delta*F cut out by sum of P_i(s,t) x^i y^(k-i);
+    P_i is its coefficient tuple (module doc)."""
 
     cls: HirzebruchClass
-    P: tuple[BinaryForm, ...]
+    P: tuple[tuple[int, ...], ...]
+    p: int
 
     def __post_init__(self):
         k, m, d = self.cls.k, self.cls.m, self.cls.delta
         if len(self.P) != k + 1:
             raise ValueError("need k+1 coefficient forms")
-        for i, form in enumerate(self.P):
-            if form.degree != d + (k - i) * m:
-                raise ValueError(f"P_{i} degree {form.degree} != {d + (k - i) * m}")
-        if all(form.is_zero() for form in self.P):
+        for i, c in enumerate(self.P):
+            if len(c) != d + (k - i) * m + 1:
+                raise ValueError(f"P_{i} has {len(c)} coefficients, not {d + (k - i) * m + 1}")
+            if not all(0 <= x < self.p for x in c):
+                raise ValueError(f"P_{i} coefficients must lie in [0, {self.p})")
+        if not any(map(any, self.P)):
             raise DegenerateCurveError("identically zero curve rejected")
-
-    @property
-    def p(self) -> int:
-        return self.P[0].p
 
 
 def pair_values(pair: MatrixPair, n_t: int, n_x: int) -> np.ndarray:
@@ -293,13 +285,8 @@ def phi(pair: MatrixPair) -> BinaryFormCurve:
     grid, p, k = pair.grid, pair.p, pair.k
     dets = _dets(_node_values(pair), p)
     coef = interp_nodes(interp_nodes(dets, p, axis=1), p)  # coef[tpow, xpow]
-    forms = []
-    for i in range(k + 1):
-        want = grid.delta + (k - i) * grid.m
-        col = coef[: want + 1, i].tolist() if want >= 0 else []
-        forms.append(BinaryForm.homogenize(col, want, p))
-    cls = HirzebruchClass(m=grid.m, k=k, delta=grid.delta)
-    return BinaryFormCurve(cls=cls, P=tuple(forms))
+    P = tuple(tuple(coef[: grid.delta + (k - i) * grid.m + 1, i].tolist()) for i in range(k + 1))
+    return BinaryFormCurve(cls=HirzebruchClass(m=grid.m, k=k, delta=grid.delta), P=P, p=p)
 
 
 @dataclass(frozen=True)
@@ -398,21 +385,23 @@ def pair_from_json_dict(doc: dict) -> MatrixPair:
 
 
 def curve_to_json_dict(curve: BinaryFormCurve) -> dict:
+    """Each P_i as its coefficients, or [] when it is zero."""
     return {
-        "p": curve.P[0].p,
+        "p": curve.p,
         "m": curve.cls.m,
         "k": curve.cls.k,
         "delta": curve.cls.delta,
-        "P": [list(form.coeffs) if form.coeffs else [] for form in curve.P],
+        "P": [list(c) if any(c) else [] for c in curve.P],
     }
 
 
 def curve_from_json_dict(doc: dict) -> BinaryFormCurve:
-    """Inverse of curve_to_json_dict; each degree comes from the class."""
+    """Inverse of curve_to_json_dict; a [] form gets its length from the
+    class, and coefficients are reduced mod p."""
     p = doc["p"]
     cls = HirzebruchClass(m=doc["m"], k=doc["k"], delta=doc["delta"])
     P = tuple(
-        BinaryForm(cls.delta + (cls.k - i) * cls.m, tuple(coeffs), p)
-        for i, coeffs in enumerate(doc["P"])
+        tuple(x % p for x in c) or (0,) * (cls.delta + (cls.k - i) * cls.m + 1)
+        for i, c in enumerate(doc["P"])
     )
-    return BinaryFormCurve(cls=cls, P=P)
+    return BinaryFormCurve(cls=cls, P=P, p=p)

@@ -53,16 +53,14 @@ from hbn.determinantal import (
     DegreeGrid,
     MatrixPair,
     degree_grid,
-    entry_form,
     pair_values,
     pattern_allows,
     sample_is_point,
     sample_pair,
 )
 from hbn.exact.field import DEFAULT_PRIME, PrimeTooSmallError, inv_mod
-from hbn.exact.forms import BinaryForm
 from hbn.exact.linalg import matrix_rank
-from hbn.exact.poly import interp_nodes, pdeg, pdivmod, ptrim
+from hbn.exact.poly import interp_nodes, pdeg, pdivmod, pmul, ptrim
 from hbn.seeds import derive_seed
 from hbn.splitting import HirzebruchClass
 
@@ -310,19 +308,18 @@ def product_rule_rank(degrees, rng: random.Random | None = None, p: int = DEFAUL
     if rng is None:
         rng = random.Random(derive_seed("product-rule", tuple(degrees), p))
 
-    def surjective_at(qs: list[BinaryForm]) -> bool:
+    def surjective_at(qs: list[list[int]]) -> bool:
+        # Q_i as coefficient lists (index = power of t)
         total = sum(degrees) + 1
         cols = []
         for i, d in enumerate(degrees):
-            rest = BinaryForm.constant(1, p)
+            rest = [1]
             for l, ql in enumerate(qs):
                 if l != i:
-                    rest = rest.mul(ql)
+                    rest = pmul(rest, ql, p)
             for jj in range(d + 1):
                 col = [0] * total
-                if not rest.is_zero():
-                    for idx, coeff in enumerate(rest.coeffs):
-                        col[jj + idx] = coeff
+                col[jj : jj + len(rest)] = rest
                 cols.append(col)
         if not cols:
             return False
@@ -330,14 +327,10 @@ def product_rule_rank(degrees, rng: random.Random | None = None, p: int = DEFAUL
 
     if len(degrees) == 2:
         d1, d2 = degrees
-        witness = [
-            BinaryForm.homogenize([0] * d1 + [1], d1, p),
-            BinaryForm.homogenize([1], d2, p),
-        ]
-        if surjective_at(witness):
+        if surjective_at([[0] * d1 + [1], [1]]):
             return True
     for _ in range(3):
-        if surjective_at([BinaryForm.random(d, p, rng) for d in degrees]):
+        if surjective_at([[rng.randrange(p) for _ in range(d + 1)] for d in degrees]):
             return True
     return False
 
@@ -347,13 +340,16 @@ def _require_triangular(pair: MatrixPair) -> None:
         raise ValueError("pair must follow the SUT pattern")
 
 
-def super_anti_product(pair: MatrixPair) -> BinaryForm:
-    """Product of B entries on the super-anti-diagonal (divides P_1 on SUT)."""
-    k = pair.k
-    prod = BinaryForm.constant(1, pair.p)
+def super_anti_product(pair: MatrixPair) -> tuple[list[int], int]:
+    """Product of B entries on the super-anti-diagonal (divides P_1 on SUT),
+    as its coefficients (index = power of t) and its form degree."""
+    k, b = pair.k, pair.grid.b
+    prod, degree = [1], 0
     for i in range(1, k):
-        prod = prod.mul(entry_form(pair, 1, k - i - 1, i - 1))
-    return prod
+        d = b[k - i - 1][i - 1]
+        prod = pmul(prod, pair.coeffs[1, k - i - 1, i - 1, : max(d + 1, 0)].tolist(), pair.p)
+        degree += d
+    return prod, degree
 
 
 def lemma_sq_check(pair: MatrixPair) -> bool:
@@ -375,13 +371,12 @@ def lemma_main_containment(pair: MatrixPair, M: DifferentialMatrix) -> bool:
     grid = pair.grid
     k = grid.k
     p = pair.p
-    prod = super_anti_product(pair)
-    if prod.is_zero():
+    g, degree = super_anti_product(pair)
+    if not g:
         return False
     if np.any(M.block_rows(k) % p):
         return False
-    g = prod.dehomogenize_s()
-    bound = grid.delta + (k - 1) * grid.m - prod.degree
+    bound = grid.delta + (k - 1) * grid.m - degree
     block1 = M.block_rows(1)
     for col in range(block1.shape[1]):
         fcol = ptrim([int(x) % p for x in block1[:, col]])

@@ -1,4 +1,7 @@
-"""Exact arithmetic kernels: prime fields, polynomials, forms, linear algebra.
+"""Exact arithmetic kernels: prime fields, polynomials, linear algebra.
+
+A binary form has no type of its own: it is its coefficient list
+(`hbn.determinantal` module doc).
 
 Everything in this subpackage is deterministic and allocation-light.
 Randomness is injected through explicit ``random.Random`` instances, with

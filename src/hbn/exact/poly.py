@@ -44,15 +44,6 @@ def pdeg(f: Poly) -> int:
     return len(f) - 1
 
 
-def padd(f: Poly, g: Poly, p: int) -> Poly:
-    if len(f) < len(g):
-        f, g = g, f
-    out = f[:]
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % p
-    return ptrim(out)
-
-
 def psub(f: Poly, g: Poly, p: int) -> Poly:
     out = f[:] + [0] * (len(g) - len(f))
     for i, c in enumerate(g):
@@ -306,7 +297,6 @@ class QuotientField:
         if self.deg < 1:
             raise ValueError("modulus must be nonconstant")
         self.zero = (0,) * self.deg
-        self.one = (1,) + (0,) * (self.deg - 1)
 
     def add(self, a, b):
         p = self.p
@@ -315,10 +305,6 @@ class QuotientField:
     def sub(self, a, b):
         p = self.p
         return tuple((x - y) % p for x, y in zip(a, b))
-
-    def neg(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
 
     def mul(self, a, b):
         prod = pmul(list(a), list(b), self.p)
@@ -348,7 +334,7 @@ class QuotientField:
 
 # ---------------------------------------------------------------------------
 # polynomials in one variable with coefficients in an arbitrary field object
-# (anything with zero/one/add/sub/mul/inv/is_zero, e.g. QuotientField)
+# (anything with zero/sub/mul/inv/is_zero, e.g. QuotientField)
 # ---------------------------------------------------------------------------
 
 

@@ -2,10 +2,11 @@
 
 Permutation expansion.  det(Ax + By), its block minors and single
 columns of the differential by expanding over all k! permutations in
-BinaryForm arithmetic.  They share no code with the evaluation kernels
-of hbn.determinantal and hbn.differential beyond the form arithmetic,
-which is what makes them useful as cross-checks; they are far too slow
-for anything else.
+the oracles' own form arithmetic, `BinaryForm` (src/ keeps a form as its
+bare coefficient tuple and has no such type).  They share no code with
+the evaluation kernels of hbn.determinantal and hbn.differential, which
+is what makes them useful as cross-checks; they are far too slow for
+anything else.
 
 Curve checks.  `discriminant_check` and `cokernel_rank_check` (with
 `curve_points`, `point_on_curve`, `pair_rank_at_point` and
@@ -17,10 +18,12 @@ below `resultant_v`'s degree bound, `discriminant_check` takes
 `sympy_resultant_v`, which needs no bound.
 
 Four charts.  `four_charts` certifies smoothness by the Jacobian
-analysis of all four torus charts, the reference for `hbn.curves`'
-one chart plus three boundary gcds.  It shares `_analyze_chart` with
-src/ (its multiple-component scan and its transposed pass included), so
-it checks the boundary reduction, not the chart analysis.  Like
+analysis of all four torus charts (`four_chart_polys` derives t_y and
+s_y from the two charts `chart_polys` gives), the reference for
+`hbn.curves`' one chart plus three boundary gcds.  It shares
+`_analyze_chart` with src/ (its multiple-component scan and its
+transposed pass included), so it checks the boundary reduction, not the
+chart analysis.  Like
 `smoothness` it draws nothing random and answers SMOOTH or SINGULAR.
 
 Closed forms.  `p1_pk_closed_form` writes the outer coefficients P_1
@@ -53,23 +56,124 @@ from hbn.curves import (
 from hbn.determinantal import (
     BinaryFormCurve,
     MatrixPair,
-    entry_form,
     forced_reducibility,
 )
 from hbn.exact.field import quadratic_nonresidue
-from hbn.exact.forms import BinaryForm
 from hbn.exact.linalg import matrix_rank
 from hbn.exact.poly import (
+    Poly,
     QuotientField,
     irreducible_factors,
     pdeg,
     pdivmod,
     peval,
+    pmul,
     ptrim,
     quadratic_roots,
 )
 from hbn.exact.poly2 import resultant_v
 from hbn.splitting import HirzebruchClass
+
+
+@dataclass(frozen=True)
+class BinaryForm:
+    """Homogeneous form of declared degree in (s, t) over F_p.
+
+    Attributes:
+        degree: declared degree; may be negative only for the zero form.
+        coeffs: tuple (c_0, ..., c_d) for sum c_i s^(d-i) t^i, or () for
+            the zero form of any declared degree.
+        p: field characteristic.
+    """
+
+    degree: int
+    coeffs: tuple[int, ...]
+    p: int
+
+    def __post_init__(self):
+        if self.coeffs:
+            if self.degree < 0 or len(self.coeffs) != self.degree + 1:
+                raise ValueError("coefficient count must be degree + 1")
+            object.__setattr__(self, "coeffs", tuple(c % self.p for c in self.coeffs))
+            if not any(self.coeffs):
+                object.__setattr__(self, "coeffs", ())
+
+    @classmethod
+    def zero(cls, degree: int, p: int) -> "BinaryForm":
+        return cls(degree, (), p)
+
+    @classmethod
+    def constant(cls, c: int, p: int) -> "BinaryForm":
+        return cls(0, (c % p,), p) if c % p else cls.zero(0, p)
+
+    @classmethod
+    def random(cls, degree: int, p: int, rng: random.Random) -> "BinaryForm":
+        if degree < 0:
+            return cls.zero(degree, p)
+        return cls(degree, tuple(rng.randrange(p) for _ in range(degree + 1)), p)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def add(self, other: "BinaryForm") -> "BinaryForm":
+        if self.degree != other.degree:
+            raise ValueError(f"degree mismatch {self.degree} vs {other.degree}")
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
+        out = tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+        return BinaryForm(self.degree, out, self.p)
+
+    def neg(self) -> "BinaryForm":
+        return self.scale(-1)
+
+    def scale(self, c: int) -> "BinaryForm":
+        c %= self.p
+        if c == 0 or self.is_zero():
+            return BinaryForm.zero(self.degree, self.p)
+        return BinaryForm(self.degree, tuple(a * c % self.p for a in self.coeffs), self.p)
+
+    def mul(self, other: "BinaryForm") -> "BinaryForm":
+        d = self.degree + other.degree
+        if self.is_zero() or other.is_zero():
+            return BinaryForm.zero(d, self.p)
+        out = pmul(list(self.coeffs), list(other.coeffs), self.p)
+        out = out + [0] * (d + 1 - len(out))
+        return BinaryForm(d, tuple(out), self.p)
+
+    def eval(self, s0: int, t0: int) -> int:
+        """Evaluate at a point of the projective line given in coordinates."""
+        if self.is_zero():
+            return 0
+        acc = 0
+        p = self.p
+        for i, c in enumerate(self.coeffs):
+            acc = (acc + c * pow(s0, self.degree - i, p) * pow(t0, i, p)) % p
+        return acc
+
+    def dehomogenize_s(self) -> Poly:
+        """Set s = 1: univariate poly in t, index = power of t."""
+        return ptrim(list(self.coeffs))
+
+    @classmethod
+    def homogenize(cls, f: Poly, degree: int, p: int) -> "BinaryForm":
+        """Pad a univariate poly in t up to the declared degree."""
+        f = ptrim(list(f))
+        if not f:
+            return cls.zero(degree, p)
+        if len(f) - 1 > degree:
+            raise ValueError("polynomial degree exceeds declared degree")
+        return cls(degree, tuple(f + [0] * (degree + 1 - len(f))), p)
+
+
+def entry_form(pair: MatrixPair, mat: int, i: int, j: int) -> BinaryForm:
+    """Entry (i, j) (0-based) of A (mat = 0) or B (mat = 1) as a form of
+    its grid degree."""
+    degree = (pair.grid.a, pair.grid.b)[mat][i][j]
+    if degree < 0:
+        return BinaryForm.zero(degree, pair.p)
+    return BinaryForm(degree, tuple(pair.coeffs[mat, i, j, : degree + 1].tolist()), pair.p)
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:
@@ -169,13 +273,10 @@ def phi_by_permutations(pair: MatrixPair) -> BinaryFormCurve:
     grid = pair.grid
     dets = det_xy(pair, list(range(k)), list(range(k)))
     cls = HirzebruchClass(m=grid.m, k=k, delta=grid.delta)
-    fixed = []
-    for i, form in enumerate(dets):
-        want = grid.delta + (k - i) * grid.m
-        if form.is_zero() and form.degree != want:
-            form = BinaryForm.zero(want, pair.p)
-        fixed.append(form)
-    return BinaryFormCurve(cls=cls, P=tuple(fixed))
+    P = tuple(
+        form.coeffs or (0,) * (grid.delta + (k - i) * grid.m + 1) for i, form in enumerate(dets)
+    )
+    return BinaryFormCurve(cls=cls, P=P, p=pair.p)
 
 
 def reducibility_witness_by_permutations(pair: MatrixPair) -> bool:
@@ -292,12 +393,19 @@ def dphi_column_dual(pair: MatrixPair, coord: tuple, include_p0: bool = False) -
 CHARTS = ("t_x", "t_y", "s_x", "s_y")
 
 
+def four_chart_polys(curve: BinaryFormCurve) -> dict[str, list[Poly]]:
+    """`chart_polys` plus t_y (s = x = 1) and s_y (t = x = 1), which
+    index the fiber variable y: the x-charts read backwards."""
+    polys = chart_polys(curve)
+    return {**polys, "t_y": polys["t_x"][::-1], "s_y": polys["s_x"][::-1]}
+
+
 def four_charts(curve: BinaryFormCurve) -> SmoothnessCertificate:
     """Smoothness from all four torus charts, analysed in CHARTS order:
     the first SINGULAR chart, else SMOOTH.  A chart raises
     PrimeTooSmallError only when it reads a resultant too large for p."""
     p = curve.p
-    polys = chart_polys(curve)
+    polys = four_chart_polys(curve)
     for name in CHARTS:
         status, wit = _analyze_chart(polys[name], p)
         if status == "singular":
@@ -348,7 +456,7 @@ def discriminant_check(curve: BinaryFormCurve, resultant=resultant_v) -> tuple[i
     k, m, delta = cls.k, cls.m, cls.delta
     p = curve.p
     expected = 2 * (k - 1) * delta + k * (k - 1) * m
-    if curve.P[k].is_zero():
+    if not any(curve.P[k]):
         raise ValueError("fiber polynomial must have full degree (P_k != 0)")
 
     charts = chart_polys(curve)
@@ -389,11 +497,11 @@ def curve_points(curve: BinaryFormCurve, n_points: int, rng: random.Random) -> l
     k = curve.cls.k
     nr = quadratic_nonresidue(p)
     pts: list[dict] = []
-    by_t = [form.dehomogenize_s() for form in curve.P]
+    by_t = chart_polys(curve)["t_x"]
 
     def fiber_poly(t0: Optional[int]) -> list[int]:
         if t0 is None:  # the fiber s = 0
-            return [form.coeffs[-1] if form.coeffs else 0 for form in curve.P]
+            return [c[-1] for c in curve.P]
         return [peval(c, t0, p) for c in by_t]
 
     # fibers are drawn without replacement as needed; draw p is s = 0
@@ -427,7 +535,8 @@ def point_on_curve(curve: BinaryFormCurve, pt: dict) -> bool:
     (s0, t0), (x0, y0) = pt["st"], pt["xy"]
     acc = F.zero
     for i in range(k, -1, -1):
-        c = curve.P[i].eval(s0, t0) * pow(y0, k - i, p) % p
+        form = BinaryForm(len(curve.P[i]) - 1, curve.P[i], p)
+        c = form.eval(s0, t0) * pow(y0, k - i, p) % p
         acc = F.add(F.mul(acc, x0), (c, 0))
     return F.is_zero(acc)
 

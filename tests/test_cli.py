@@ -493,6 +493,8 @@ def test_sample_degenerate_draw_is_a_failed_attempt(tmp_path, argv):
          "argument --f: entries must be weakly increasing: (1, 0)"),
         (["section5", "--triple", "--d=1,0", "--e=0,0", "--f=0,0"],
          "argument --d: entries must be weakly increasing: (1, 0)"),
+        (["section5", "--abundance", "--m", "1", "--delta", "1", "--k", "4", "--bound", "-1"],
+         "--abundance needs --bound >= 0 (the window has e_1 = 0), got -1"),
     ],
 )  # fmt: skip
 def test_vacuous_arguments_are_usage_errors(capsys, argv, message):

@@ -17,6 +17,8 @@ from oracles import (
     curve_points,
     directrix,
     discriminant_check,
+    entry_form,
+    four_chart_polys,
     four_charts,
     h2_surface,
     pair_rank_at_point,
@@ -42,12 +44,10 @@ from hbn.determinantal import (
     DegenerateCurveError,
     MatrixPair,
     degree_grid,
-    entry_form,
     phi,
     sample_pair,
 )
 from hbn.exact.field import DEFAULT_PRIME, PrimeTooSmallError, quadratic_nonresidue
-from hbn.exact.forms import BinaryForm
 from hbn.exact.poly import QuotientField, pscale
 from hbn.exact.poly2 import resultant_v
 from hbn.splitting import HirzebruchClass, genus, structure_sheaf_type
@@ -99,14 +99,12 @@ def test_connectedness_counts_components():
 
 
 def _curve(cls, blocks):
+    """P_i = blocks[i] (index = power of t) padded to its degree; None is 0."""
     forms = []
     for i, coeffs in enumerate(blocks):
-        deg = cls.delta + (cls.k - i) * cls.m
-        if coeffs is None:
-            forms.append(BinaryForm.zero(deg, P))
-        else:
-            forms.append(BinaryForm.homogenize(coeffs, deg, P))
-    return BinaryFormCurve(cls=cls, P=forms)
+        coeffs = tuple(coeffs or ())
+        forms.append(coeffs + (0,) * (cls.delta + (cls.k - i) * cls.m + 1 - len(coeffs)))
+    return BinaryFormCurve(cls=cls, P=tuple(forms), p=P)
 
 
 def test_smoothness_flags_double_line():
@@ -122,11 +120,12 @@ def test_smoothness_flags_cusp():
     cls = HirzebruchClass(m=0, k=2, delta=3)
     curve = BinaryFormCurve(
         cls=cls,
-        P=[
-            BinaryForm.homogenize([0, 0, 0, P - 1], 3, P),  # y^2 carries -t^3
-            BinaryForm.zero(3, P),
-            BinaryForm(3, (1, 0, 0, 0), P),  # x^2 carries s^3
-        ],
+        P=(
+            (0, 0, 0, P - 1),  # y^2 carries -t^3
+            (0, 0, 0, 0),
+            (1, 0, 0, 0),  # x^2 carries s^3
+        ),
+        p=P,
     )
     cert = smoothness(curve)
     assert (cert.verdict, cert.chart, cert.witness) == ("SINGULAR", "t_x", {"u": 0, "v": 0, "ext": 1})
@@ -147,7 +146,7 @@ def test_smooth_sample_full_certificate():
 
 def _forms_curve(cls, coeffs, p):
     """Curve with P_i = sum coeffs[i][j] s^(d-j) t^j."""
-    return BinaryFormCurve(cls=cls, P=[BinaryForm(len(c) - 1, tuple(c), p) for c in coeffs])
+    return BinaryFormCurve(cls=cls, P=tuple(map(tuple, coeffs)), p=p)
 
 
 def _spy_resultants(monkeypatch) -> list:
@@ -175,7 +174,7 @@ def test_chart_content_keeps_verdicts_and_its_own_resultants(monkeypatch):
     h = [[1, 2], [0, 3], [0, 5]]
     assert calls == [(h, [[0, 3], [0, 10]]), (h, [[2], [3], [5]])]
     assert cert == four_charts(curve)
-    raw = [form.dehomogenize_s() for form in curve.P]
+    raw = chart_polys(curve)["t_x"]
     assert resultant_v(*calls[0], P) != resultant_v(raw, [pscale(raw[j], j, P) for j in (1, 2)], P)
     # disc = P_1^2 - 4 P_0 P_2 = t^3 ((9 - 40) t - 20 s): four roots
     assert discriminant_check(curve) == (4, 4, True)
@@ -284,7 +283,7 @@ BOUNDARY_PLANTS = {
 def test_boundary_plant_is_singular_although_chart_t_x_is_clean(piece):
     coeffs, chart, witness = BOUNDARY_PLANTS[piece]
     curve = _forms_curve(HirzebruchClass(m=1, k=2, delta=2), coeffs, P)
-    polys = chart_polys(curve)
+    polys = four_chart_polys(curve)
     # the point lies off chart t_x, so only a boundary test can see it
     assert _analyze_chart(polys["t_x"], P)[0] == "clean"
     cert = smoothness(curve)
@@ -442,7 +441,7 @@ def test_smooth_certificate_implies_the_discriminant_degree(pair):
         cert = smoothness(curve)
     except (DegenerateCurveError, PrimeTooSmallError):
         return
-    if cert.verdict == "SMOOTH" and not curve.P[pair.k].is_zero():
+    if cert.verdict == "SMOOTH" and any(curve.P[pair.k]):
         want = 2 * genus(curve.cls) + 2 * pair.k - 2
         try:
             got = discriminant_check(curve)
@@ -513,5 +512,5 @@ def test_concrete_singular_witness_is_a_singular_point(pair):
         return
     F = QuotientField([-quadratic_nonresidue(pair.p) % pair.p, 0, 1], pair.p)
     u, v = ((x, 0) if isinstance(x, int) else tuple(x) for x in (wit["u"], wit["v"]))
-    fv = chart_polys(curve)[cert.chart]
+    fv = four_chart_polys(curve)[cert.chart]
     assert all(F.is_zero(x) for x in _chart_values_at(fv, u, v, F)), (cert, pair)

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    BinaryForm,
     det_xy,
+    entry_form,
     p1_pk_closed_form,
     phi_by_permutations,
     reducibility_witness_by_permutations,
@@ -23,12 +25,12 @@ from oracles import (
 )
 
 from hbn.determinantal import (
+    BinaryFormCurve,
     DegenerateCurveError,
     MatrixPair,
     curve_from_json_dict,
     curve_to_json_dict,
     degree_grid,
-    entry_form,
     forced_reducibility,
     is_point_obstruction,
     pair_from_json_dict,
@@ -42,7 +44,6 @@ from hbn.determinantal import (
     split_form,
 )
 from hbn.exact.field import DEFAULT_PRIME, PrimeTooSmallError, is_prime
-from hbn.exact.forms import BinaryForm
 from hbn.exact.linalg import batch_det_mod
 from hbn.splitting import HirzebruchClass, check_conditions, genus
 from hbn.sweeps import desk_classes, iter_window_strata
@@ -150,10 +151,9 @@ def test_phi_block_degrees_and_sut_p0():
     grid = degree_grid((-8, -4, -1), (-7, -4, 0), cls.m)
     curve = phi(sample_pair(grid, "SUT", P, rng))
     assert curve.cls == cls
-    for i, form in enumerate(curve.P):
-        want = cls.delta + (cls.k - i) * cls.m
-        assert form.is_zero() or form.degree == want
-    assert curve.P[0].is_zero()  # pure y^k coefficient dies on the SUT locus
+    for i, c in enumerate(curve.P):
+        assert len(c) == cls.delta + (cls.k - i) * cls.m + 1
+    assert not any(curve.P[0])  # pure y^k coefficient dies on the SUT locus
 
 
 def test_p1_pk_closed_form_matches_blocks():
@@ -321,6 +321,26 @@ def test_curve_json_round_trip():
     back = curve_from_json_dict(doc)
     assert back == curve
     assert hash(back) == hash(curve)
+
+
+def test_curve_rejects_bad_coefficients():
+    cls = HirzebruchClass(m=1, k=2, delta=1)  # P_i has 1 + (2 - i) + 1 coefficients
+    good = ((1, 2, 3, 4), (0, 5, 6), (7, 8))
+    assert BinaryFormCurve(cls, good, 11).P == good
+    with pytest.raises(ValueError, match="need k\\+1 coefficient forms"):
+        BinaryFormCurve(cls, good[:2], 11)
+    with pytest.raises(ValueError, match="P_1 has 2 coefficients, not 3"):
+        BinaryFormCurve(cls, (good[0], (5, 6), good[2]), 11)
+    for value in (-1, 11):
+        with pytest.raises(ValueError, match="P_2 coefficients must lie in \\[0, 11\\)"):
+            BinaryFormCurve(cls, good[:2] + ((7, value),), 11)
+    with pytest.raises(DegenerateCurveError):
+        BinaryFormCurve(cls, ((0,) * 4, (0,) * 3, (0,) * 2), 11)
+    doc = curve_to_json_dict(BinaryFormCurve(cls, good, 11))
+    assert curve_from_json_dict(doc).P == good
+    for P_doc in ([[1, 2, 3, 4], [5, 6], [7, 8], [9]], [[1, 2, 3, 4, 0], [0, 5, 6], [7, 8]]):
+        with pytest.raises(ValueError):
+            curve_from_json_dict({**doc, "P": P_doc})
 
 
 def _prime_above(n):

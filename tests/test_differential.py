@@ -2,13 +2,15 @@
 
 The central invariant: every column of the fast cofactor-assembled
 differential must equal the epsilon part of a literal dual-number
-determinant expansion (dphi_column_dual).  The two routes share no code
-beyond the form arithmetic.  The cofactors themselves, computed by
-evaluation and interpolation, are checked against det_xy permutation
-expansions of the minors, and the Faddeev-LeVerrier cofactor recurrence
-against signed minors expanded in Python ints.
+determinant expansion (dphi_column_dual).  The two routes share no
+code: the oracle has its own form arithmetic.  The cofactors
+themselves, computed by evaluation and interpolation, are checked
+against det_xy permutation expansions of the minors, and the
+Faddeev-LeVerrier cofactor recurrence against signed minors expanded in
+Python ints.
 """
 
+import dataclasses
 import random
 from itertools import permutations
 
@@ -123,9 +125,9 @@ def test_dominance_not_achieved_on_violating_stratum():
 
 def test_super_anti_product_degree():
     pair = _pair((-8, -4, -1), (-6, -4, -1), 3, "SUT", seed=0)
-    prod = super_anti_product(pair)
+    prod, degree = super_anti_product(pair)
     # b_{1,2} + b_{2,1} with the trigonal grid: degree 1 here
-    assert prod.degree == 1 and not prod.is_zero()
+    assert degree == 1 and prod
 
 
 def test_lemma_sq_and_planted_failure():
@@ -158,8 +160,28 @@ def test_lemma_main_containment_fails_on_violating_stratum():
     # condition (2) fails, the super-anti-diagonal product vanishes, and
     # the divisibility description of the image breaks down
     pair = _pair((-8, -4, -1), (-8, -2, -1), 3, "SUT", seed=3)
-    assert super_anti_product(pair).is_zero()
+    assert super_anti_product(pair)[0] == []
     assert not lemma_main_containment(pair, dphi_matrix(pair, "T_PRIME"))
+
+
+def test_lemma_main_bounds_the_quotient_by_the_form_degree():
+    # B_11 = c s (its t slot zeroed) is the whole super-anti-diagonal of
+    # this k = 2 pair: t-degree 0, form degree 1.  A block-1 column has
+    # form degree D = 3, so its quotient by c s has degree at most 2; a
+    # bound from the t-degree (3) would pass the column c t^3, which c s
+    # does not divide.
+    pair = _pair((-2, -1), (-2, 0), 2, "SUT", seed=0)
+    coeffs = pair.coeffs.copy()
+    coeffs[1, 0, 0, 1] = 0
+    planted = type(pair)(coeffs, pair.grid, "SUT", P)
+    g, degree = super_anti_product(planted)
+    assert (len(g), degree) == (1, 1)
+    M = dphi_matrix(planted, "T_PRIME")
+    assert lemma_main_check(planted)  # the lemma holds at this pair
+    column = np.zeros((M.entries.shape[0], 1), dtype=np.int64)
+    column[3] = g[0]  # t^3 in block 1, zero in block 2
+    wide = dataclasses.replace(M, entries=np.hstack([M.entries, column]))
+    assert not lemma_main_containment(planted, wide)
 
 
 def test_lemma_is_on_spot_strata():

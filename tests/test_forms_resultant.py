@@ -1,4 +1,4 @@
-"""Binary forms, dual numbers, and the resultant stack.
+"""The oracles' binary forms and dual numbers, and the resultant stack.
 
 The resultant route is load bearing for the smoothness and discriminant
 certificates, so it is checked against sympy on small instances and
@@ -10,10 +10,9 @@ import random
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import DualForm, sympy_resultant_v
+from oracles import BinaryForm, DualForm, sympy_resultant_v
 
 from hbn.exact.field import DEFAULT_PRIME
-from hbn.exact.forms import BinaryForm
 from hbn.exact.poly import pmul, ptrim
 from hbn.exact.linalg import batch_det_mod
 from hbn.exact.poly2 import resultant_v, sylvester
