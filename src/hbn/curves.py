@@ -53,22 +53,19 @@ from hbn.determinantal import BinaryFormCurve
 from hbn.exact.field import PrimeTooSmallError, quadratic_nonresidue
 from hbn.exact.poly import (
     Poly,
-    QuotientField,
     irreducible_factors,
     pdeg,
     pderiv,
     pdivmod,
     peval,
     pgcd,
-    pmod,
     pmonic,
     pscale,
     ptrim,
     quadratic_roots,
-    qgcd,
     squarefree_part,
 )
-from hbn.exact.poly2 import resultant_v
+from hbn.exact.poly2 import gcd_mod, restrict, resultant_v
 from hbn.splitting import HirzebruchClass, SplittingType
 
 UNKNOWN = "UNKNOWN"
@@ -85,9 +82,6 @@ class SurfaceDivisor:
 
     a: int
     b: int
-
-    def add(self, other: "SurfaceDivisor") -> "SurfaceDivisor":
-        return SurfaceDivisor(self.a + other.a, self.b + other.b)
 
     def sub(self, other: "SurfaceDivisor") -> "SurfaceDivisor":
         return SurfaceDivisor(self.a - other.a, self.b - other.b)
@@ -221,10 +215,9 @@ def _multiple_component_point(h: list[Poly], hu: list[Poly], hv: list[Poly], p: 
     <= deg_u h < p, is nonzero at some u0 <= deg_u h: the scan ends there
     at the latest."""
     for u0 in range(max(map(len, h))):
-        g, gu, gv = (ptrim([peval(c, u0, p) for c in f]) for f in (h, hu, hv))
-        w = pgcd(pgcd(g, gu, p), gv, p)
-        if pdeg(w) >= 1:
-            return _fiber_point(u0, w, p, nr)
+        w = gcd_mod([h, hu, hv], [-u0 % p, 1], p)
+        if len(w) >= 2:
+            return _fiber_point(u0, [c[0] if c else 0 for c in w], p, nr)
     raise AssertionError("a multiple component meets no fiber u <= deg_u h")
 
 
@@ -259,7 +252,7 @@ def _analyze_chart(fv: list[Poly], p: int):
         # a vertical component meets the residual curve wherever the
         # residual has positive fiber degree over a content root
         for q, _ in irreducible_factors(cont, p):
-            if any(pmod(c, q, p) for c in h[1:]):
+            if len(restrict(h, q, p)) >= 2:
                 return ("singular", _base_root_point(q, h, p, nr))
     if len(h) <= 1:
         # no fiber variable: a reduced union of fibers, or no point at all
@@ -283,42 +276,25 @@ def _analyze_chart(fv: list[Poly], p: int):
     if pdeg(cand) < 1:
         return ("clean", None)
     for q, _ in irreducible_factors(cand, p):
-        L = QuotientField(q, p)
-        hL = _specialize(h, q, L)
-        huL = _specialize(hu, q, L)
-        hvL = _specialize(hv, q, L)
-        g = qgcd(qgcd(hL, hvL, L), huL, L)
-        if len(g) - 1 >= 1:
+        g = gcd_mod([h, hv, hu], q, p)
+        if len(g) >= 2:
             return ("singular", _base_root_point(q, g, p, nr, factor=True))
     return ("clean", None)
 
 
-def _reduce_elt(c: Poly, L: QuotientField):
-    r = pmod(c, L.q, L.p)
-    r = list(r) + [0] * (L.deg - len(r))
-    return tuple(r[: L.deg])
-
-
-def _specialize(fv: list[Poly], q: Poly, L: QuotientField) -> list:
-    """Chart polynomial with base variable sent to the class of q's root."""
-    out = [_reduce_elt(c, L) for c in fv]
-    while out and L.is_zero(out[-1]):
-        out.pop()
-    return out
-
-
-def _base_root_point(q: Poly, fv: list, p: int, nr: int, factor=False):
+def _base_root_point(q: Poly, fv: list[Poly], p: int, nr: int, factor=False):
     """Singular point over a root of the monic irreducible q in the base
     variable, on the fiber polynomial fv: the residual curve where a
     vertical component meets it, or (factor=True) the common
-    fiber-direction factor over F_p[u]/(q).  Concrete when q is linear;
-    otherwise symbolic, with fv itself when it is that factor."""
+    fiber-direction factor `gcd_mod` found.  Concrete when q is linear;
+    otherwise symbolic, with fv itself when it is that factor, each
+    coefficient padded to deg q entries."""
     if pdeg(q) == 1:
         u0 = -q[0] % p
         return _fiber_point(u0, ptrim([peval(c, u0, p) for c in fv]), p, nr)
     wit = {"u_minpoly": q, "symbolic": True}
     if factor:
-        wit["v_factor_over_extension"] = [list(c) for c in fv]
+        wit["v_factor_over_extension"] = [c + [0] * (pdeg(q) - len(c)) for c in fv]
     return wit
 
 

@@ -422,15 +422,17 @@ def lemma_is_check(
     each middle block P_2..P_{k-1} at every root of the corner entry G.
     Surjective means the evaluation rows are independent.  Surjectivity
     is an open condition, so one good draw certifies it; an unlucky draw
-    proves nothing and is retried up to `tries` times.
+    proves nothing, so up to `tries` draws are made (at least 1).
     """
+    if tries < 1:
+        raise ValueError(f"tries must be at least 1, got {tries}")
     e, f = tuple(e), tuple(f)
     if len(e) != k or len(f) != k:
         raise ValueError("types must have length k")
     if rng is None:
         rng = random.Random(derive_seed("lemma-is", e, f, m, p))
     grid = degree_grid(e, f, m)
-    for _ in range(max(1, tries)):
+    for _ in range(tries):
         pair, meta = sample_is_point(grid, p, rng)
         M = dphi_matrix(pair, "T_CORNER")
         rows = []

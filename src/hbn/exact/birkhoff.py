@@ -7,9 +7,7 @@ bundles; diag(t^d) corresponds to the degree-d line bundle.
 `TransitionMatrix` stores T densely: one int64 array `coeffs` of shape
 (n, n, L) with entries in [0, p) and an exponent offset `low`, so entry
 (i, j) is sum_l coeffs[i, j, l] * t^(low + l).  Construction trims the
-exponent slots that are zero in every entry.  A product is one batched
-convolution that reduces every product of two entries before summing,
-so it is exact in int64 for p up to 2^31 - 1.  `det` evaluates T at the
+exponent slots that are zero in every entry.  `det` evaluates T at the
 nodes 0..n(L-1), takes one `batch_det_mod` over that stack and one
 `interp_nodes`: det(T) is t^(n * low) times a polynomial of degree at
 most n(L-1), so it needs p > n(L-1) and raises PrimeTooSmallError
@@ -37,7 +35,6 @@ diag(t^(m_j)).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,48 +77,6 @@ class TransitionMatrix:
         vals = _eval_at_nodes(self.coeffs, nodes, self.p)
         coef = interp_nodes(batch_det_mod(vals, self.p), self.p)
         return TransitionMatrix(coef[None, None], n * self.low, self.p)
-
-    def mul(self, other: "TransitionMatrix") -> "TransitionMatrix":
-        if self.size != other.size or self.p != other.p:
-            raise ValueError("size/field mismatch")
-        a, b, p = self.coeffs, other.coeffs, self.p
-        # prods[i, j, u, v] = sum_l a[i, l, u] * b[l, j, v], each term reduced
-        prods = (a[:, :, None, :, None] * b[None, :, :, None, :] % p).sum(axis=1)
-        out = np.zeros(prods.shape[:2] + (a.shape[2] + b.shape[2] - 1,), dtype=np.int64)
-        for u in range(a.shape[2]):
-            out[:, :, u : u + b.shape[2]] += prods[:, :, u]
-        return TransitionMatrix(out, self.low + other.low, p)
-
-    @classmethod
-    def diagonal(cls, exps: list[int], p: int) -> "TransitionMatrix":
-        n = len(exps)
-        low = min(exps)
-        coeffs = np.zeros((n, n, max(exps) - low + 1), dtype=np.int64)
-        coeffs[range(n), range(n), [e - low for e in exps]] = 1
-        return cls(coeffs, low, p)
-
-    @classmethod
-    def random_unimodular(cls, n: int, p: int, rng: random.Random, at_infinity: bool = False) -> "TransitionMatrix":
-        """Product of elementary operations, invertible at 0 (or at ∞).
-
-        Each operation adds poly * column i to column j in place, in the
-        variable t (1/t at infinity); a column gains at most degree 2 per
-        operation, so 6n + 1 slots hold the product.
-        """
-        width = 6 * n + 1
-        a = np.zeros((n, n, width), dtype=np.int64)
-        a[range(n), range(n), 0] = 1
-        for _ in range(3 * n):
-            i, j = rng.randrange(n), rng.randrange(n)
-            if i == j:
-                continue
-            poly = [rng.randrange(p) for _ in range(rng.randrange(1, 4))]
-            for e, c in enumerate(poly):
-                a[:, j, e:] += c * a[:, i, : width - e] % p
-            a[:, j] %= p
-        # scale each column by a nonzero constant
-        a = a * np.array([rng.randrange(1, p) for _ in range(n)])[:, None] % p
-        return cls(a[:, :, ::-1], 1 - width, p) if at_infinity else cls(a, 0, p)
 
 
 def birkhoff_splitting(T: TransitionMatrix) -> tuple[int, ...]:

@@ -1,9 +1,11 @@
 """Prime field arithmetic: primality, inverses, square roots, nonresidues.
 
 All elements of F_p are plain python ints in [0, p).  No classes wrap
-single field elements; hot loops stay on ints and numpy arrays.  F_p^2 =
-F_p[w]/(w^2 - nr), nr = `quadratic_nonresidue(p)`, is the degree-2
-`hbn.exact.poly.QuotientField([-nr % p, 0, 1], p)`.
+single field elements; hot loops stay on ints and numpy arrays.  An
+element of F_p^2 = F_p[w]/(w^2 - nr), nr = `quadratic_nonresidue(p)`, is
+the pair (a, b) = a + b*w that `hbn.exact.poly.quadratic_roots` returns;
+larger extensions F_p[u]/(q) are polynomials reduced mod q
+(`hbn.exact.poly` module doc).
 """
 
 from __future__ import annotations

@@ -13,11 +13,11 @@ Roots come from `irreducible_factors` (Cantor-Zassenhaus): the linear
 factors give the F_p roots, and `quadratic_roots` the roots of a
 quadratic one in F_p^2.
 
-Also provides a quotient-field engine F_p[x]/(q) for q irreducible, so
-callers can run gcds of polynomials whose coefficients live in an
-extension field of arbitrary degree.  It is also the one F_p^2 type:
-QuotientField([-nr mod p, 0, 1], p), whose elements (a, b) mean a + b*w
-with w^2 = nr, the pairs `quadratic_roots` returns.
+An element of the field F_p[u]/(q), q irreducible, is a polynomial
+reduced mod q: `pmod` reduces, `pmul` then `pmod` multiplies and
+`pinvmod` inverts, which is all `hbn.exact.poly2.gcd_mod` needs to run
+Euclid over an extension of any degree.  F_p^2 elements appear only as
+the pairs (a, b) = a + b*w, w^2 = nr, that `quadratic_roots` returns.
 """
 
 from __future__ import annotations
@@ -99,6 +99,22 @@ def pmonic(f: Poly, p: int) -> Poly:
     if not f or f[-1] == 1:
         return f[:]
     return pscale(f, inv_mod(f[-1], p), p)
+
+
+def pinvmod(a: Poly, q: Poly, p: int) -> Poly:
+    """Inverse of a mod q by extended Euclid, for a coprime to q (q
+    irreducible and a != 0 mod q).  A Fermat power would need the
+    exponent p^deg q - 2, far too large for the degrees here."""
+    r0, r1 = q, pmod(a, q, p)
+    if not r1:
+        raise ZeroDivisionError("inverse of zero mod q")
+    s0: Poly = []
+    s1: Poly = [1]
+    while r1:
+        quo, rem = pdivmod(r0, r1, p)
+        r0, r1 = r1, rem
+        s0, s1 = s1, psub(s0, pmul(quo, s1, p), p)
+    return pmod(pscale(s0, inv_mod(r0[-1], p), p), q, p)
 
 
 def pgcd(f: Poly, g: Poly, p: int) -> Poly:
@@ -280,95 +296,3 @@ def quadratic_roots(f: Poly, p: int, nr: int) -> list[tuple[int, int]]:
     re = (-b) * half % p
     im = s * half % p
     return [(re, im), (re, (-im) % p)]
-
-
-class QuotientField:
-    """The field F_p[x]/(q) for monic irreducible q.
-
-    Elements are int tuples of length deg q (coefficients of 1, x, ...).
-    Degree 1 collapses to arithmetic in F_p itself, with x identified
-    with the root -q[0].
-    """
-
-    def __init__(self, q: Poly, p: int):
-        self.q = pmonic(q, p)
-        self.p = p
-        self.deg = pdeg(q)
-        if self.deg < 1:
-            raise ValueError("modulus must be nonconstant")
-        self.zero = (0,) * self.deg
-
-    def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        prod = pmul(list(a), list(b), self.p)
-        r = pmod(prod, self.q, self.p)
-        return tuple(r) + (0,) * (self.deg - len(r))
-
-    def inv(self, a):
-        # extended euclid in F_p[x]
-        p = self.p
-        r0, r1 = self.q[:], ptrim(list(a))
-        if not r1:
-            raise ZeroDivisionError("inverse of zero in quotient field")
-        s0: Poly = []
-        s1: Poly = [1]
-        while r1:
-            quo, rem = pdivmod(r0, r1, p)
-            r0, r1 = r1, rem
-            s0, s1 = s1, psub(s0, pmul(quo, s1, p), p)
-        inv_lead = inv_mod(r0[-1], p)
-        s0 = pscale(s0, inv_lead, p)
-        s0 = pmod(s0, self.q, p)
-        return tuple(s0) + (0,) * (self.deg - len(s0))
-
-    def is_zero(self, a) -> bool:
-        return all(x == 0 for x in a)
-
-
-# ---------------------------------------------------------------------------
-# polynomials in one variable with coefficients in an arbitrary field object
-# (anything with zero/sub/mul/inv/is_zero, e.g. QuotientField)
-# ---------------------------------------------------------------------------
-
-
-def qtrim(f: list, K) -> list:
-    n = len(f)
-    while n > 0 and K.is_zero(f[n - 1]):
-        n -= 1
-    return f[:n]
-
-
-def qdivmod(f: list, g: list, K) -> tuple[list, list]:
-    g = qtrim(g, K)
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    f = qtrim(f, K)[:]
-    dg = len(g) - 1
-    lead_inv = K.inv(g[-1])
-    q = [K.zero] * max(0, len(f) - dg)
-    for i in range(len(f) - 1, dg - 1, -1):
-        c = f[i]
-        if K.is_zero(c):
-            continue
-        c = K.mul(c, lead_inv)
-        q[i - dg] = c
-        for j, b in enumerate(g):
-            f[i - dg + j] = K.sub(f[i - dg + j], K.mul(c, b))
-    return qtrim(q, K), qtrim(f, K)
-
-
-def qgcd(f: list, g: list, K) -> list:
-    f, g = qtrim(f, K), qtrim(g, K)
-    while g:
-        f, g = g, qdivmod(f, g, K)[1]
-    if f:
-        lead_inv = K.inv(f[-1])
-        f = [K.mul(c, lead_inv) for c in f]
-    return f

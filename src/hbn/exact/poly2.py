@@ -1,4 +1,5 @@
-"""Resultants in v of polynomials with F_p[u] coefficients, by evaluation.
+"""Polynomials in v with F_p[u] coefficients: resultants by evaluation,
+and gcds over a root of an irreducible q(u).
 
 A polynomial in v is a coefficient list (index = power of v) whose
 entries are univariate polys in u.  Resultants are computed through the
@@ -14,6 +15,12 @@ call takes the stack of n Sylvester matrices and one `interp_nodes` call
 recovers the coefficients.  n is the degree bound + 1, rounded up to a
 multiple of 8 and capped at p, so a few interpolation tables per prime
 serve every pair.
+
+`restrict` sends u to a root alpha of a monic irreducible q by reducing
+each entry mod q, which makes the same list a polynomial over
+F_p(alpha) = F_p[u]/(q), whatever the degree of q.  `gcd_mod` runs
+Euclid on such lists: entries multiply by `pmul` then `pmod`, and the
+leading coefficient of each divisor inverts by `pinvmod`.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 
 from hbn.exact.field import PrimeTooSmallError
 from hbn.exact.linalg import batch_det_mod
-from hbn.exact.poly import Poly, _eval_at_nodes, interp_nodes, ptrim
+from hbn.exact.poly import Poly, _eval_at_nodes, interp_nodes, pinvmod, pmod, pmul, psub, ptrim
 
 NODE_STEP = 8
 
@@ -75,3 +82,29 @@ def resultant_v(f: list[Poly], g: list[Poly], p: int) -> Poly:
     vals = _eval_at_nodes(coeffs, n, p)
     dets = batch_det_mod(sylvester(vals[:, : len(f)], vals[:, len(f) :]), p)
     return ptrim(interp_nodes(dets, p).tolist())
+
+
+def restrict(fv: list[Poly], q: Poly, p: int) -> list[Poly]:
+    """fv with each u-coefficient reduced mod q, zero top v-coefficients
+    dropped: fv over the root of q, as a list of entries of F_p[u]/(q)."""
+    out = [pmod(c, q, p) for c in fv]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def gcd_mod(fvs: list[list[Poly]], q: Poly, p: int) -> list[Poly]:
+    """Monic gcd in (F_p[u]/(q))[v] of the polynomials fvs, q monic
+    irreducible; [] when every one restricts to zero."""
+    g: list[Poly] = []
+    for f in fvs:
+        f = restrict(f, q, p)
+        while f:
+            # g := g mod f, cancelling g's top v-coefficient each step
+            inv = pinvmod(f[-1], q, p)
+            while len(g) >= len(f):
+                c, shift = pmod(pmul(g[-1], inv, p), q, p), len(g) - len(f)
+                g = restrict(g[:shift] + [psub(a, pmul(c, b, p), p) for a, b in zip(g[shift:], f)], q, p)
+            g, f = f, g
+    inv = pinvmod(g[-1], q, p) if g else []
+    return restrict([pmul(c, inv, p) for c in g], q, p)

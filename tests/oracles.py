@@ -26,6 +26,19 @@ transposed pass included), so it checks the boundary reduction, not the
 chart analysis.  Like
 `smoothness` it draws nothing random and answers SMOOTH or SINGULAR.
 
+Quotient fields.  `QuotientField` is the field F_p[x]/(q) as a class,
+and `qgcd` (with `qtrim` and `qdivmod`) runs Euclid over any object with
+zero/sub/mul/inv/is_zero: the reference that hbn.exact.poly2's
+`gcd_mod` on reduced coefficient lists is held to, and the F_p^2
+arithmetic (q = w^2 - nr) of `point_on_curve` and the curve tests.  It
+multiplies and reduces with hbn.exact.poly's `pmul` and `pdivmod`, as
+`gcd_mod` does, so it checks the Euclid over the extension, not that
+arithmetic.
+
+Transition matrices.  `transition_product`, `transition_diagonal` and
+`random_unimodular` build glued bundles of known splitting type for the
+Birkhoff tests; hbn.exact.birkhoff only factors a given matrix.
+
 Closed forms.  `p1_pk_closed_form` writes the outer coefficients P_1
 and P_k of det(Ax + By) on the SUT locus as signed products of entries,
 `chi_surface` is surface Riemann-Roch, `h2_surface` is Serre duality
@@ -58,16 +71,20 @@ from hbn.determinantal import (
     MatrixPair,
     forced_reducibility,
 )
-from hbn.exact.field import quadratic_nonresidue
+from hbn.exact.birkhoff import TransitionMatrix
+from hbn.exact.field import inv_mod, quadratic_nonresidue
 from hbn.exact.linalg import matrix_rank
 from hbn.exact.poly import (
     Poly,
-    QuotientField,
     irreducible_factors,
     pdeg,
     pdivmod,
     peval,
+    pmod,
+    pmonic,
     pmul,
+    pscale,
+    psub,
     ptrim,
     quadratic_roots,
 )
@@ -387,6 +404,103 @@ def dphi_column_dual(pair: MatrixPair, coord: tuple, include_p0: bool = False) -
 
 
 # ---------------------------------------------------------------------------
+# quotient fields
+# ---------------------------------------------------------------------------
+
+
+class QuotientField:
+    """The field F_p[x]/(q) for monic irreducible q.
+
+    Elements are int tuples of length deg q (coefficients of 1, x, ...).
+    Degree 1 collapses to arithmetic in F_p itself, with x identified
+    with the root -q[0].
+    """
+
+    def __init__(self, q: Poly, p: int):
+        self.q = pmonic(q, p)
+        self.p = p
+        self.deg = pdeg(q)
+        if self.deg < 1:
+            raise ValueError("modulus must be nonconstant")
+        self.zero = (0,) * self.deg
+
+    def add(self, a, b):
+        p = self.p
+        return tuple((x + y) % p for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        p = self.p
+        return tuple((x - y) % p for x, y in zip(a, b))
+
+    def mul(self, a, b):
+        prod = pmul(list(a), list(b), self.p)
+        r = pmod(prod, self.q, self.p)
+        return tuple(r) + (0,) * (self.deg - len(r))
+
+    def inv(self, a):
+        # extended euclid in F_p[x]
+        p = self.p
+        r0, r1 = self.q[:], ptrim(list(a))
+        if not r1:
+            raise ZeroDivisionError("inverse of zero in quotient field")
+        s0: Poly = []
+        s1: Poly = [1]
+        while r1:
+            quo, rem = pdivmod(r0, r1, p)
+            r0, r1 = r1, rem
+            s0, s1 = s1, psub(s0, pmul(quo, s1, p), p)
+        inv_lead = inv_mod(r0[-1], p)
+        s0 = pscale(s0, inv_lead, p)
+        s0 = pmod(s0, self.q, p)
+        return tuple(s0) + (0,) * (self.deg - len(s0))
+
+    def is_zero(self, a) -> bool:
+        return all(x == 0 for x in a)
+
+
+# ---------------------------------------------------------------------------
+# polynomials in one variable with coefficients in an arbitrary field object
+# (anything with zero/sub/mul/inv/is_zero, e.g. QuotientField)
+# ---------------------------------------------------------------------------
+
+
+def qtrim(f: list, K) -> list:
+    n = len(f)
+    while n > 0 and K.is_zero(f[n - 1]):
+        n -= 1
+    return f[:n]
+
+
+def qdivmod(f: list, g: list, K) -> tuple[list, list]:
+    g = qtrim(g, K)
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    f = qtrim(f, K)[:]
+    dg = len(g) - 1
+    lead_inv = K.inv(g[-1])
+    q = [K.zero] * max(0, len(f) - dg)
+    for i in range(len(f) - 1, dg - 1, -1):
+        c = f[i]
+        if K.is_zero(c):
+            continue
+        c = K.mul(c, lead_inv)
+        q[i - dg] = c
+        for j, b in enumerate(g):
+            f[i - dg + j] = K.sub(f[i - dg + j], K.mul(c, b))
+    return qtrim(q, K), qtrim(f, K)
+
+
+def qgcd(f: list, g: list, K) -> list:
+    f, g = qtrim(f, K), qtrim(g, K)
+    while g:
+        f, g = g, qdivmod(f, g, K)[1]
+    if f:
+        lead_inv = K.inv(f[-1])
+        f = [K.mul(c, lead_inv) for c in f]
+    return f
+
+
+# ---------------------------------------------------------------------------
 # four charts
 # ---------------------------------------------------------------------------
 
@@ -636,3 +750,54 @@ def chi_surface(d: SurfaceDivisor, m: int) -> int:
     """Euler characteristic by surface Riemann-Roch."""
     k = canonical_divisor(m)
     return 1 + (intersection(d, d, m) - intersection(d, k, m)) // 2
+
+
+# ---------------------------------------------------------------------------
+# transition matrices
+# ---------------------------------------------------------------------------
+
+
+def transition_product(a: TransitionMatrix, b: TransitionMatrix) -> TransitionMatrix:
+    """a * b: one batched convolution that reduces every product of two
+    entries before summing, so it is exact in int64 for p up to 2^31 - 1."""
+    if a.size != b.size or a.p != b.p:
+        raise ValueError("size/field mismatch")
+    x, y, p = a.coeffs, b.coeffs, a.p
+    # prods[i, j, u, v] = sum_l x[i, l, u] * y[l, j, v], each term reduced
+    prods = (x[:, :, None, :, None] * y[None, :, :, None, :] % p).sum(axis=1)
+    out = np.zeros(prods.shape[:2] + (x.shape[2] + y.shape[2] - 1,), dtype=np.int64)
+    for u in range(x.shape[2]):
+        out[:, :, u : u + y.shape[2]] += prods[:, :, u]
+    return TransitionMatrix(out, a.low + b.low, p)
+
+
+def transition_diagonal(exps: list[int], p: int) -> TransitionMatrix:
+    """diag(t^e for e in exps), the gluing of the split bundle."""
+    n = len(exps)
+    low = min(exps)
+    coeffs = np.zeros((n, n, max(exps) - low + 1), dtype=np.int64)
+    coeffs[range(n), range(n), [e - low for e in exps]] = 1
+    return TransitionMatrix(coeffs, low, p)
+
+
+def random_unimodular(n: int, p: int, rng: random.Random, at_infinity: bool = False) -> TransitionMatrix:
+    """Product of elementary operations, invertible at 0 (or at infinity).
+
+    Each operation adds poly * column i to column j in place, in the
+    variable t (1/t at infinity); a column gains at most degree 2 per
+    operation, so 6n + 1 slots hold the product.
+    """
+    width = 6 * n + 1
+    a = np.zeros((n, n, width), dtype=np.int64)
+    a[range(n), range(n), 0] = 1
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            continue
+        poly = [rng.randrange(p) for _ in range(rng.randrange(1, 4))]
+        for e, c in enumerate(poly):
+            a[:, j, e:] += c * a[:, i, : width - e] % p
+        a[:, j] %= p
+    # scale each column by a nonzero constant
+    a = a * np.array([rng.randrange(1, p) for _ in range(n)])[:, None] % p
+    return TransitionMatrix(a[:, :, ::-1], 1 - width, p) if at_infinity else TransitionMatrix(a, 0, p)

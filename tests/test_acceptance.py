@@ -12,7 +12,13 @@ from itertools import combinations_with_replacement
 
 import pytest
 from conftest import record_acceptance
-from oracles import cokernel_rank_check, discriminant_check
+from oracles import (
+    cokernel_rank_check,
+    discriminant_check,
+    random_unimodular,
+    transition_diagonal,
+    transition_product,
+)
 
 from hbn.curves import SurfaceDivisor, connectedness, h0_profile_splitting, smoothness
 from hbn.determinantal import (
@@ -29,7 +35,7 @@ from hbn.differential import (
     lemma_main_check,
     product_rule_rank,
 )
-from hbn.exact.birkhoff import TransitionMatrix, birkhoff_splitting
+from hbn.exact.birkhoff import birkhoff_splitting
 from hbn.scrollar import abundance_verdict, general_cover_not_abundant
 from hbn.seeds import derive_seed
 from hbn.splitting import (
@@ -301,13 +307,12 @@ def test_criterion_10_pushforward_oracle_consistency():
             for degs in combinations_with_replacement(range(-3, 4), r)
         ]
         for degs in bundles:
-            base = TransitionMatrix.diagonal(list(degs), P)
+            base = transition_diagonal(list(degs), P)
             for _ in range(100):
-                left = TransitionMatrix.random_unimodular(len(degs), P, rng)
-                right = TransitionMatrix.random_unimodular(
-                    len(degs), P, rng, at_infinity=True
-                )
-                assert birkhoff_splitting(left.mul(base).mul(right)) == tuple(sorted(degs))
+                left = random_unimodular(len(degs), P, rng)
+                right = random_unimodular(len(degs), P, rng, at_infinity=True)
+                glued = transition_product(transition_product(left, base), right)
+                assert birkhoff_splitting(glued) == tuple(sorted(degs))
     record_acceptance(
         f"       criterion 10 certified {smooth_samples} smooth samples, "
         f"{len(bundles)} bundles x 100 twists"

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    QuotientField,
     chi_surface,
     cokernel_rank_check,
     curve_points,
@@ -48,7 +49,7 @@ from hbn.determinantal import (
     sample_pair,
 )
 from hbn.exact.field import DEFAULT_PRIME, PrimeTooSmallError, quadratic_nonresidue
-from hbn.exact.poly import QuotientField, pscale
+from hbn.exact.poly import pmul, pscale
 from hbn.exact.poly2 import resultant_v
 from hbn.splitting import HirzebruchClass, genus, structure_sheaf_type
 
@@ -242,6 +243,34 @@ def test_section_component_meets_the_rest_over_f_p2():
     u = tuple(cert.witness["u"])
     assert F.mul(u, u) == (P - 1, 0)
     assert all(F.is_zero(x) for x in _chart_values_at(chart_polys(curve)["t_x"], u, (1, 0), F))
+
+
+# x^2 = b(t) y^2 on class (m, k, delta) = (3, 2, 0), b = q^e for an
+# irreducible q of degree 2 or 3: in chart t_x, h = v^2 - b(u), and over a
+# root of q both partials vanish with h on v = 0, a singular point no
+# F_p or F_p^2 fiber holds.  The witness names q and the common factor v.
+EXTENSION_WITNESSES = {
+    "(t^2 - 5)^3": (
+        [P - 5, 0, 1], 3,
+        {"symbolic": True, "u_minpoly": [10002, 0, 1], "v_factor_over_extension": [[0, 0], [1, 0]]},
+    ),
+    "(t^3 + t + 1)^2": (
+        [1, 1, 0, 1], 2,
+        {"symbolic": True, "u_minpoly": [1, 1, 0, 1], "v_factor_over_extension": [[0, 0, 0], [1, 0, 0]]},
+    ),
+}
+
+
+@pytest.mark.parametrize("b", EXTENSION_WITNESSES)
+def test_singular_point_over_a_base_root_of_degree_two_or_three(b):
+    q, e, witness = EXTENSION_WITNESSES[b]
+    assert P == 10007
+    power = [1]
+    for _ in range(e):
+        power = pmul(power, q, P)
+    curve = _curve(HirzebruchClass(m=3, k=2, delta=0), [pscale(power, -1, P), None, [1]])
+    cert = smoothness(curve)
+    assert (cert.verdict, cert.chart, cert.witness) == ("SINGULAR", "t_x", witness)
 
 
 def test_double_component_witness_is_the_first_fiber_that_keeps_it():

@@ -194,6 +194,12 @@ def test_lemma_is_validates_lengths():
         lemma_is_check(3, (-8, -4), (-7, -4, 0), 3)
 
 
+@pytest.mark.parametrize("tries", [0, -1])
+def test_lemma_is_rejects_fewer_than_one_try(tries):
+    with pytest.raises(ValueError, match=f"tries must be at least 1, got {tries}"):
+        lemma_is_check(3, (-8, -4, -1), (-7, -4, 0), 3, rng=random.Random(4), tries=tries)
+
+
 def test_product_rule_witness_small():
     for d1 in range(4):
         for d2 in range(4):

@@ -3,8 +3,10 @@
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import QuotientField, qgcd
 
 from hbn.exact.field import (
     DEFAULT_PRIME,
@@ -15,7 +17,6 @@ from hbn.exact.field import (
     sqrt_mod,
 )
 from hbn.exact.poly import (
-    QuotientField,
     interp_nodes,
     irreducible_factors,
     pdeg,
@@ -24,6 +25,7 @@ from hbn.exact.poly import (
     pgcd,
     pmod,
     pmonic,
+    pinvmod,
     pmul,
     ppowmod,
     pscale,
@@ -31,6 +33,7 @@ from hbn.exact.poly import (
     ptrim,
     squarefree_part,
 )
+from hbn.exact.poly2 import gcd_mod, restrict
 
 P = DEFAULT_PRIME
 PRIMES = [2, 3, 5, 7, 101, 997, 10007]
@@ -77,13 +80,22 @@ def test_nonresidue_has_no_root():
     st.integers(0, P - 1), st.integers(0, P - 1),
 )
 def test_fp2_inverse(a, b, c, d):
-    # F_p^2 = F_p[w]/(w^2 - nr), elements (a, b) = a + b*w
-    F = QuotientField([-quadratic_nonresidue(P) % P, 0, 1], P)
-    x, y = (a, b), (c, d)
-    if not F.is_zero(x):
-        assert F.mul(x, F.inv(x)) == (1, 0)
+    # F_p^2 = F_p[w]/(w^2 - nr), elements a + b*w as the polys [a, b]
+    q = [-quadratic_nonresidue(P) % P, 0, 1]
+    x, y = ptrim([a, b]), ptrim([c, d])
+
+    def mul(f, g):
+        return pmod(pmul(f, g, P), q, P)
+
+    if x:
+        inv = pinvmod(x, q, P)
+        assert mul(x, inv) == [1]
+        assert tuple(inv) + (0,) * (2 - len(inv)) == QuotientField(q, P).inv((a, b))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            pinvmod(x, q, P)
     # associativity spot
-    assert F.mul(F.mul(x, y), (2, 3)) == F.mul(x, F.mul(y, (2, 3)))
+    assert mul(mul(x, y), [2, 3]) == mul(x, mul(y, [2, 3]))
 
 
 coeffs = st.lists(st.integers(0, P - 1), min_size=0, max_size=8)
@@ -204,3 +216,56 @@ def test_pmul_exact_where_int64_convolution_overflows():
     p = 2**31 - 1
     f = [p - 1] * 10
     assert pmul(f, f, p) == _python_product(f, f, p)
+
+
+def _random_irreducible(d, p, rng):
+    while True:
+        q = [rng.randrange(p) for _ in range(d)] + [1]
+        if irreducible_factors(q, p) == [(q, 1)]:
+            return q
+
+
+def _vmul(f, g, p):
+    """Product of two polynomials in v with F_p[u] coefficients."""
+    out = [[] for _ in range(len(f) + len(g) - 1)]
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = psub(out[i + j], pscale(pmul(a, b, p), -1, p), p)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2), st.booleans(), st.integers(0, 2**32 - 1))
+def test_gcd_mod_matches_the_quotient_field_oracle(d, planted, vanish, seed):
+    # three polynomials in v over F_31[u] sharing a planted factor of
+    # v-degree 0..2, the third one a multiple of q (restricting to zero)
+    # when `vanish`; their gcd over F_31[u]/(q) against `qgcd`, padded.
+    p, rng = 31, random.Random(seed)
+    q = _random_irreducible(d, p, rng)
+
+    def rand_v(deg_v):
+        return [ptrim([rng.randrange(p) for _ in range(d + 1)]) for _ in range(deg_v)] + [[1]]
+
+    # gcd(f1, f2) keeps the factor x, which only f3 removes
+    common, x, y = rand_v(planted), rand_v(1), rand_v(rng.randrange(1, 3))
+    fvs = [_vmul(common, x, p), _vmul(_vmul(common, x, p), y, p), _vmul(common, y, p)]
+    if vanish:
+        fvs[2] = [pmul(c, q, p) for c in fvs[2]]
+    K = QuotientField(q, p)
+
+    def pad(c):
+        return tuple(c) + (0,) * (d - len(c))
+
+    want: list = []
+    for f in fvs:
+        want = qgcd(want, [pad(c) for c in restrict(f, q, p)], K)
+    got = gcd_mod(fvs, q, p)
+    assert [pad(c) for c in got] == want
+    assert got and got[-1] == [1] and len(got) > planted
+
+
+def test_restrict_and_gcd_mod_over_a_root_that_kills_coefficients():
+    # mod u + 1, 1 + u vanishes in the middle of a list, and u^2 + u at its top
+    assert restrict([[2], [1, 1], [3, 0, 1], [0, 1, 1]], [1, 1], P) == [[2], [], [4]]
+    # u and u v - u^2 v^2 are zero mod u: no gcd to normalise
+    assert gcd_mod([[[0, 1]], [[], [0, 1], [0, 0, P - 1]]], [0, 1], P) == []

@@ -1,10 +1,16 @@
-"""Every public function and class in src/hbn has a reader outside tests.
+"""Every public function, class and method in src/hbn has a reader
+outside tests.
 
 A read is a Name, an Attribute, an imported name, or a string constant
 equal to the name, anywhere in src/hbn, scripts/ or perfbench/; reads
-inside the definition's own body do not count.  Code that only tests
-call belongs in tests/oracles.py or nowhere.  The few names that no code
-reads but that stay on purpose are listed in ALLOWED with the reason.
+inside the definition's own body do not count.  Methods are the public
+ones of public top-level classes.  The check matches on the bare name,
+not on the object it is read from, so a method whose name other objects
+also carry (`add` of a set, `diagonal` of a numpy array) counts as read
+wherever that name is read, and an unread one goes uncaught.  Code that
+only tests call belongs in tests/oracles.py or nowhere.  The few names
+that no code reads but that stay on purpose are listed in ALLOWED with
+the reason.
 """
 
 import ast
@@ -57,6 +63,9 @@ def _public_defs() -> dict[str, list[ast.AST]]:
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 defs.setdefault(node.name, []).append(node)
+                for method in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                        defs.setdefault(method.name, []).append(method)
     return defs
 
 
