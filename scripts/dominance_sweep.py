@@ -17,7 +17,8 @@ import time
 
 from hbn.differential import dominance_rank
 from hbn.exact.field import check_prime
-from hbn.sweeps import WINDOW, desk_classes, iter_window_strata, passes
+from hbn.splitting import enumerate_strata
+from hbn.sweeps import WINDOW, desk_classes
 
 
 def main() -> int:
@@ -42,9 +43,8 @@ def main() -> int:
     total = first_trial = 0
     failures = []
     for cls in desk_classes(k_max=args.kmax, m_max=args.mmax, delta_max=args.dmax):
-        for e, f in iter_window_strata(cls, args.lo, args.hi):
-            if not passes(e, f, cls):
-                continue
+        for row in enumerate_strata(cls, window=(args.lo, args.hi)):
+            e, f = row.e, row.f
             rep = dominance_rank(e, f, cls, trials=args.trials, p=args.p)
             total += 1
             if rep["verdict"] == "DOMINANT" and rep["trials"] == 1:

@@ -172,7 +172,8 @@ def sample_is_point(
     distinct); A_{k,1} = G (split, roots distinct from every F_i);
     A_{i,k+1-i} for i <= k-2; A_{i,k} for i <= k-r-1 and i = k-1;
     B_{i,1} for k-r <= i <= k-1; A_{k,j} for 2 <= j <= k.  Everything
-    else is identically zero.
+    else is identically zero.  That support lies inside SUT's, so the
+    pair carries the SUT pattern.
     """
     reason = is_point_obstruction(grid)
     if reason is not None:
@@ -212,7 +213,7 @@ def sample_is_point(
     for j in range(2, k + 1):  # bottom row of A
         draw(0, k, j)
 
-    return MatrixPair(coeffs, grid, "IS_POINT", p), {"r": r, "F_roots": F_roots, "G_roots": G_roots}
+    return MatrixPair(coeffs, grid, "SUT", p), {"r": r, "F_roots": F_roots, "G_roots": G_roots}
 
 
 # ---------------------------------------------------------------------------

@@ -111,8 +111,6 @@ def tangent_basis(
         raise ValueError(f"unknown selector {selector!r}")
     if pattern is None:
         pattern = "FULL" if selector == "FULL_PRIME" else "SUT"
-    if pattern == "IS_POINT":
-        pattern = "SUT"
     if selector != "FULL_PRIME" and pattern != "SUT":
         raise ValueError("triangular selectors need the SUT pattern")
     k = grid.k
@@ -336,7 +334,7 @@ def product_rule_rank(degrees, rng: random.Random | None = None, p: int = DEFAUL
 
 
 def _require_triangular(pair: MatrixPair) -> None:
-    if pair.pattern not in ("SUT", "IS_POINT"):
+    if pair.pattern != "SUT":
         raise ValueError("pair must follow the SUT pattern")
 
 

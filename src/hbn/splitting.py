@@ -6,6 +6,11 @@ This module holds the numerical side of the story: the codimension
 statistic u, the correction term nu, the stratum conditions, dimension
 formulas, and stratum enumeration.  Everything here is pure integer
 arithmetic; no field or curve ever appears.
+
+Every enumeration runs on one walk, iter_sum_types: weakly increasing
+tuples with per-entry floors, a common ceiling and a fixed sum, yielded
+in lexicographic order.  enumerate_strata returns its rows in the
+walk's order, with no sort.
 """
 
 from __future__ import annotations
@@ -35,8 +40,7 @@ class HirzebruchClass:
     """Surface index m and curve class k*H + delta*F on F_m.
 
     H is the section class with H^2 = m, F the fiber class; delta is the
-    intersection degree with the directrix.  genus() is the arithmetic
-    genus of the class by adjunction.
+    intersection degree with the directrix.
     """
 
     m: int
@@ -47,12 +51,10 @@ class HirzebruchClass:
         if self.m < 0 or self.delta < 0 or self.k < 1:
             raise ValueError(f"bad class ({self.m}, {self.k}, {self.delta})")
 
-    def genus(self) -> int:
-        return comb(self.k, 2) * self.m + (self.k - 1) * (self.delta - 1)
-
 
 def genus(cls: HirzebruchClass) -> int:
-    return cls.genus()
+    """Arithmetic genus of the class, by adjunction."""
+    return comb(cls.k, 2) * cls.m + (cls.k - 1) * (cls.delta - 1)
 
 
 def u(e) -> int:
@@ -96,7 +98,7 @@ def odelta_type(cls: HirzebruchClass) -> SplittingType:
     if k < 2:
         raise ValueError("need k >= 2")
     out = tuple(-(k - i) * m - d for i in range(1, k - 1)) + (-m, 0)
-    expected = d - cls.genus() - k + 1
+    expected = d - genus(cls) - k + 1
     if sum(out) != expected:
         raise ArithmeticError(
             f"degree check failed: sum {sum(out)} != {expected} for {cls}"
@@ -125,7 +127,7 @@ def predicted_dim(e, f, cls: HirzebruchClass) -> Dim:
     """g - u(e) - u(f) + nu(e, f, m) when all conditions hold, else "empty"."""
     if not all(check_conditions(e, f, cls)):
         return EMPTY
-    return cls.genus() - u(e) - u(f) + nu(e, f, cls.m)
+    return genus(cls) - u(e) - u(f) + nu(e, f, cls.m)
 
 
 def plane_curve_dim(e, g: int) -> Dim:
@@ -174,24 +176,23 @@ class StratumReport:
     """Record for one (e, f) stratum: conditions, statistics, dimension."""
 
     e: SplittingType
-    f: Optional[SplittingType]
-    cond: Optional[tuple[bool, bool, bool]]
+    f: SplittingType
+    cond: tuple[bool, bool, bool]
     u_e: int
-    u_f: Optional[int]
-    nu: Optional[int]
+    u_f: int
+    nu: int
     dim: Dim
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "e": list(self.e),
-            "f": None if self.f is None else list(self.f),
-            "cond": None if self.cond is None else list(self.cond),
+            "f": list(self.f),
+            "cond": list(self.cond),
             "u_e": self.u_e,
             "u_f": self.u_f,
             "nu": self.nu,
             "dim": self.dim,
         }
-        return out
 
 
 def default_window(cls: HirzebruchClass) -> tuple[int, int]:
@@ -208,12 +209,10 @@ def iter_types(k: int, lo: int, hi: int) -> Iterator[SplittingType]:
     yield from combinations_with_replacement(range(lo, hi + 1), k)
 
 
-def iter_sum_types(k: int, lo: int, hi: int, total: int) -> Iterator[SplittingType]:
-    """All weakly increasing k-tuples in [lo, hi] with a fixed entry sum.
-
-    No stratum conditions: this is the raw companion iterator, used to
-    reach the violating side of the window.
-    """
+def iter_sum_types(floors, hi: int, total: int) -> Iterator[SplittingType]:
+    """Weakly increasing tuples t with floors[i] <= t_i <= hi and sum(t) =
+    total, in lexicographic order."""
+    k = len(floors)
 
     def rec(i: int, prev: int, left: int):
         if i == k:
@@ -221,7 +220,7 @@ def iter_sum_types(k: int, lo: int, hi: int, total: int) -> Iterator[SplittingTy
                 yield ()
             return
         slots = k - i
-        for v in range(max(prev, lo), hi + 1):
+        for v in range(max(prev, floors[i]), hi + 1):
             if v * slots > left:
                 break
             if left - v > (slots - 1) * hi:
@@ -229,31 +228,7 @@ def iter_sum_types(k: int, lo: int, hi: int, total: int) -> Iterator[SplittingTy
             for rest in rec(i + 1, v, left - v):
                 yield (v,) + rest
 
-    yield from rec(0, lo, total)
-
-
-def iter_companions(e, cls: HirzebruchClass, lo: int, hi: int) -> Iterator[SplittingType]:
-    """All f in the window with check_conditions(e, f) all true."""
-    e = tuple(e)
-    k, m = cls.k, cls.m
-    floors = [max(e[i], e[i + 1] - m if i < k - 1 else e[i], lo) for i in range(k)]
-    target = sum(e) + cls.delta
-
-    def rec(i: int, prev: int, sum_so_far: int):
-        if i == k:
-            if sum_so_far == target:
-                yield ()
-            return
-        for v in range(max(floors[i], prev), hi + 1):
-            # minimal achievable total once f_i = v: later entries are
-            # at least max(floor, v); raising v only raises this
-            min_final = sum_so_far + v + sum(max(floors[j], v) for j in range(i + 1, k))
-            if min_final > target:
-                break
-            for rest in rec(i + 1, v, sum_so_far + v):
-                yield (v,) + rest
-
-    yield from rec(0, lo, 0)
+    yield from rec(0, min(floors, default=0), total)
 
 
 def stratum_report(e, f, cls: HirzebruchClass) -> StratumReport:
@@ -276,44 +251,41 @@ def enumerate_strata(
     degree: Optional[int] = None,
     sections: Optional[int] = None,
 ) -> list[StratumReport]:
-    """Stratum reports in deterministic lexicographic order.
+    """Stratum reports, in the order iter_sum_types walks them.
 
     Three modes:
       * e fixed: all companion types f in the window passing the
         conditions, with predicted dimensions.
-      * degree/sections filters: all types e of pushforwards of line
-        bundles with the given degree and exactly the given number of
-        global sections (delta must be 0, so f = e); dimensions via
-        predicted_dim, which the plane-curve formula must match.
-      * neither: every (e, f) pair in the window passing the conditions.
+      * degree (and optionally sections): all types e of pushforwards of
+        line bundles with the given degree and, if given, exactly that
+        many global sections (delta must be 0, so f = e); dimensions via
+        predicted_dim, which the plane-curve formula must match.  The
+        window does not apply.
+      * neither: every (e, f) pair in the window passing the conditions,
+        by e and then f in lexicographic order.
     """
-    if window is None:
-        window = default_window(cls)
-    lo, hi = window
+    if sections is not None and degree is None:
+        raise ValueError("sections needs a degree")
     out: list[StratumReport] = []
-    if degree is not None or sections is not None:
+    if degree is not None:
         if e is not None:
             raise ValueError("degree/sections mode excludes a fixed e")
         if cls.delta != 0:
             raise ValueError("degree/sections filter assumes delta = 0 (f = e)")
-        target_sum = degree + 1 - cls.genus() - cls.k
+        target_sum = degree + 1 - genus(cls) - cls.k
         hi_e = degree // cls.k
         lo_e = target_sum - (cls.k - 1) * hi_e
-        for cand in iter_types(cls.k, lo_e, hi_e):
-            if sum(cand) != target_sum:
-                continue
+        for cand in iter_sum_types((lo_e,) * cls.k, hi_e, target_sum):
             if sections is not None and sum(max(0, x + 1) for x in cand) != sections:
                 continue
-            if not corollary_check(cand, cls):
-                continue
-            out.append(stratum_report(cand, cand, cls))
+            if corollary_check(cand, cls):
+                out.append(stratum_report(cand, cand, cls))
         return out
-    if e is not None:
-        e = validate_type(e)
-        for f in iter_companions(e, cls, lo, hi):
+    lo, hi = window or default_window(cls)
+    es = [validate_type(e)] if e is not None else iter_types(cls.k, lo, hi)
+    for e in es:
+        # f_i >= e_i and f_i >= e_(i+1) - m; for the last entry both say f_k >= e_k
+        floors = tuple(max(a, b - cls.m, lo) for a, b in zip(e, e[1:] + e[-1:]))
+        for f in iter_sum_types(floors, hi, sum(e) + cls.delta):
             out.append(stratum_report(e, f, cls))
-        return sorted(out, key=lambda r: (r.e, r.f))
-    for cand_e in iter_types(cls.k, lo, hi):
-        for f in iter_companions(cand_e, cls, lo, hi):
-            out.append(stratum_report(cand_e, f, cls))
-    return sorted(out, key=lambda r: (r.e, r.f))
+    return out

@@ -49,7 +49,7 @@ def iter_window_strata(
 ) -> Iterator[tuple[SplittingType, SplittingType]]:
     """Every (e, f) in the window with the degree condition built in."""
     for e in iter_types(cls.k, lo, hi):
-        for f in iter_sum_types(cls.k, lo, hi, sum(e) + cls.delta):
+        for f in iter_sum_types((lo,) * cls.k, hi, sum(e) + cls.delta):
             yield e, f
 
 

@@ -722,7 +722,7 @@ def p1_pk_closed_form(pair: MatrixPair) -> tuple[BinaryForm, BinaryForm]:
     parity of the reversal on k-1 letters; P_k carries the reversal sign
     on k letters times the anti-diagonal product of A.
     """
-    if pair.pattern not in ("SUT", "IS_POINT"):
+    if pair.pattern != "SUT":
         raise ValueError("closed form requires the strictly-upper pattern")
     k = pair.k
     p = pair.p

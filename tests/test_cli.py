@@ -53,6 +53,19 @@ def test_enumerate_empty_window_still_ok(tmp_path):
     assert doc["rows"] == []
 
 
+def test_enumerate_degree_sections_query_on_a_large_class(tmp_path):
+    # the walk visits only tuples of the right sum; the cube of its
+    # window holds about 10^9 tuples
+    argv = ["enumerate", "--m", "3", "--k", "7", "--delta", "0", "--degree", "50", "--sections", "3"]
+    code, doc = run(tmp_path, argv)
+    assert code == 0
+    rows = doc["rows"]
+    assert len(rows) == 41
+    assert (rows[0]["e"], rows[0]["dim"]) == ([-7, -4, -1, -1, -1, -1, 2], 21)
+    assert (rows[-1]["e"], rows[-1]["dim"]) == ([-3, -3, -3, -3, -2, 0, 1], 34)
+    assert all(r["f"] == r["e"] for r in rows)
+
+
 def test_sample_smooth_exit_zero(tmp_path):
     code, doc = run(
         tmp_path,

@@ -201,7 +201,7 @@ def test_is_point_sample_structure():
     rng = random.Random(7)
     grid = degree_grid((-8, -6, -3, -1), (-7, -5, -3, 0), 3)
     pair, meta = sample_is_point(grid, P, rng)
-    assert pair.pattern == "IS_POINT"
+    assert pair.pattern == "SUT"
     assert set(meta) >= {"F_roots", "G_roots"}
     # planted roots actually kill the designated entries
     for i, roots in meta["F_roots"].items():

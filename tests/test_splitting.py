@@ -18,7 +18,6 @@ from hbn.splitting import (
     default_window,
     enumerate_strata,
     genus,
-    iter_companions,
     iter_sum_types,
     iter_types,
     nu,
@@ -143,19 +142,71 @@ def test_iter_types_counts_stars_and_bars():
 def test_iter_sum_types_is_the_sum_filter():
     for total in range(-8, 3):
         via_filter = [t for t in iter_types(3, -4, 2) if sum(t) == total]
-        assert list(iter_sum_types(3, -4, 2, total)) == via_filter
+        assert list(iter_sum_types((-4,) * 3, 2, total)) == via_filter
+
+
+@given(
+    st.lists(st.integers(-4, 2), min_size=1, max_size=4),
+    st.integers(-4, 2),
+    st.integers(-16, 8),
+)
+def test_iter_sum_types_is_the_sum_and_floor_filter(floors, hi, total):
+    k = len(floors)
+    want = [
+        t
+        for t in iter_types(k, min(floors), hi)
+        if sum(t) == total and all(x >= fl for x, fl in zip(t, floors))
+    ]
+    assert list(iter_sum_types(floors, hi, total)) == want
+
+
+def _condition_filter(e, cls, lo, hi):
+    return [
+        f
+        for f in iter_types(cls.k, lo, hi)
+        if all(check_conditions(e, f, cls))
+    ]
 
 
 def test_iter_companions_matches_condition_filter():
     cls = HirzebruchClass(m=3, k=3, delta=2)
     e = (-8, -4, -1)
     lo, hi = -10, 2
-    want = [
-        f
-        for f in iter_sum_types(3, lo, hi, sum(e) + cls.delta)
-        if all(check_conditions(e, f, cls))
-    ]
-    assert sorted(iter_companions(e, cls, lo, hi)) == sorted(want)
+    rows = enumerate_strata(cls, e=e, window=(lo, hi))
+    assert [r.f for r in rows] == _condition_filter(e, cls, lo, hi)
+
+
+def test_whole_window_is_the_condition_filter_in_order():
+    for cls in [HirzebruchClass(2, 3, 1), HirzebruchClass(0, 2, 3), HirzebruchClass(1, 4, 0)]:
+        lo, hi = -5, 1
+        want = [
+            (e, f) for e in iter_types(cls.k, lo, hi) for f in _condition_filter(e, cls, lo, hi)
+        ]
+        assert [(r.e, r.f) for r in enumerate_strata(cls, window=(lo, hi))] == want
+
+
+@pytest.mark.parametrize("m, k", [(0, 2), (1, 3), (1, 5), (2, 3), (3, 4)])
+def test_degree_sections_rows_are_the_brute_force_filter(m, k):
+    cls = HirzebruchClass(m=m, k=k, delta=0)
+    for degree in range(0, 16):
+        total = degree + 1 - genus(cls) - k
+        every = [
+            e
+            for e in iter_types(k, total - (k - 1) * (degree // k), degree // k)
+            if sum(e) == total and corollary_check(e, cls)
+        ]
+        rows = enumerate_strata(cls, degree=degree)
+        assert [r.e for r in rows] == every
+        assert all(r.f == r.e for r in rows)
+        for sections in range(4):
+            rows = enumerate_strata(cls, degree=degree, sections=sections)
+            want = [e for e in every if sum(max(0, x + 1) for x in e) == sections]
+            assert [r.e for r in rows] == want
+
+
+def test_sections_without_degree_is_a_value_error():
+    with pytest.raises(ValueError, match="sections needs a degree"):
+        enumerate_strata(HirzebruchClass(m=1, k=3, delta=0), sections=2)
 
 
 def test_default_window_saturates():
