@@ -14,16 +14,20 @@ take --seed), and failing that a seed derived from the arguments
 themselves, so plain reruns also reproduce.  Each subcommand takes only
 the flags it reads.
 
-Exit codes: 0 success, 2 empty or forced-reducible stratum or a usage error
-(including a flag the subcommand does not read, an --e, --f or --d that is
-not weakly increasing, a --p that is not an odd prime, is above
-2^31 - 1, or is below a degree bound the computation needs, --trials or
---retries below 1, --lemma is on a grid without the inductive point,
---general-cover with k < 2 or g < 0, --abundance with a --bound below 0,
-an --out path whose directory is missing or not writable (refused
-before any work), and an HBN_SEED that is not an integer), 3
-certification inconclusive (sampling retries exhausted, rank target not
-reached, or a lemma harness returning False).
+Exit codes: 0 success, 2 empty or forced-reducible stratum or a usage
+error, 3 certification inconclusive (sampling retries exhausted, rank
+target not reached, or a lemma harness returning False).  Usage errors
+include a flag the subcommand does not read, or that its mode does not
+read (UNREAD: --window with enumerate --degree, dominance --f or
+dominance --lemma, --trials with --lemma, and the section5 flags a mode
+ignores); an --e, --f or --d that is not weakly increasing; a --p that
+is not an odd prime, is above 2^31 - 1, or is below a degree bound the
+computation needs; --trials or --retries below 1; --lemma is on a grid
+without the inductive point; --general-cover with k < 2 or g < 0; a
+bound that leaves the window empty (--abundance or --ol with --bound
+below 0, --oo with --bound below 1, --sections below 0); an --out path
+whose directory is missing or not writable (refused before any work);
+and an HBN_SEED that is not an integer.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from typing import Optional
 
 from hbn.curves import connectedness, smoothness
 from hbn.determinantal import (
+    PATTERNS,
     DegenerateCurveError,
     curve_to_json_dict,
     degree_grid,
@@ -52,6 +57,7 @@ from hbn.determinantal import (
     sample_pair,
 )
 from hbn.differential import (
+    LEMMA_SELECTORS,
     dominance_rank,
     lemma_is_check,
     lemma_main_check,
@@ -93,8 +99,17 @@ DISCRIMINANT_PROVENANCE = (
     "reduced and p > k"
 )
 
-# each lemma harness is a statement about one fixed selector
-LEMMA_SELECTOR = {"sq": "FULL_PRIME", "main": "T_PRIME", "is": "T_CORNER"}
+# flags a mode of a subcommand does not read; giving one is a usage error
+UNREAD = {
+    "enumerate --degree": "window",
+    "dominance --f": "window",
+    "dominance --lemma": "window trials",
+    "section5 --abundance": "e f d g",
+    "section5 --oo": "m delta e f d g",
+    "section5 --ol": "e f d g",
+    "section5 --general-cover": "m delta e f d bound",
+    "section5 --triple": "m k delta bound",
+}
 
 
 def _rng(args, *parts) -> random.Random:
@@ -236,6 +251,20 @@ def _require(args, parser, *names):
             parser.error(f"--{name} is required for this command")
 
 
+def _refuse_unread(args, parser, mode: str) -> None:
+    """A flag in argv that the mode does not read (UNREAD) is a usage error."""
+    for name in UNREAD[mode].split():
+        if "--" + name in args.given:
+            parser.error(f"{mode} does not read --{name}")
+
+
+def _min_bound(args, parser, floor: int, why: str) -> None:
+    """A section5 --bound below floor leaves the window empty."""
+    if args.bound is not None and args.bound < floor:
+        mode = args.mode.replace("_", "-")
+        parser.error(f"--{mode} needs --bound >= {floor} ({why}), got {args.bound}")
+
+
 def _class(args, parser) -> HirzebruchClass:
     _require(args, parser, "m", "k", "delta")
     try:
@@ -271,6 +300,10 @@ def cmd_enumerate(args, parser) -> int:
     _check_types(args, cls, parser)
     if (args.degree, args.sections) != (None, None) and (args.degree is None or cls.delta or args.e):
         parser.error("--degree/--sections need --degree, delta = 0 and no --e")
+    if args.degree is not None:
+        _refuse_unread(args, parser, "enumerate --degree")
+    if args.sections is not None and args.sections < 0:
+        parser.error(f"--sections counts global sections, so it must be >= 0, got {args.sections}")
     reports = enumerate_strata(
         cls,
         window=args.window,
@@ -363,6 +396,7 @@ def cmd_sample(args, parser) -> int:
 
 
 def _lemma_run(args, parser) -> int:
+    _refuse_unread(args, parser, "dominance --lemma")
     _require(args, parser, "e", "f")
     cls = _class(args, parser)
     _check_types(args, cls, parser)
@@ -380,7 +414,7 @@ def _lemma_run(args, parser) -> int:
     doc = {
         "command": "dominance",
         "lemma": args.lemma,
-        "selector": LEMMA_SELECTOR[args.lemma],
+        "selector": LEMMA_SELECTORS[args.lemma],
         "e": list(args.e),
         "f": list(args.f),
         "ok": bool(ok),
@@ -403,6 +437,7 @@ def cmd_dominance(args, parser) -> int:
     cls = _class(args, parser)
     _check_types(args, cls, parser)
     if args.f is not None:
+        _refuse_unread(args, parser, "dominance --f")
         strata = [(args.e, args.f)]
     else:
         strata = [
@@ -453,12 +488,10 @@ def cmd_dominance(args, parser) -> int:
 
 
 def cmd_section5(args, parser) -> int:
+    _refuse_unread(args, parser, "section5 --" + args.mode.replace("_", "-"))
     if args.mode == "abundance":
         cls, a = _cover_class(args, parser)
-        if args.bound is not None and args.bound < 0:
-            parser.error(
-                f"--abundance needs --bound >= 0 (the window has e_1 = 0), got {args.bound}"
-            )
+        _min_bound(args, parser, 0, "the window has e_1 = 0")
         res = abundance_verdict(cls, e_bound=args.bound)
         doc = {
             "command": "section5",
@@ -479,6 +512,7 @@ def cmd_section5(args, parser) -> int:
             parser.error("--oo requires --bound")
         if args.k < 2:
             parser.error(f"--oo needs k >= 2 (at least one invariant), got k = {args.k}")
+        _min_bound(args, parser, 1, "a_1 >= 1")
         rows = [{"a": list(a.a)} for a in oo_polytope(args.k, args.bound)]
         doc = {
             "command": "section5",
@@ -491,6 +525,7 @@ def cmd_section5(args, parser) -> int:
         }
     elif args.mode == "ol":
         cls, a = _cover_class(args, parser)
+        _min_bound(args, parser, 0, "the window has e_1 = 0")
         bound = args.bound if args.bound is not None else a.a[-1] + 2
         rows = [{"e": list(e)} for e in ol_polytope(a, bound)]
         doc = {
@@ -554,7 +589,7 @@ FLAGS = {
     "window": dict(type=_parse_window, help="lo,hi"),
     "trials": dict(type=_positive_int, default=5),
     "retries": dict(type=_positive_int, default=8),
-    "pattern": dict(choices=("FULL", "SUT"), default="FULL", help="sampling pattern"),
+    "pattern": dict(choices=PATTERNS, default="FULL", help="sampling pattern"),
     "lemma": dict(choices=("sq", "main", "is")),
     "degree": dict(type=int),
     "sections": dict(type=int),
@@ -623,6 +658,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_merge_negative_values(list(argv)))
+    args.given = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
     env = os.environ.get("HBN_SEED")
     if "seed" in args and args.seed is None and env is not None:
         try:

@@ -71,14 +71,15 @@ def degree_grid(e, f, m: int) -> DegreeGrid:
     return DegreeGrid(a=a, b=b, m=m, delta=sum(f) - sum(e))
 
 
-def pattern_allows(pattern: str, k: int, mat: str, i: int, j: int) -> bool:
-    """Whether entry (i, j) (0-based) of matrix 'A' or 'B' may be nonzero."""
+def pattern_support(pattern: str, k: int) -> np.ndarray:
+    """Bool mask of shape (2, k, k): [0, i, j] (A) and [1, i, j] (B) say
+    whether entry (i, j) (0-based) may be nonzero under the pattern."""
+    if pattern not in PATTERNS:
+        raise ValueError(f"unknown pattern {pattern!r}")
     if pattern == "FULL":
-        return True
-    if pattern == "SUT":
-        s = (i + 1) + (j + 1)
-        return s >= k + 1 if mat == "A" else s <= k
-    raise ValueError(f"unknown pattern {pattern!r}")
+        return np.ones((2, k, k), dtype=bool)
+    s = np.add.outer(np.arange(k), np.arange(k))  # i + j, 0-based
+    return np.array([s >= k - 1, s <= k - 2])
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,15 +125,14 @@ def sample_pair(grid: DegreeGrid, pattern: str, p: int, rng: random.Random) -> M
     """Pair in the open locus of the pattern: allowed entries are random
     nonzero forms of the grid degree, forced entries stay zero.  Entry
     (i, j) of A is drawn before that of B.  The pattern is FULL or SUT."""
-    if pattern not in PATTERNS:
-        raise ValueError(f"unknown pattern {pattern!r}")
     k = grid.k
+    support = pattern_support(pattern, k)
     coeffs = _zero_coeffs(grid)
     for i in range(k):
         for j in range(k):
             for mat, degs in enumerate((grid.a, grid.b)):
                 d = degs[i][j]
-                if d >= 0 and pattern_allows(pattern, k, "AB"[mat], i, j):
+                if d >= 0 and support[mat, i, j]:
                     coeffs[mat, i, j, : d + 1] = _random_nonzero(d, p, rng)
     return MatrixPair(coeffs, grid, pattern, p)
 

@@ -28,24 +28,24 @@ it.  This needs p > delta + k*m, and p >= k for the x-nodes and the
 recurrence's divisions by 1..k-1; a smaller prime raises
 PrimeTooSmallError.
 
-Tangent subspaces are named selectors over an ambient entry pattern.
-FULL_PRIME takes every coordinate the pattern and degree grid admit.
-T_PRIME kills the anti-diagonal of A' and the super-anti-diagonal of B';
-T_DOUBLE_PRIME additionally kills the lower-right A' entry; T_CORNER
-keeps only the surviving first-column/bottom-row coordinates, and
-T_INDUCTIVE kills the first column and bottom row entirely, so
-T_DOUBLE_PRIME splits as T_CORNER plus T_INDUCTIVE.
+Tangent subspaces are named selectors, each a (2, k, k) entry mask
+(index 0 is A') that dphi_matrix intersects with the pair's pattern
+support.  FULL_PRIME takes every coordinate the pattern and degree grid
+admit.  T_PRIME keeps the SUT entries off the anti-diagonal of A' and
+the super-anti-diagonal of B'; T_CORNER keeps only its bottom row of A'
+without the lower-right entry, and its first column of B'.  Each lemma
+harness reads one of these (LEMMA_SELECTORS).  A coordinate is one int
+row (matrix, i, j, t-power) of tangent_basis.
 
-Coefficient conventions: block i of the target is the coefficient vector
-of P_i (ascending powers of t, length delta + (k - i)m + 1); a matrix
-over F_p stacks blocks 1..k, with block 0 prepended for full-target rank
-reports.
+Coefficient conventions: the differential is a list of k + 1 blocks,
+block i holding the coefficient vector of P_i (ascending powers of t,
+length delta + (k - i)m + 1) as rows, one column per coordinate.  The
+dominance rank stacks them all; each lemma reads the blocks it names.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from hbn.determinantal import (
     MatrixPair,
     degree_grid,
     pair_values,
-    pattern_allows,
+    pattern_support,
     sample_is_point,
     sample_pair,
 )
@@ -64,7 +64,8 @@ from hbn.exact.poly import interp_nodes, pdeg, pdivmod, pmul, ptrim
 from hbn.seeds import derive_seed
 from hbn.splitting import HirzebruchClass
 
-SELECTORS = ("FULL_PRIME", "T_PRIME", "T_DOUBLE_PRIME", "T_CORNER", "T_INDUCTIVE")
+# each lemma harness is a statement about one fixed tangent subspace
+LEMMA_SELECTORS = {"sq": "FULL_PRIME", "main": "T_PRIME", "is": "T_CORNER"}
 
 
 # ---------------------------------------------------------------------------
@@ -72,94 +73,39 @@ SELECTORS = ("FULL_PRIME", "T_PRIME", "T_DOUBLE_PRIME", "T_CORNER", "T_INDUCTIVE
 # ---------------------------------------------------------------------------
 
 
-Coord = tuple[str, int, int, int]  # (matrix, row, col, t-power)
-
-
-def _selector_admits(selector: str, k: int, mat: str, i: int, j: int) -> bool:
-    # 0-based: anti-diagonal is i + j == k - 1, super-anti-diagonal i + j == k - 2
-    anti = mat == "A" and i + j == k - 1
-    super_anti = mat == "B" and i + j == k - 2
-    corner_entry = mat == "A" and i == k - 1 and j == k - 1
+def selector_mask(selector: str, k: int) -> np.ndarray:
+    """The (2, k, k) entry mask of a named tangent subspace (module doc);
+    index 0 is A'."""
     if selector == "FULL_PRIME":
-        return True
+        return np.ones((2, k, k), dtype=bool)
+    # SUT without the anti-diagonal of A' and the super-anti-diagonal of B'
+    i, j = np.indices((k, k))
+    a, b = i + j > k - 1, i + j < k - 2
     if selector == "T_PRIME":
-        return not (anti or super_anti)
-    if selector == "T_DOUBLE_PRIME":
-        return not (anti or super_anti or corner_entry)
-    if selector == "T_CORNER":
-        # first column / bottom row survivors inside T_DOUBLE_PRIME
-        return (mat == "A" and i == k - 1 and 1 <= j <= k - 2) or (
-            mat == "B" and j == 0 and i <= k - 3
-        )
-    if selector == "T_INDUCTIVE":
-        edge = i == k - 1 or j == 0
-        return not (anti or super_anti or corner_entry or edge)
+        return np.array([a, b])
+    if selector == "T_CORNER":  # A's bottom row but its corner, B's first column
+        return np.array([a & (i == k - 1) & (j < k - 1), b & (j == 0)])
     raise ValueError(f"unknown selector {selector!r}")
 
 
-def tangent_basis(
-    grid: DegreeGrid, selector: str, pattern: str | None = None
-) -> tuple[Coord, ...]:
-    """Ordered coordinates of a tangent subspace over an ambient entry pattern.
+def tangent_basis(grid: DegreeGrid, support: np.ndarray) -> np.ndarray:
+    """Tangent coordinates over a (2, k, k) entry mask, one int row
+    (matrix, i, j, t-power) each, matrix 0 for A' and 1 for B'.
 
-    One coordinate per monomial of each admitted entry, so there are
-    sum(degree + 1) over the admitted entries.  The ambient defaults to
-    FULL for FULL_PRIME and SUT otherwise; the triangular selectors only
-    make sense over SUT.
+    One coordinate per monomial of each entry in the mask whose grid
+    degree is nonnegative, ordered by matrix, row, column and t-power.
     """
-    if selector not in SELECTORS:
-        raise ValueError(f"unknown selector {selector!r}")
-    if pattern is None:
-        pattern = "FULL" if selector == "FULL_PRIME" else "SUT"
-    if selector != "FULL_PRIME" and pattern != "SUT":
-        raise ValueError("triangular selectors need the SUT pattern")
-    k = grid.k
-    coords = []
-    for mat, degs in (("A", grid.a), ("B", grid.b)):
-        for i in range(k):
-            for j in range(k):
-                d = degs[i][j]
-                if d < 0:
-                    continue
-                if not pattern_allows(pattern, k, mat, i, j):
-                    continue
-                if not _selector_admits(selector, k, mat, i, j):
-                    continue
-                coords.extend((mat, i, j, jj) for jj in range(d + 1))
-    return tuple(coords)
+    degrees = np.array((grid.a, grid.b), dtype=np.int64)
+    entries = np.argwhere(support & (degrees >= 0))
+    counts = degrees[tuple(entries.T)] + 1
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    tpow = np.arange(len(starts)) - starts
+    return np.column_stack([np.repeat(entries, counts, axis=0), tpow])
 
 
 # ---------------------------------------------------------------------------
-# the differential as a matrix
+# the differential, block by block
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class DifferentialMatrix:
-    """Matrix of the differential from tangent coordinates to P-coefficient blocks."""
-
-    entries: np.ndarray
-    coords: tuple[Coord, ...]
-    blocks: tuple[int, ...]
-    sizes: tuple[int, ...]
-    p: int
-
-    def rank(self) -> int:
-        return matrix_rank(self.entries, self.p)
-
-    def block_rows(self, i: int) -> np.ndarray:
-        off = 0
-        for blk, size in zip(self.blocks, self.sizes):
-            if blk == i:
-                return self.entries[off : off + size]
-            off += size
-        raise ValueError(f"block {i} not in matrix")
-
-
-def _block_layout(grid: DegreeGrid, include_p0: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    blocks = tuple(range(0 if include_p0 else 1, grid.k + 1))
-    sizes = tuple(grid.delta + (grid.k - i) * grid.m + 1 for i in blocks)
-    return blocks, sizes
 
 
 def _cofactors(mats: np.ndarray, p: int) -> np.ndarray:
@@ -210,31 +156,27 @@ def cofactor_forms(pair: MatrixPair) -> np.ndarray:
     return coef.transpose(2, 3, 1, 0)
 
 
-def dphi_matrix(pair: MatrixPair, selector: str, include_p0: bool = False) -> DifferentialMatrix:
-    """One column per tangent coordinate; rows stack P-blocks 1..k (plus 0).
+def dphi_matrix(pair: MatrixPair, selector: np.ndarray) -> list[np.ndarray]:
+    """The differential on the tangent coordinates of the selector mask
+    and the pair's pattern, as k + 1 int64 blocks: block i has one row per
+    coefficient of P_i and one column per coordinate (tangent_basis).
 
     A coordinate t^j in entry (r, c) of A' contributes the cofactor's
     x-power-i part, shifted by j, to block i + 1; the same coordinate of
-    B' feeds block i.  One gather fills the matrix:
-    entries[row, col] = coef[r, c, xpow, row_local - j], 0 out of range.
+    B' feeds block i.  One gather fills every block:
+    entry[row, col] = coef[r, c, xpow, row_local - j], 0 out of range.
     """
-    grid = pair.grid
-    coords = tangent_basis(grid, selector, pattern=pair.pattern)
-    blocks, sizes = _block_layout(grid, include_p0)
+    grid, k = pair.grid, pair.k
+    coords = tangent_basis(grid, selector & pattern_support(pair.pattern, k))
     coef = cofactor_forms(pair)
-    k, tlen = coef.shape[2], coef.shape[3]
-    cols = np.array(
-        [(mat == "A", r, c, jj) for mat, r, c, jj in coords], dtype=np.intp
-    ).reshape(-1, 4)
-    is_a, r, c, jj = cols.T
-    row_block = np.repeat(blocks, sizes)[:, None]
-    row_local = np.concatenate([np.arange(size) for size in sizes])[:, None]
-    xpow = row_block - is_a
-    tpow = row_local - jj
+    tlen = coef.shape[3]
+    mat, r, c, jj = coords.T
+    sizes = [grid.delta + (k - i) * grid.m + 1 for i in range(k + 1)]
+    xpow = np.repeat(np.arange(k + 1), sizes)[:, None] - 1 + mat  # A' (mat 0) shifts by x
+    tpow = np.concatenate([np.arange(size) for size in sizes])[:, None] - jj
     inside = (xpow >= 0) & (xpow < k) & (tpow >= 0) & (tpow < tlen)
     gathered = coef[r, c, np.clip(xpow, 0, k - 1), np.clip(tpow, 0, tlen - 1)]
-    mat = np.where(inside, gathered, 0)
-    return DifferentialMatrix(entries=mat, coords=coords, blocks=blocks, sizes=sizes, p=pair.p)
+    return np.split(np.where(inside, gathered, 0), np.cumsum(sizes)[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +215,9 @@ def dominance_rank(
     used = 0
     for _ in range(trials):
         used += 1
-        pair = sample_pair(grid, "FULL", p, rng)
-        M = dphi_matrix(pair, "FULL_PRIME", include_p0=True)
-        source = len(M.coords)  # the same coordinates on every trial
-        max_rank = max(max_rank, M.rank())
+        blocks = dphi_matrix(sample_pair(grid, "FULL", p, rng), selector_mask("FULL_PRIME", cls.k))
+        source = blocks[0].shape[1]  # the same coordinates on every trial
+        max_rank = max(max_rank, matrix_rank(np.vstack(blocks), p))
         if max_rank == target:
             break
     verdict = "DOMINANT" if max_rank == target else "NOT_ACHIEVED"
@@ -333,11 +274,6 @@ def product_rule_rank(degrees, rng: random.Random | None = None, p: int = DEFAUL
     return False
 
 
-def _require_triangular(pair: MatrixPair) -> None:
-    if pair.pattern != "SUT":
-        raise ValueError("pair must follow the SUT pattern")
-
-
 def super_anti_product(pair: MatrixPair) -> tuple[list[int], int]:
     """Product of B entries on the super-anti-diagonal (divides P_1 on SUT),
     as its coefficients (index = power of t) and its form degree."""
@@ -350,32 +286,38 @@ def super_anti_product(pair: MatrixPair) -> tuple[list[int], int]:
     return prod, degree
 
 
+def _lemma_blocks(pair: MatrixPair, lemma: str) -> list[np.ndarray]:
+    """The differential of a SUT pair on the lemma's tangent subspace."""
+    if pair.pattern != "SUT":
+        raise ValueError("pair must follow the SUT pattern")
+    return dphi_matrix(pair, selector_mask(LEMMA_SELECTORS[lemma], pair.k))
+
+
 def lemma_sq_check(pair: MatrixPair) -> bool:
     """Joint surjectivity onto the outer blocks (P_1, P_k) from the full
     triangular tangent space.  Deterministic given the pair."""
-    _require_triangular(pair)
+    blocks = _lemma_blocks(pair, "sq")
     grid = pair.grid
     k = grid.k
-    M = dphi_matrix(pair, "FULL_PRIME")
-    outer = np.vstack([M.block_rows(1), M.block_rows(k)])
+    outer = np.vstack([blocks[1], blocks[k]])
     want = (grid.delta + (k - 1) * grid.m + 1) + (grid.delta + 1)
     return matrix_rank(outer, pair.p) == want
 
 
-def lemma_main_containment(pair: MatrixPair, M: DifferentialMatrix) -> bool:
-    """Whether every column of M, the pair's T_PRIME differential, lands in
-    the subspace where the super-anti-diagonal product divides P_1 and P_k
-    vanishes."""
+def lemma_main_containment(pair: MatrixPair, blocks: list[np.ndarray]) -> bool:
+    """Whether every column of the pair's T_PRIME differential (its k + 1
+    blocks) lands in the subspace where the super-anti-diagonal product
+    divides P_1 and P_k vanishes."""
     grid = pair.grid
     k = grid.k
     p = pair.p
     g, degree = super_anti_product(pair)
     if not g:
         return False
-    if np.any(M.block_rows(k) % p):
+    if np.any(blocks[k] % p):
         return False
     bound = grid.delta + (k - 1) * grid.m - degree
-    block1 = M.block_rows(1)
+    block1 = blocks[1]
     for col in range(block1.shape[1]):
         fcol = ptrim([int(x) % p for x in block1[:, col]])
         if not fcol:
@@ -391,15 +333,14 @@ def lemma_main_check(pair: MatrixPair) -> bool:
     super-anti-diagonal product divides P_1 and P_k = 0: containment
     column by column plus a dimension count.  Deterministic given the
     pair."""
-    _require_triangular(pair)
+    blocks = _lemma_blocks(pair, "main")
     grid = pair.grid
     k = grid.k
-    M = dphi_matrix(pair, "T_PRIME")
-    if not lemma_main_containment(pair, M):
+    if not lemma_main_containment(pair, blocks):
         return False
     dim_w = grid.a[k - 1][k - 1] + 1
     dim_w += sum(grid.delta + (k - i) * grid.m + 1 for i in range(2, k))
-    return M.rank() == dim_w
+    return matrix_rank(np.vstack(blocks[1:]), pair.p) == dim_w
 
 
 def lemma_is_check(
@@ -432,14 +373,14 @@ def lemma_is_check(
     grid = degree_grid(e, f, m)
     for _ in range(tries):
         pair, meta = sample_is_point(grid, p, rng)
-        M = dphi_matrix(pair, "T_CORNER")
+        blocks = _lemma_blocks(pair, "is")
         rows = []
         f_roots = [root for i in sorted(meta["F_roots"]) for root in meta["F_roots"][i]]
         for root in f_roots:
-            rows.append(_eval_row(M, 2, root, p))
+            rows.append(_eval_row(blocks[2], root, p))
         for i in range(2, k):
             for root in meta["G_roots"]:
-                rows.append(_eval_row(M, i, root, p))
+                rows.append(_eval_row(blocks[i], root, p))
         if not rows:
             return True
         if matrix_rank(np.array(rows, dtype=np.int64), p) == len(rows):
@@ -447,7 +388,7 @@ def lemma_is_check(
     return False
 
 
-def _eval_row(M: DifferentialMatrix, block: int, t0: int, p: int) -> np.ndarray:
-    sub = M.block_rows(block) % p
+def _eval_row(block: np.ndarray, t0: int, p: int) -> np.ndarray:
+    sub = block % p
     weights = np.array([pow(t0, idx, p) for idx in range(sub.shape[0])], dtype=np.int64)
     return (sub * weights[:, None] % p).sum(axis=0) % p

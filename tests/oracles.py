@@ -8,6 +8,10 @@ the evaluation kernels of hbn.determinantal and hbn.differential, which
 is what makes them useful as cross-checks; they are far too slow for
 anything else.
 
+Selectors.  `selector` gives the tangent-subspace masks of
+hbn.differential (`selector_mask`) and the two of the inductive step that
+only tests read, T_DOUBLE_PRIME and T_INDUCTIVE.
+
 Curve checks.  `discriminant_check` and `cokernel_rank_check` (with
 `curve_points`, `point_on_curve`, `pair_rank_at_point` and
 `fp2_matrix_rank`) test two implications of a SMOOTH certificate that
@@ -71,6 +75,7 @@ from hbn.determinantal import (
     MatrixPair,
     forced_reducibility,
 )
+from hbn.differential import selector_mask
 from hbn.exact.birkhoff import TransitionMatrix
 from hbn.exact.field import inv_mod, quadratic_nonresidue
 from hbn.exact.linalg import matrix_rank
@@ -348,23 +353,25 @@ class DualForm:
         return DualForm(self.base.mul(other.base), eps)
 
 
-def dphi_column_dual(pair: MatrixPair, coord: tuple, include_p0: bool = False) -> np.ndarray:
+def dphi_column_dual(pair: MatrixPair, coord) -> np.ndarray:
     """One column of the differential: dual-number determinant with a single eps.
 
     Expands det((A + eps A')x + (B + eps B')y) by permutations with
     DualForm arithmetic, no cofactors anywhere, and reads off the eps
-    part in the block layout of hbn.differential.dphi_matrix.
+    part of P_0, ..., P_k, stacked in the block order of
+    hbn.differential.dphi_matrix.  coord is a tangent_basis row
+    (matrix, i, j, t-power), matrix 0 for A' and 1 for B'.
     """
-    mname, r0, c0, jj = coord
+    mat, r0, c0, jj = map(int, coord)
+    mname = "AB"[mat]
     grid = pair.grid
     k = grid.k
     p = pair.p
-    deg = (grid.a if mname == "A" else grid.b)[r0][c0]
+    deg = (grid.a, grid.b)[mat][r0][c0]
     mono = BinaryForm.homogenize([0] * jj + [1], deg, p)
-    blocks = range(0 if include_p0 else 1, k + 1)
     offsets = {}
     total = 0
-    for blk in blocks:
+    for blk in range(k + 1):
         offsets[blk] = total
         total += grid.delta + (k - blk) * grid.m + 1
     vec = np.zeros(total, dtype=np.int64)
@@ -396,11 +403,29 @@ def dphi_column_dual(pair: MatrixPair, coord: tuple, include_p0: bool = False) -
             _slot_add(slots, i, q)
     for i, q in slots.items():
         eps = q.epsilon_part
-        if i not in offsets or eps.is_zero():
+        if eps.is_zero():
             continue
         for idx, coeff in enumerate(eps.coeffs):
             vec[offsets[i] + idx] = coeff
     return vec
+
+
+# the tangent subspaces of the inductive step: T_DOUBLE_PRIME is T_PRIME
+# without the lower-right entry of A', and T_INDUCTIVE is T_DOUBLE_PRIME
+# without the first column and the bottom row, so T_DOUBLE_PRIME splits as
+# T_CORNER plus T_INDUCTIVE; no code in src/ reads these two
+SELECTORS = ("FULL_PRIME", "T_PRIME", "T_DOUBLE_PRIME", "T_CORNER", "T_INDUCTIVE")
+
+
+def selector(name: str, k: int) -> np.ndarray:
+    """hbn.differential.selector_mask, plus T_DOUBLE_PRIME and T_INDUCTIVE."""
+    if name not in ("T_DOUBLE_PRIME", "T_INDUCTIVE"):
+        return selector_mask(name, k)
+    mask = selector_mask("T_PRIME", k)
+    mask[0, k - 1, k - 1] = False
+    if name == "T_INDUCTIVE":
+        mask[:, k - 1, :] = mask[:, :, 0] = False
+    return mask
 
 
 # ---------------------------------------------------------------------------

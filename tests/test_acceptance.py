@@ -10,6 +10,7 @@ import time
 from contextlib import contextmanager
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 from conftest import record_acceptance
 from oracles import (
@@ -34,8 +35,10 @@ from hbn.differential import (
     lemma_is_check,
     lemma_main_check,
     product_rule_rank,
+    selector_mask,
 )
 from hbn.exact.birkhoff import birkhoff_splitting
+from hbn.exact.linalg import matrix_rank
 from hbn.scrollar import abundance_verdict, general_cover_not_abundant
 from hbn.seeds import derive_seed
 from hbn.splitting import (
@@ -245,12 +248,13 @@ def test_criterion_08_differential_lemma_harness():
         for cls, e, f in strata:
             assert lemma_is_check(cls.k, e, f, cls.m, rng=rng, p=P), (cls, e, f)
             assert main_holds(cls, e, f), (cls, e, f)
+        t_prime = selector_mask("T_PRIME", 2)
         for cls, e, f in k2:
             assert main_holds(cls, e, f)
             # rank-2 base case has a closed-form answer: f_2 - e_1 + 1
             grid = degree_grid(e, f, cls.m)
             assert any(
-                dphi_matrix(sample_pair(grid, "SUT", P, rng), "T_PRIME").rank()
+                matrix_rank(np.vstack(dphi_matrix(sample_pair(grid, "SUT", P, rng), t_prime)[1:]), P)
                 == f[1] - e[0] + 1
                 for _ in range(3)
             ), (cls, e, f)

@@ -508,6 +508,28 @@ def test_sample_degenerate_draw_is_a_failed_attempt(tmp_path, argv):
          "argument --d: entries must be weakly increasing: (1, 0)"),
         (["section5", "--abundance", "--m", "1", "--delta", "1", "--k", "4", "--bound", "-1"],
          "--abundance needs --bound >= 0 (the window has e_1 = 0), got -1"),
+        (["enumerate", "--m", "1", "--k", "7", "--delta", "0", "--degree", "14", "--sections", "3",
+          "--window", "0,1"],
+         "enumerate --degree does not read --window"),
+        (["dominance", *TRIG, "--e=-8,-4,-1", "--f=-7,-4,0", "--window", "0,1"],
+         "dominance --f does not read --window"),
+        (["dominance", *TRIG, "--e=-8,-4,-1", "--f=-7,-4,0", "--lemma", "main", "--trials", "2",
+          "--window", "0,1"],
+         "dominance --lemma does not read --window"),
+        (["dominance", *TRIG, "--e=-8,-4,-1", "--f=-7,-4,0", "--lemma", "main", "--trials", "2"],
+         "dominance --lemma does not read --trials"),
+        (["section5", "--oo", "--k", "3", "--bound", "3", "--m", "5", "--e=1,2", "--g", "4"],
+         "section5 --oo does not read --m"),
+        (["section5", "--general-cover", "--k", "4", "--g", "9", "--bound", "3", "--m", "1"],
+         "section5 --general-cover does not read --m"),
+        (["section5", "--triple", "--d=0,0", "--e=0,0", "--f=0,0", "--m", "2", "--bound", "1"],
+         "section5 --triple does not read --m"),
+        (["section5", "--ol", "--m", "1", "--k", "3", "--delta", "1", "--bound", "-1"],
+         "--ol needs --bound >= 0 (the window has e_1 = 0), got -1"),
+        (["section5", "--oo", "--k", "3", "--bound", "0"],
+         "--oo needs --bound >= 1 (a_1 >= 1), got 0"),
+        (["enumerate", "--m", "1", "--k", "3", "--delta", "0", "--degree", "5", "--sections", "-1"],
+         "--sections counts global sections, so it must be >= 0, got -1"),
     ],
 )  # fmt: skip
 def test_vacuous_arguments_are_usage_errors(capsys, argv, message):
@@ -569,7 +591,7 @@ def _cli_cases(draw):
     if mode == "enumerate":
         return argv
     argv += ["--p", str(p), "--seed", str(seed)]
-    return argv + (["--trials", "2"] if argv[0] == "dominance" else [])
+    return argv + (["--trials", "2"] if mode in ("dominance", "companions") else [])
 
 
 @settings(max_examples=600, deadline=None, derandomize=True)

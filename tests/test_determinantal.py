@@ -36,7 +36,7 @@ from hbn.determinantal import (
     pair_from_json_dict,
     pair_to_json_dict,
     pair_values,
-    pattern_allows,
+    pattern_support,
     phi,
     reducibility_witness,
     sample_pair,
@@ -134,11 +134,12 @@ def test_sample_pair_respects_pattern_and_degrees():
     grid = degree_grid((-8, -4, -1), (-7, -4, 0), 3)
     pair = sample_pair(grid, "SUT", P, rng)
     k = 3
+    support = pattern_support("SUT", k)
     for i in range(k):
         for j in range(k):
             for mat, degs in enumerate((grid.a, grid.b)):
                 form = entry_form(pair, mat, i, j)
-                if not pattern_allows("SUT", k, "AB"[mat], i, j) or degs[i][j] < 0:
+                if not support[mat, i, j] or degs[i][j] < 0:
                     assert form.is_zero()
                 else:
                     assert form.degree == degs[i][j]

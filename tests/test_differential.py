@@ -10,17 +10,15 @@ Faddeev-LeVerrier cofactor recurrence against signed minors expanded in
 Python ints.
 """
 
-import dataclasses
 import random
 from itertools import permutations
 
 import numpy as np
 import pytest
-from oracles import det_xy, dphi_column_dual
+from oracles import SELECTORS, det_xy, dphi_column_dual, selector
 
-from hbn.determinantal import degree_grid, sample_is_point, sample_pair
+from hbn.determinantal import degree_grid, pattern_support, sample_is_point, sample_pair
 from hbn.differential import (
-    SELECTORS,
     _cofactors,
     cofactor_forms,
     dominance_rank,
@@ -30,11 +28,14 @@ from hbn.differential import (
     lemma_main_containment,
     lemma_sq_check,
     product_rule_rank,
+    selector_mask,
     super_anti_product,
     tangent_basis,
 )
 from hbn.exact.field import DEFAULT_PRIME, PrimeTooSmallError, is_prime
-from hbn.splitting import HirzebruchClass
+from hbn.exact.linalg import matrix_rank
+from hbn.splitting import HirzebruchClass, nu
+from hbn.sweeps import desk_classes, grid_key, iter_window_strata, unique_strata
 
 P = DEFAULT_PRIME
 
@@ -51,44 +52,57 @@ def _pair(e, f, m, pattern, seed):
     return sample_pair(grid, pattern, P, random.Random(seed))
 
 
+def _coords(grid, name):
+    """The coordinates of a named selector as tuples (matrix, i, j, t-power)."""
+    return [tuple(row) for row in tangent_basis(grid, selector(name, grid.k)).tolist()]
+
+
+def _pair_coords(pair, mask):
+    """The coordinates dphi_matrix(pair, mask) has one column for."""
+    return tangent_basis(pair.grid, mask & pattern_support(pair.pattern, pair.k))
+
+
 def test_selector_cardinalities_k3():
     grid = degree_grid((-8, -4, -1), (-7, -4, 0), 3)
-    full = len(tangent_basis(grid, "FULL_PRIME"))
-    tp_coords = tangent_basis(grid, "T_PRIME")
-    tpp_coords = tangent_basis(grid, "T_DOUBLE_PRIME")
-    corner = len(tangent_basis(grid, "T_CORNER"))
-    inductive = len(tangent_basis(grid, "T_INDUCTIVE"))
+    full = len(_coords(grid, "FULL_PRIME"))
+    tp_coords = _coords(grid, "T_PRIME")
+    tpp_coords = _coords(grid, "T_DOUBLE_PRIME")
+    corner = len(_coords(grid, "T_CORNER"))
+    inductive = len(_coords(grid, "T_INDUCTIVE"))
     assert full > len(tp_coords) > len(tpp_coords)
     assert len(tpp_coords) == corner + inductive
     # the corner entry (k, k) of A is the only entry dropped from T' to T''
     tp_entries = {(c[0], c[1], c[2]) for c in tp_coords}
     tpp_entries = {(c[0], c[1], c[2]) for c in tpp_coords}
-    assert tp_entries - tpp_entries == {("A", 2, 2)}
+    assert tp_entries - tpp_entries == {(0, 2, 2)}
 
 
 def test_t_double_prime_is_corner_plus_inductive():
     for e, f, m, _ in CONFIGS:
         grid = degree_grid(e, f, m)
-        tpp = set(tangent_basis(grid, "T_DOUBLE_PRIME"))
-        corner = set(tangent_basis(grid, "T_CORNER"))
-        inductive = set(tangent_basis(grid, "T_INDUCTIVE"))
+        tpp = set(_coords(grid, "T_DOUBLE_PRIME"))
+        corner = set(_coords(grid, "T_CORNER"))
+        inductive = set(_coords(grid, "T_INDUCTIVE"))
         assert corner | inductive == tpp
         assert not (corner & inductive)
 
 
-@pytest.mark.parametrize("selector", SELECTORS)
+@pytest.mark.parametrize("name", SELECTORS)
 @pytest.mark.parametrize("include_p0", [False, True])
-def test_fast_differential_matches_dual_number_oracle(selector, include_p0):
+def test_fast_differential_matches_dual_number_oracle(name, include_p0):
+    # include_p0: every block, as dominance_rank stacks them; otherwise
+    # blocks P_1..P_k, as the lemma checks read them
     for idx, (e, f, m, _) in enumerate(CONFIGS[:3]):
-        pattern = "SUT" if selector != "FULL_PRIME" else "FULL"
+        pattern = "SUT" if name != "FULL_PRIME" else "FULL"
         pair = _pair(e, f, m, pattern, seed=idx)
-        M = dphi_matrix(pair, selector, include_p0=include_p0)
-        for c, coord in enumerate(M.coords):
-            want = dphi_column_dual(pair, coord, include_p0=include_p0)
-            assert np.array_equal(M.entries[:, c] % P, np.asarray(want) % P), (
-                selector,
-                coord,
-            )
+        mask = selector(name, pair.k)
+        blocks = dphi_matrix(pair, mask)
+        entries = np.vstack(blocks if include_p0 else blocks[1:])
+        # the oracle's block P_0 has delta + k m + 1 rows
+        start = 0 if include_p0 else pair.grid.delta + pair.k * pair.grid.m + 1
+        for c, coord in enumerate(_pair_coords(pair, mask)):
+            want = dphi_column_dual(pair, coord)[start:]
+            assert np.array_equal(entries[:, c] % P, want % P), (name, coord)
 
 
 def test_dominance_rank_trigonal_report():
@@ -146,7 +160,7 @@ def test_lemma_sq_and_planted_failure():
 def test_lemma_main_on_spot_strata():
     for e, f, m, _ in CONFIGS[:3]:
         pair = _pair(e, f, m, "SUT", seed=2)
-        assert lemma_main_containment(pair, dphi_matrix(pair, "T_PRIME"))
+        assert lemma_main_containment(pair, dphi_matrix(pair, selector_mask("T_PRIME", pair.k)))
         assert lemma_main_check(pair)
 
 
@@ -161,7 +175,7 @@ def test_lemma_main_containment_fails_on_violating_stratum():
     # the divisibility description of the image breaks down
     pair = _pair((-8, -4, -1), (-8, -2, -1), 3, "SUT", seed=3)
     assert super_anti_product(pair)[0] == []
-    assert not lemma_main_containment(pair, dphi_matrix(pair, "T_PRIME"))
+    assert not lemma_main_containment(pair, dphi_matrix(pair, selector_mask("T_PRIME", 3)))
 
 
 def test_lemma_main_bounds_the_quotient_by_the_form_degree():
@@ -176,11 +190,10 @@ def test_lemma_main_bounds_the_quotient_by_the_form_degree():
     planted = type(pair)(coeffs, pair.grid, "SUT", P)
     g, degree = super_anti_product(planted)
     assert (len(g), degree) == (1, 1)
-    M = dphi_matrix(planted, "T_PRIME")
+    blocks = dphi_matrix(planted, selector_mask("T_PRIME", 2))
     assert lemma_main_check(planted)  # the lemma holds at this pair
-    column = np.zeros((M.entries.shape[0], 1), dtype=np.int64)
-    column[3] = g[0]  # t^3 in block 1, zero in block 2
-    wide = dataclasses.replace(M, entries=np.hstack([M.entries, column]))
+    wide = [np.hstack([b, np.zeros((len(b), 1), dtype=np.int64)]) for b in blocks]
+    wide[1][3, -1] = g[0]  # t^3 in block 1, zero in blocks 0 and 2
     assert not lemma_main_containment(planted, wide)
 
 
@@ -216,10 +229,13 @@ def _scale_bottom_row(pair, h):
 def test_bottom_row_scale_semicontinuity():
     # rank at the degenerate limit h=0 never exceeds the generic rank
     pair = _pair((-8, -4, -1), (-7, -4, 0), 3, "SUT", seed=5)
-    limit = dphi_matrix(_scale_bottom_row(pair, 0), "T_INDUCTIVE").rank()
-    generic = max(
-        dphi_matrix(_scale_bottom_row(pair, h), "T_INDUCTIVE").rank() for h in (1, 2, 3)
-    )
+
+    def rank(h):  # on blocks P_1..P_k
+        blocks = dphi_matrix(_scale_bottom_row(pair, h), selector("T_INDUCTIVE", 3))
+        return matrix_rank(np.vstack(blocks[1:]), P)
+
+    limit = rank(0)
+    generic = max(rank(h) for h in (1, 2, 3))
     assert limit <= generic
 
 
@@ -336,29 +352,79 @@ def test_cofactor_kernel_matches_det_xy_minors(p):
     assert p is not None or (5, 7) in primes
 
 
-def _reference_dphi(pair, selector, include_p0):
-    """dphi_matrix filled coefficient by coefficient from det_xy cofactors."""
-    M = dphi_matrix(pair, selector, include_p0=include_p0)
-    offsets = dict(zip(M.blocks, np.cumsum((0,) + M.sizes[:-1])))
-    ref = np.zeros_like(M.entries)
-    for col, (mname, r, c, jj) in enumerate(M.coords):
+def _reference_dphi(pair, mask, include_p0):
+    """dphi_matrix filled coefficient by coefficient from det_xy cofactors,
+    on blocks P_0..P_k or, without include_p0, on P_1..P_k."""
+    first = 0 if include_p0 else 1
+    blocks = dphi_matrix(pair, mask)[first:]
+    offsets = np.cumsum([0] + [len(b) for b in blocks[:-1]])
+    got = np.vstack(blocks)
+    ref = np.zeros_like(got)
+    for col, (mat, r, c, jj) in enumerate(_pair_coords(pair, mask).tolist()):
         for xpow, form in enumerate(_signed_cofactor(pair, r, c)):
-            blk = xpow + 1 if mname == "A" else xpow
-            if blk not in offsets:
+            blk = xpow + 1 - mat - first  # A' (matrix 0) raises the x-power by one
+            if blk < 0:
                 continue
             for idx, coeff in enumerate(form.coeffs):
                 ref[offsets[blk] + jj + idx, col] = coeff
-    return M.entries, ref
+    return blocks, got, ref
 
 
 @pytest.mark.parametrize("include_p0", [False, True])
 def test_dphi_matrix_matches_det_xy_reference_fill(include_p0):
     for pair in _kernel_pairs(P):
-        selectors = ("FULL_PRIME",) if pair.pattern == "FULL" else SELECTORS
-        for selector in selectors:
-            got, ref = _reference_dphi(pair, selector, include_p0)
-            assert got.dtype == np.int64
-            assert np.array_equal(got, ref), (pair.pattern, selector, pair.grid.a)
+        names = ("FULL_PRIME",) if pair.pattern == "FULL" else SELECTORS
+        for name in names:
+            blocks, got, ref = _reference_dphi(pair, selector(name, pair.k), include_p0)
+            assert all(b.dtype == np.int64 for b in blocks)
+            assert np.array_equal(got, ref), (pair.pattern, name, pair.grid.a)
+
+
+def _desk_shift_classes():
+    """Every desk shift class with k <= 3, and every passing one with
+    k = 4 (the 296,356 classes of all k take about 12 s to walk)."""
+    seen = set()
+    for cls in desk_classes(k_max=3):
+        for e, f in iter_window_strata(cls):
+            key = grid_key(cls, e, f)
+            if key not in seen:
+                seen.add(key)
+                yield cls, e, f
+    yield from unique_strata(desk_classes(k_min=4))
+
+
+def test_full_prime_coordinates_on_desk_shift_classes():
+    # criterion 4's coefficient count, which the benchmark checks as source_dim
+    count = 0
+    for cls, e, f in _desk_shift_classes():
+        k, m, delta = cls.k, cls.m, cls.delta
+        full = selector_mask("FULL_PRIME", k) & pattern_support("FULL", k)
+        rows = tangent_basis(degree_grid(e, f, m), full)
+        assert rows.shape == (2 * k * k + 2 * k * delta + k * k * m + nu(e, f, m), 4)
+        count += 1
+    assert count > 25_000
+
+
+def test_dphi_block_i_has_a_row_per_coefficient_of_p_i():
+    for pair in _kernel_pairs(P):
+        grid, k = pair.grid, pair.k
+        names = ("FULL_PRIME",) if pair.pattern == "FULL" else SELECTORS
+        for name in names:
+            mask = selector(name, k)
+            width = len(_pair_coords(pair, mask))
+            shapes = [b.shape for b in dphi_matrix(pair, mask)]
+            assert shapes == [(grid.delta + (k - i) * grid.m + 1, width) for i in range(k + 1)]
+
+
+def test_triangular_coordinates_are_subsequences_of_full_prime_over_sut():
+    for e, f, m, _ in CONFIGS + KERNEL_CONFIGS:
+        grid = degree_grid(e, f, m)
+        full = selector_mask("FULL_PRIME", grid.k) & pattern_support("SUT", grid.k)
+        over_sut = tangent_basis(grid, full).tolist()
+        for name in ("T_PRIME", "T_CORNER"):
+            rows = tangent_basis(grid, selector_mask(name, grid.k)).tolist()
+            remaining = iter(over_sut)
+            assert all(row in remaining for row in rows), (name, grid.a)
 
 
 def test_cofactor_forms_rejects_small_primes():

@@ -1,5 +1,5 @@
-"""Every public function, class and method in src/hbn has a reader
-outside tests.
+"""Every public function, class, method and UPPER_CASE module constant
+in src/hbn has a reader outside tests.
 
 A read is a Name, an Attribute, an imported name, or a string constant
 equal to the name, anywhere in src/hbn, scripts/ or perfbench/; reads
@@ -61,6 +61,9 @@ def _public_defs() -> dict[str, list[ast.AST]]:
     defs: dict[str, list[ast.AST]] = {}
     for path in _modules(SOURCE):
         for node in ast.parse(path.read_text()).body:
+            for target in node.targets if isinstance(node, ast.Assign) else ():
+                if isinstance(target, ast.Name) and target.id.isupper() and target.id[0] != "_":
+                    defs.setdefault(target.id, []).append(node)  # a module constant
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 defs.setdefault(node.name, []).append(node)
                 for method in node.body if isinstance(node, ast.ClassDef) else ():
