@@ -314,7 +314,6 @@ def cmd_enumerate(args, parser) -> int:
     doc = {
         "command": "enumerate",
         "class": {"m": cls.m, "k": cls.k, "delta": cls.delta, "genus": genus(cls)},
-        "window": list(args.window or default_window(cls)),
         "columns": ["e", "f", "cond", "u_e", "u_f", "nu", "dim"],
         "rows": [r.to_json_dict() for r in reports],
         "provenance": {
@@ -324,6 +323,8 @@ def cmd_enumerate(args, parser) -> int:
             "nu": "nu: matrix entry degrees below zero on the (e, f) grid",
         },
     }
+    if args.degree is None:  # degree mode walks bounds of its own
+        doc["window"] = list(args.window or default_window(cls))
     emit(doc, args, parser)
     return EXIT_OK
 

@@ -5,9 +5,13 @@ index i; the zero polynomial is [].  Leading zeros are trimmed.  Long
 products go through numpy int64 convolution, which sums up to
 min(len f, len g) unreduced products; `pmul` takes that path only when
 the sum cannot reach 2^63 and falls back to a reduced Python loop
-otherwise.  Interpolation (`interp_nodes`) works along one axis of an
-array of values at the nodes 0..n-1: one product with an inverse
-Vandermonde table built in closed form and cached per node count.
+otherwise.  Evaluation at the nodes 0..n-1 and interpolation from them
+are mirror images: `_eval_at_nodes` is one product of the coefficients
+with a cached table of powers V[j, i] = i^j, and `interp_nodes`, along
+one axis of an array of values at the nodes, one product with an
+inverse Vandermonde table built in closed form and cached per node
+count.  Both split their int32 table into 16-bit halves, so every int64
+sum is exact for p < 2^31.
 
 Roots come from `irreducible_factors` (Cantor-Zassenhaus): the linear
 factors give the F_p roots, and `quadratic_roots` the roots of a
@@ -135,11 +139,14 @@ def pderiv(f: Poly, p: int) -> Poly:
     return ptrim([i * c % p for i, c in enumerate(f)][1:])
 
 
-# One table per node count and prime.  At p = 10007 the three benchmark
-# workloads read 16 (dominance-desk), 15 (lemma-sut) and 28
-# (sample-certify: n = 2..16 for the determinant and cofactor grids,
-# and resultant_v's multiples of 8 up to 120), 29 together.  64 entries
-# hold every table of two primes at once.
+# One interpolation table per node count and prime, one evaluation table
+# (`_powers`) per node count, coefficient count and prime.  At p = 10007,
+# 3,000 items of each benchmark workload read 16 interpolation tables
+# (dominance-desk, lemma-sut) or 29 (sample-certify: n = 2..16 for the
+# determinant and cofactor grids, and resultant_v's multiples of 8 up to
+# 120), and 96, 95 or 142 evaluation tables, which hold 8.4k, 8.4k and
+# 35k int32 entries.  64 and 512 entries hold every table of a workload
+# at two primes at once.
 @functools.lru_cache(maxsize=64)
 def _inverse_vandermonde(n: int, p: int) -> np.ndarray:
     """Inverse mod p of V[i, j] = i^j on the nodes 0..n-1, in closed form.
@@ -184,17 +191,34 @@ def interp_nodes(vals: np.ndarray, p: int, axis: int = 0) -> np.ndarray:
     return np.moveaxis((out % p).reshape(moved.shape), 0, axis)
 
 
+@functools.lru_cache(maxsize=512)
+def _powers(n: int, length: int, p: int) -> np.ndarray:
+    """V[j, i] = i^j mod p for the powers j < length and the nodes i < n."""
+    table = np.ones((length, n), dtype=np.int64)
+    nodes = np.arange(n, dtype=np.int64) % p
+    for j in range(1, length):
+        table[j] = table[j - 1] * nodes % p
+    table = table.astype(np.int32)
+    table.flags.writeable = False
+    return table
+
+
 def _eval_at_nodes(coeffs: np.ndarray, n: int, p: int) -> np.ndarray:
-    """Polynomials at the nodes 0..n-1, one Horner pass over the trailing
-    coefficient axis (index = power of the variable) of an int64 array
-    (..., L).  Returns shape (n, ...): index i of the first axis holds the
-    values at node i.
+    """Polynomials at the nodes 0..n-1: the mirror of `interp_nodes`.
+
+    coeffs is an int64 array (..., L) of values in [0, p), its trailing
+    axis indexed by the power of the variable.  Returns shape (n, ...):
+    index i of the first axis holds the values at node i.  Two matrix
+    products with the cached power table, split into its high and low
+    16 bits as in `interp_nodes`, so L <= 2^15 keeps every sum exact.
     """
-    nodes = np.arange(n, dtype=np.int64).reshape((n,) + (1,) * (coeffs.ndim - 1))
-    acc = np.zeros((n,) + coeffs.shape[:-1], dtype=np.int64)
-    for slot in np.moveaxis(coeffs, -1, 0)[::-1]:
-        acc = (acc * nodes + slot) % p
-    return acc
+    length = coeffs.shape[-1]
+    if length > 1 << 15:
+        raise ValueError(f"evaluation of {length} coefficients exceeds 2^15")
+    table = _powers(n, length, p)
+    flat = coeffs.reshape(-1, length)
+    out = (flat @ (table >> 16) % p << 16) + flat @ (table & 0xFFFF)
+    return np.moveaxis((out % p).reshape(coeffs.shape[:-1] + (n,)), -1, 0)
 
 
 def ppowmod(base: Poly, e: int, mod: Poly, p: int) -> Poly:

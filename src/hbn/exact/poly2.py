@@ -8,11 +8,11 @@ specialization then commutes with the determinant, so
 evaluation-interpolation stays valid even when leading coefficients
 vanish at individual points.
 
-`resultant_v` is Collins' evaluation-interpolation scheme: one Horner
-pass evaluates every u-coefficient of the pair at the nodes u = 0..n-1
-(`_eval_at_nodes` on the zero-padded coefficients), one `batch_det_mod`
-call takes the stack of n Sylvester matrices and one `interp_nodes` call
-recovers the coefficients.  n is the degree bound + 1, rounded up to a
+`resultant_v` is Collins' evaluation-interpolation scheme: one product
+with a table of powers evaluates every u-coefficient of the pair at the
+nodes u = 0..n-1 (`_eval_at_nodes` on the zero-padded coefficients), one
+`batch_det_mod` call takes the stack of n Sylvester matrices and one
+`interp_nodes` call recovers the coefficients.  n is the degree bound + 1, rounded up to a
 multiple of 8 and capped at p, so a few interpolation tables per prime
 serve every pair.
 

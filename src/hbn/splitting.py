@@ -231,6 +231,13 @@ def iter_sum_types(floors, hi: int, total: int) -> Iterator[SplittingType]:
     yield from rec(0, min(floors, default=0), total)
 
 
+def companion_floors(e: SplittingType, m: int, lo: int) -> SplittingType:
+    """Floors of the f that pass conditions (1) and (2) with e, and lie at
+    or above lo: f_i >= e_i and f_i >= e_(i+1) - m, where for the last
+    entry both say f_k >= e_k."""
+    return tuple(max(a, b - m, lo) for a, b in zip(e, e[1:] + e[-1:]))
+
+
 def stratum_report(e, f, cls: HirzebruchClass) -> StratumReport:
     cond = check_conditions(e, f, cls)
     return StratumReport(
@@ -284,8 +291,6 @@ def enumerate_strata(
     lo, hi = window or default_window(cls)
     es = [validate_type(e)] if e is not None else iter_types(cls.k, lo, hi)
     for e in es:
-        # f_i >= e_i and f_i >= e_(i+1) - m; for the last entry both say f_k >= e_k
-        floors = tuple(max(a, b - cls.m, lo) for a, b in zip(e, e[1:] + e[-1:]))
-        for f in iter_sum_types(floors, hi, sum(e) + cls.delta):
+        for f in iter_sum_types(companion_floors(e, cls.m, lo), hi, sum(e) + cls.delta):
             out.append(stratum_report(e, f, cls))
     return out

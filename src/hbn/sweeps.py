@@ -18,6 +18,7 @@ from hbn.splitting import (
     HirzebruchClass,
     SplittingType,
     check_conditions,
+    companion_floors,
     iter_sum_types,
     iter_types,
 )
@@ -74,18 +75,24 @@ def unique_strata(
     hi: int = WINDOW[1],
     want_passing: bool = True,
 ) -> list[Stratum]:
-    """First representative of each shift class, in sweep order."""
+    """First representative of each shift class, in sweep order.
+
+    Passing strata come from the walk floored by `companion_floors`,
+    which yields exactly the passing f of the window walk, in its order.
+    """
     seen: set = set()
     out: list[Stratum] = []
     for cls in classes:
-        for e, f in iter_window_strata(cls, lo, hi):
-            if passes(e, f, cls) != want_passing:
-                continue
-            key = grid_key(cls, e, f)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append((cls, e, f))
+        for e in iter_types(cls.k, lo, hi):
+            floors = companion_floors(e, cls.m, lo) if want_passing else (lo,) * cls.k
+            for f in iter_sum_types(floors, hi, sum(e) + cls.delta):
+                if not want_passing and passes(e, f, cls):
+                    continue
+                key = grid_key(cls, e, f)
+                if key in seen:
+                    continue
+                seen.add(key)
+                out.append((cls, e, f))
     return out
 
 

@@ -39,6 +39,10 @@ multiplies and reduces with hbn.exact.poly's `pmul` and `pdivmod`, as
 `gcd_mod` does, so it checks the Euclid over the extension, not that
 arithmetic.
 
+Integer determinants.  `bareiss_det` is the fraction-free (Bareiss)
+determinant over Z in Python ints; reduced mod p it is the reference
+for `batch_det_mod`, whose elimination mod p it shares nothing with.
+
 Transition matrices.  `transition_product`, `transition_diagonal` and
 `random_unimodular` build glued bundles of known splitting type for the
 Birkhoff tests; hbn.exact.birkhoff only factors a given matrix.
@@ -780,6 +784,25 @@ def chi_surface(d: SurfaceDivisor, m: int) -> int:
 # ---------------------------------------------------------------------------
 # transition matrices
 # ---------------------------------------------------------------------------
+
+
+def bareiss_det(M) -> int:
+    """det M over Z by Bareiss' fraction-free elimination; every division
+    is exact, so the result is an integer whatever the entries."""
+    a = [[int(x) for x in row] for row in M]
+    n, sign, prev = len(a), 1, 1
+    for c in range(n - 1):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            sign = -sign
+        for i in range(c + 1, n):
+            for j in range(c + 1, n):
+                a[i][j] = (a[i][j] * a[c][c] - a[i][c] * a[c][j]) // prev
+        prev = a[c][c]
+    return sign * a[-1][-1] if n else 1
 
 
 def transition_product(a: TransitionMatrix, b: TransitionMatrix) -> TransitionMatrix:

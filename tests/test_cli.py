@@ -66,6 +66,19 @@ def test_enumerate_degree_sections_query_on_a_large_class(tmp_path):
     assert all(r["f"] == r["e"] for r in rows)
 
 
+def test_enumerate_prints_a_window_only_when_it_walks_one(tmp_path):
+    # degree mode walks bounds of its own: here rows reach e = 1, outside
+    # the default window [-6, 0]
+    argv = ["enumerate", "--m", "1", "--k", "7", "--delta", "0", "--degree", "14", "--sections", "3"]
+    code, doc = run(tmp_path, argv)
+    assert code == 0
+    assert "window" not in doc
+    assert max(max(r["e"]) for r in doc["rows"]) == 1
+    code, doc = run(tmp_path, ["enumerate", "--m", "1", "--k", "7", "--delta", "0", "--e=-3,-2,-1,-1,-1,0,1"])
+    assert code == 0
+    assert doc["window"] == [-6, 0]
+
+
 def test_sample_smooth_exit_zero(tmp_path):
     code, doc = run(
         tmp_path,

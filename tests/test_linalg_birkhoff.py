@@ -15,11 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import fp2_matrix_rank, random_unimodular, transition_diagonal, transition_product
+from oracles import bareiss_det, fp2_matrix_rank, random_unimodular, transition_diagonal, transition_product
 
 from hbn.exact.birkhoff import TransitionMatrix, birkhoff_splitting
 from hbn.exact.field import DEFAULT_PRIME, PrimeTooSmallError, quadratic_nonresidue
 from hbn.exact.linalg import batch_det_mod, matrix_rank, nullspace_vector
+from hbn.exact.poly import _eval_at_nodes, peval
 
 P = DEFAULT_PRIME
 
@@ -168,6 +169,58 @@ def test_batch_det_matches_permutation_expansion(p):
         want = [_perm_det(M, p) for M in mats]
         assert [int(d) for d in got] == want
         assert want[3] == 0 and (r == 1 or want[2] == 0)
+
+
+# both sides of the inverse table's limit (2^16), the largest prime below
+# 2^20, the one just above it, and the largest prime the kernels accept
+KERNEL_PRIMES = [3, 10007, 65521, 65537, 1048573, 1048583, 2**31 - 1]
+
+
+def _awkward_stack(n, r, p, rng):
+    """n matrices cycling through a generic one, a zero leading pivot, a
+    first column that only the last row can pivot, a zero column and a
+    repeated row; entries drawn from the top of [0, p) as often as not."""
+    mats = []
+    for i in range(n):
+        top = [[rng.choice((rng.randrange(p), p - 1 - rng.randrange(3))) for _ in range(r)] for _ in range(r)]
+        M = np.array(top)
+        kind = (i + r) % 5
+        if kind == 1:
+            M[0, 0] = 0
+        elif kind == 2:
+            M[:-1, 0] = 0
+        elif kind == 3:
+            M[:, rng.randrange(r)] = 0
+        elif kind == 4 and r > 1:
+            M[-1] = M[rng.randrange(r - 1)]
+        mats.append(M)
+    return np.array(mats, dtype=np.int64).reshape(n, r, r)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_batch_det_matches_bareiss_over_z(p):
+    # the primes reach both multiplier modes: the inverse table up to 2^16,
+    # the division-free update (reducing the block at every column) above
+    rng = random.Random(p)
+    for r in range(1, 10):
+        for n in (0, 1, 5):
+            mats = _awkward_stack(n, r, p, rng)
+            got = batch_det_mod(mats, p)
+            assert got.shape == (n,)
+            assert [int(d) for d in got] == [bareiss_det(M) % p for M in mats], (r, n)
+
+
+def test_eval_at_nodes_matches_horner_at_the_largest_prime():
+    # 40 coefficients near p = 2^31 - 1: the 16-bit split must keep every
+    # int64 sum exact; peval is Horner in Python ints
+    p = 2**31 - 1
+    rng = random.Random(40)
+    coeffs = [[rng.choice((rng.randrange(p), p - 1)) for _ in range(40)] for _ in range(6)]
+    nodes = 50
+    got = _eval_at_nodes(np.array(coeffs, dtype=np.int64).reshape(2, 3, 40), nodes, p)
+    assert got.shape == (nodes, 2, 3)
+    want = [[peval(c, i, p) for c in coeffs] for i in range(nodes)]
+    assert got.reshape(nodes, 6).tolist() == want
 
 
 def test_fp2_rank_embeds_and_detects_dependence():

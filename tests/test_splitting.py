@@ -30,6 +30,7 @@ from hbn.splitting import (
     validate_type,
     witness_f,
 )
+from hbn.sweeps import WINDOW, grid_key, iter_window_strata, passes, unique_strata
 
 classes = st.builds(
     HirzebruchClass,
@@ -183,6 +184,26 @@ def test_whole_window_is_the_condition_filter_in_order():
             (e, f) for e in iter_types(cls.k, lo, hi) for f in _condition_filter(e, cls, lo, hi)
         ]
         assert [(r.e, r.f) for r in enumerate_strata(cls, window=(lo, hi))] == want
+
+
+def _filtered_unique_strata(classes, want_passing):
+    """unique_strata by its definition: the window walk filtered by
+    `passes`, first representative of each shift class."""
+    seen, out = set(), []
+    for cls in classes:
+        for e, f in iter_window_strata(cls, *WINDOW):
+            if passes(e, f, cls) == want_passing and grid_key(cls, e, f) not in seen:
+                seen.add(grid_key(cls, e, f))
+                out.append((cls, e, f))
+    return out
+
+
+@pytest.mark.parametrize("want_passing", [True, False])
+def test_unique_strata_is_the_filtered_window_walk_in_order(want_passing):
+    classes = [HirzebruchClass(0, 2, 0), HirzebruchClass(1, 2, 3), HirzebruchClass(3, 3, 2),
+               HirzebruchClass(2, 3, 0), HirzebruchClass(1, 4, 1)]  # fmt: skip
+    got = unique_strata(classes, *WINDOW, want_passing=want_passing)
+    assert got == _filtered_unique_strata(classes, want_passing)
 
 
 @pytest.mark.parametrize("m, k", [(0, 2), (1, 3), (1, 5), (2, 3), (3, 4)])
