@@ -16,7 +16,10 @@ the flags it reads.
 
 Exit codes: 0 success, 2 empty or forced-reducible stratum or a usage
 error, 3 certification inconclusive (sampling retries exhausted, rank
-target not reached, or a lemma harness returning False).  Usage errors
+target not reached, or a lemma harness returning False).  A
+forced-reducible grid can still be DOMINANT, so dominance exits 0 where
+sample exits 2; among the desk classes this happens only where
+m = delta = 0, whose curves are k disjoint lines.  Usage errors
 include a flag the subcommand does not read, or that its mode does not
 read (UNREAD: --window with enumerate --degree, dominance --f or
 dominance --lemma, --trials with --lemma, and the section5 flags a mode
@@ -444,17 +447,6 @@ def cmd_dominance(args, parser) -> int:
         strata = [
             (r.e, r.f) for r in enumerate_strata(cls, window=args.window, e=args.e)
         ]
-    if not strata:
-        doc = {
-            "command": "dominance",
-            "e": list(args.e),
-            "rows": [],
-            "columns": [],
-            "provenance": {"rows": "no companion type passes the stratum conditions"},
-        }
-        emit(doc, args, parser)
-        return EXIT_EMPTY
-
     rows = []
     for e, f in strata:
         rng = None
@@ -476,7 +468,11 @@ def cmd_dominance(args, parser) -> int:
             "verdict": f"DOMINANT when some trial among {args.trials} reaches the target",
         },
     }
+    if not rows:
+        doc["provenance"]["rows"] = "no companion type passes the stratum conditions"
     emit(doc, args, parser)
+    if not rows:
+        return EXIT_EMPTY
     bad = [(r["e"], r["f"]) for r in rows if r["verdict"] != "DOMINANT"]
     if not bad:
         return EXIT_OK

@@ -1,8 +1,7 @@
 """Certification of sampled curves on the surface F_m.
 
-Cohomology of line bundles (closed toric formulas), chartwise smoothness
-certificates over F_p-bar, connectedness, and recovery of splitting
-types from twisted section counts.
+Chartwise smoothness certificates over F_p-bar, and the number of
+connected components of a curve in a class.
 
 A SMOOTH certificate for det(Ax + By) = 0 (with P_k != 0 and p > k) is
 all that `hbn sample` computes; two checks follow from it, and
@@ -47,7 +46,7 @@ budgeted: the certificate is SMOOTH or SINGULAR, a function of the curve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from hbn.determinantal import BinaryFormCurve
 from hbn.exact.field import PrimeTooSmallError, quadratic_nonresidue
@@ -66,60 +65,24 @@ from hbn.exact.poly import (
     squarefree_part,
 )
 from hbn.exact.poly2 import gcd_mod, restrict, resultant_v
-from hbn.splitting import HirzebruchClass, SplittingType
-
-UNKNOWN = "UNKNOWN"
-
-
-# ---------------------------------------------------------------------------
-# line bundles on the surface
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SurfaceDivisor:
-    """Divisor class a*H + b*F."""
-
-    a: int
-    b: int
-
-    def sub(self, other: "SurfaceDivisor") -> "SurfaceDivisor":
-        return SurfaceDivisor(self.a - other.a, self.b - other.b)
-
-
-def canonical_divisor(m: int) -> SurfaceDivisor:
-    return SurfaceDivisor(-2, m - 2)
-
-
-def intersection(d1: SurfaceDivisor, d2: SurfaceDivisor, m: int) -> int:
-    # H.H = m, H.F = 1, F.F = 0
-    return d1.a * d2.a * m + d1.a * d2.b + d1.b * d2.a
-
-
-def h0_surface(d: SurfaceDivisor, m: int) -> int:
-    if d.a < 0:
-        return 0
-    return sum(max(0, d.b + i * m + 1) for i in range(d.a + 1))
-
-
-def h1_surface(d: SurfaceDivisor, m: int) -> int:
-    if d.a >= 0:
-        return sum(max(0, -(d.b + i * m) - 1) for i in range(d.a + 1))
-    if d.a == -1:
-        return 0
-    # Serre duality: h^1(d) = h^1(K - d), and K - d has nonnegative
-    # H-coefficient here
-    kd = canonical_divisor(m).sub(d)
-    return sum(max(0, -(kd.b + i * m) - 1) for i in range(kd.a + 1))
+from hbn.splitting import HirzebruchClass
 
 
 def connectedness(cls: HirzebruchClass) -> int:
-    """h0 of the structure sheaf of a curve in the class.
+    """h0 of the structure sheaf of a curve C in the class: k when
+    m = delta = 0 (k disjoint fibers of the other ruling), else 1.
 
-    Equals 1 + h1(O(-kH - delta F)); the curve is connected, hence
-    (when also smooth) irreducible, iff this is 1.
+    From 0 -> O(-C) -> O -> O_C -> 0 on the rational surface F_m,
+    h0(O_C) = 1 + h1(O(-C)).  For k = 1 that h1 is 0: O(-H - delta F)
+    has degree -1 on every fiber of the ruling, so both of its direct
+    images vanish.  For k >= 2, Serre duality with
+    K = -2H + (m-2)F gives h1(O(-C)) = h1((k-2)H + (m-2+delta)F), and
+    aH + bF with a >= 0 pushes forward to the sum of O(b + i*m) over
+    i = 0..a, so h1 is the sum over j = 1..k-1 of max(0, 1 - delta - j*m):
+    k - 1 when m = delta = 0, and 0 otherwise.  The curve is connected,
+    hence (when also smooth) irreducible, iff this is 1.
     """
-    return 1 + h1_surface(SurfaceDivisor(-cls.k, -cls.delta), cls.m)
+    return cls.k if cls.m == cls.delta == 0 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -368,52 +331,3 @@ def smoothness(curve: BinaryFormCurve) -> SmoothnessCertificate:
     if boundary:
         return SmoothnessCertificate("SINGULAR", chart=boundary[0], witness=boundary[1])
     return SmoothnessCertificate("SMOOTH")
-
-
-# ---------------------------------------------------------------------------
-# splitting types from twisted section counts
-# ---------------------------------------------------------------------------
-
-
-def h0_profile_splitting(cls: HirzebruchClass, divisor: SurfaceDivisor) -> Union[SplittingType, str]:
-    """Splitting type of the pushforward of O_C(divisor) along the ruling.
-
-    Section counts h(n) = h0(C, O(divisor + nF)) are computed from the
-    surface via the restriction sequence whenever h1 of the ambient twist
-    vanishes; when the twist has negative degree on C the count is 0
-    outright (the class is connected).  First differences recover
-    #{i: d_i >= -n}, whose jumps give the degree multiset.  The twists
-    run over n in [-reach, reach], a reach computed from the class and
-    the divisor.  Returns UNKNOWN when validity fails somewhere needed or
-    the jumps do not saturate inside that window.
-    """
-    m, k, delta = cls.m, cls.k, cls.delta
-    C = SurfaceDivisor(k, delta)
-    reach = (k - 1) * m + delta + (abs(divisor.a) + 1) * (m + 2) + abs(divisor.b) + k + 3
-    lo, hi = -reach, reach
-    deg_on_c = intersection(divisor, C, m)
-    connected = connectedness(cls) == 1
-
-    counts: dict[int, int] = {}
-    for n in range(lo - 1, hi + 1):
-        twist = SurfaceDivisor(divisor.a, divisor.b + n)
-        if connected and deg_on_c + k * n < 0:
-            # negative degree on a connected curve: no sections
-            counts[n] = 0
-            continue
-        if h1_surface(twist, m) != 0:
-            return UNKNOWN
-        below = twist.sub(C)
-        counts[n] = h0_surface(twist, m) - h0_surface(below, m) + h1_surface(below, m)
-
-    degrees: list[int] = []
-    prev_jump = 0
-    for n in range(lo, hi + 1):
-        jump = counts[n] - counts[n - 1]
-        if jump < prev_jump or jump < 0 or jump > k:
-            return UNKNOWN
-        degrees.extend([-n] * (jump - prev_jump))
-        prev_jump = jump
-    if prev_jump != k or counts[lo] - counts[lo - 1] != 0:
-        return UNKNOWN
-    return tuple(sorted(degrees))

@@ -7,16 +7,16 @@ then below 2^62.  Where unreduced products are summed, a bound on the
 entries (below) keeps int64 arithmetic from overflowing between
 reductions.
 
-`_eliminate` is the one Gaussian elimination: `matrix_rank` counts its
-pivots and `nullspace_vector` back-substitutes over its pivot rows.  It
-reduces mod p only the values it reads.  Invariant: every
-entry of the active block (rows not yet used as pivots, columns not yet
-eliminated) has absolute value at most `bound`, a Python int.  A pivot
-step reduces the pivot column and row into [0, p) and subtracts their
-outer product unreduced, adding at most (p - 1)^2 to `bound`; the block
-is reduced first whenever `bound + (p - 1)^2` would reach 2^62.  At
-p = 10007 that would take over 10^10 pivots; at p = 2^31 - 1 it happens
-before every update but the first.
+Ranks have one engine, `matrix_rank`, a Gaussian elimination that keeps
+no pivot rows or columns, only their count.  It reduces mod p only the
+values it reads.  Invariant: every entry of the active block (rows
+not yet used as pivots, columns not yet eliminated) has absolute value
+at most `bound`, a Python int.  A pivot step reduces the pivot column
+and row into [0, p) and subtracts their outer product unreduced, adding
+at most (p - 1)^2 to `bound`; the block is reduced first whenever
+`bound + (p - 1)^2` would reach 2^62.  At p = 10007 that would take over
+10^10 pivots; at p = 2^31 - 1 it happens before every update but the
+first.
 
 Determinants have one engine, `batch_det_mod`: it row-reduces a whole
 stack at once, with the stack's axis last, (r, r, n), so every numpy
@@ -24,7 +24,7 @@ operation runs along n contiguous entries.  Each matrix picks its own
 pivot row (the first nonzero entry at or below the diagonal).  Column c
 reduces only the pivot column and the pivot row; the trailing block
 takes the outer product of multipliers and pivot row unreduced, under
-`_eliminate`'s bound rule.  For p <= 2^16 the multipliers are
+`matrix_rank`'s bound rule.  For p <= 2^16 the multipliers are
 a_ic * piv^-1, read from a table of all inverses mod p (int32, 40 KB at
 p = 10007) that one `_pow_vec` builds once per prime.  The build costs
 13 ms at 2^16 but 0.35 s at 2^20 (2-vCPU Xeon), which would double a
@@ -42,19 +42,16 @@ import numpy as np
 
 from hbn.exact.field import inv_mod
 
-_LAZY_LIMIT = 1 << 62  # _eliminate and batch_det_mod keep |entries| below this
+_LAZY_LIMIT = 1 << 62  # matrix_rank and batch_det_mod keep |entries| below this
 _TABLE_LIMIT = 1 << 16  # batch_det_mod reads an inverse table up to this p
 
 
-def _eliminate(mat, p: int) -> list[tuple[int, int, np.ndarray]]:
-    """Gaussian elimination over F_p, reducing lazily (module doc).
+def matrix_rank(mat, p: int) -> int:
+    """Rank over F_p by Gaussian elimination, reducing lazily (module doc).
 
-    Returns one (column, pivot, pivot row right of the column) per pivot,
-    in column order, all reduced into [0, p): the rows of an echelon form
-    with the row space of mat.  Column c pivots on the largest entry of
-    its reduced active part.  The update also zeroes the pivot row mod p,
-    so instead of a swap the top active row is copied into the pivot
-    row's slot, right of c only.
+    Column c pivots on the largest entry of its reduced active part.  The
+    update also zeroes the pivot row mod p, so instead of a swap the top
+    active row is copied into the pivot row's slot, right of c only.
     """
     a = np.asarray(mat, dtype=np.int64)
     if a.ndim != 2:
@@ -63,7 +60,6 @@ def _eliminate(mat, p: int) -> list[tuple[int, int, np.ndarray]]:
     rows, cols = a.shape
     step = (p - 1) ** 2
     bound = p - 1
-    pivots: list[tuple[int, int, np.ndarray]] = []
     rank = 0
     for c in range(cols):
         if rank == rows:
@@ -82,37 +78,8 @@ def _eliminate(mat, p: int) -> list[tuple[int, int, np.ndarray]]:
         bound += step
         if r:
             a[rank + r, c + 1 :] = a[rank, c + 1 :]
-        pivots.append((c, piv, prow))
         rank += 1
-    return pivots
-
-
-def matrix_rank(mat, p: int) -> int:
-    """Rank over F_p: the number of pivots of `_eliminate`."""
-    return len(_eliminate(mat, p))
-
-
-def nullspace_vector(mat, p: int) -> np.ndarray | None:
-    """One nonzero kernel vector over F_p, or None if the kernel is 0.
-
-    The vector is 1 at the first non-pivot column and 0 at the other
-    free columns, which determines it; back substitution over the pivot
-    rows of `_eliminate` fills in the pivot columns.  The pivot columns
-    do not depend on how rows are pivoted, so neither does the vector.
-    """
-    pivots = _eliminate(mat, p)
-    cols = np.shape(mat)[1]
-    pivot_cols = {c for c, _, _ in pivots}
-    free = next((c for c in range(cols) if c not in pivot_cols), None)
-    if free is None:
-        return None
-    v = np.zeros(cols, dtype=np.int64)
-    v[free] = 1
-    for c, piv, prow in reversed(pivots):
-        # each product reduced before the sum; the sum times the inverse in Python ints
-        dot = int((prow * v[c + 1 :] % p).sum())
-        v[c] = -dot * inv_mod(piv, p) % p
-    return v
+    return rank
 
 
 def _pow_vec(x: np.ndarray, e: int, p: int) -> np.ndarray:

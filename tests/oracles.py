@@ -43,36 +43,46 @@ Integer determinants.  `bareiss_det` is the fraction-free (Bareiss)
 determinant over Z in Python ints; reduced mod p it is the reference
 for `batch_det_mod`, whose elimination mod p it shares nothing with.
 
-Transition matrices.  `transition_product`, `transition_diagonal` and
-`random_unimodular` build glued bundles of known splitting type for the
-Birkhoff tests; hbn.exact.birkhoff only factors a given matrix.
+Transition matrices.  `TransitionMatrix` is a square Laurent matrix
+over F_p, the gluing of a bundle on P^1, and `birkhoff_splitting` reads
+its splitting type by Birkhoff column reduction; the tests hold it to
+section counts and to glued bundles of known type, which
+`transition_product`, `transition_diagonal` and `random_unimodular`
+build.  Its kernel vectors come from `nullspace_vector`, a Gauss-Jordan
+elimination on Python ints that shares no code with hbn.exact.linalg.
+`TransitionMatrix.det` takes `batch_det_mod` and `interp_nodes` from
+src/.  Nothing in hbn reads splitting types off a gluing.
+
+Surface cohomology.  `SurfaceDivisor`, `intersection`, `h0_surface` and
+`h1_surface` are the closed toric formulas for line bundles on F_m, and
+`h0_profile_splitting` recovers the type of a pushforward from twisted
+section counts (UNKNOWN where a twist has h1).  Criterion 10 holds the
+profile to `structure_sheaf_type`, and the curve tests hold
+`curves.connectedness`, a closed form, to 1 + h1 of O(-C).
 
 Closed forms.  `p1_pk_closed_form` writes the outer coefficients P_1
 and P_k of det(Ax + By) on the SUT locus as signed products of entries,
 `chi_surface` is surface Riemann-Roch, `h2_surface` is Serre duality
 and `directrix` is the class of the negative section.  The tests hold
-`phi`, `h0_surface`, `h1_surface` and `intersection` to these formulas;
-nothing in hbn calls them.
+`phi` and the surface cohomology above to these formulas; nothing in
+hbn calls them.
 """
 
 import random
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 import sympy
 
 from hbn.curves import (
     SmoothnessCertificate,
-    SurfaceDivisor,
     _analyze_chart,
     _deriv_v,
     _vtrim,
-    canonical_divisor,
     chart_polys,
-    h0_surface,
-    intersection,
+    connectedness,
 )
 from hbn.determinantal import (
     BinaryFormCurve,
@@ -80,11 +90,12 @@ from hbn.determinantal import (
     forced_reducibility,
 )
 from hbn.differential import selector_mask
-from hbn.exact.birkhoff import TransitionMatrix
-from hbn.exact.field import inv_mod, quadratic_nonresidue
-from hbn.exact.linalg import matrix_rank
+from hbn.exact.field import PrimeTooSmallError, inv_mod, quadratic_nonresidue
+from hbn.exact.linalg import batch_det_mod, matrix_rank
 from hbn.exact.poly import (
     Poly,
+    _eval_at_nodes,
+    interp_nodes,
     irreducible_factors,
     pdeg,
     pdivmod,
@@ -98,7 +109,7 @@ from hbn.exact.poly import (
     quadratic_roots,
 )
 from hbn.exact.poly2 import resultant_v
-from hbn.splitting import HirzebruchClass
+from hbn.splitting import HirzebruchClass, SplittingType
 
 
 @dataclass(frozen=True)
@@ -767,6 +778,94 @@ def p1_pk_closed_form(pair: MatrixPair) -> tuple[BinaryForm, BinaryForm]:
     return p1, pk
 
 
+# ---------------------------------------------------------------------------
+# line bundles on the surface
+# ---------------------------------------------------------------------------
+
+UNKNOWN = "UNKNOWN"
+
+
+@dataclass(frozen=True)
+class SurfaceDivisor:
+    """Divisor class a*H + b*F."""
+
+    a: int
+    b: int
+
+    def sub(self, other: "SurfaceDivisor") -> "SurfaceDivisor":
+        return SurfaceDivisor(self.a - other.a, self.b - other.b)
+
+
+def canonical_divisor(m: int) -> SurfaceDivisor:
+    return SurfaceDivisor(-2, m - 2)
+
+
+def intersection(d1: SurfaceDivisor, d2: SurfaceDivisor, m: int) -> int:
+    # H.H = m, H.F = 1, F.F = 0
+    return d1.a * d2.a * m + d1.a * d2.b + d1.b * d2.a
+
+
+def h0_surface(d: SurfaceDivisor, m: int) -> int:
+    if d.a < 0:
+        return 0
+    return sum(max(0, d.b + i * m + 1) for i in range(d.a + 1))
+
+
+def h1_surface(d: SurfaceDivisor, m: int) -> int:
+    if d.a >= 0:
+        return sum(max(0, -(d.b + i * m) - 1) for i in range(d.a + 1))
+    if d.a == -1:
+        return 0
+    # Serre duality: h^1(d) = h^1(K - d), and K - d has nonnegative
+    # H-coefficient here
+    kd = canonical_divisor(m).sub(d)
+    return sum(max(0, -(kd.b + i * m) - 1) for i in range(kd.a + 1))
+
+
+def h0_profile_splitting(cls: HirzebruchClass, divisor: SurfaceDivisor) -> Union[SplittingType, str]:
+    """Splitting type of the pushforward of O_C(divisor) along the ruling.
+
+    Section counts h(n) = h0(C, O(divisor + nF)) are computed from the
+    surface via the restriction sequence whenever h1 of the ambient twist
+    vanishes; when the twist has negative degree on C the count is 0
+    outright (the class is connected).  First differences recover
+    #{i: d_i >= -n}, whose jumps give the degree multiset.  The twists
+    run over n in [-reach, reach], a reach computed from the class and
+    the divisor.  Returns UNKNOWN when validity fails somewhere needed or
+    the jumps do not saturate inside that window.
+    """
+    m, k, delta = cls.m, cls.k, cls.delta
+    C = SurfaceDivisor(k, delta)
+    reach = (k - 1) * m + delta + (abs(divisor.a) + 1) * (m + 2) + abs(divisor.b) + k + 3
+    lo, hi = -reach, reach
+    deg_on_c = intersection(divisor, C, m)
+    connected = connectedness(cls) == 1
+
+    counts: dict[int, int] = {}
+    for n in range(lo - 1, hi + 1):
+        twist = SurfaceDivisor(divisor.a, divisor.b + n)
+        if connected and deg_on_c + k * n < 0:
+            # negative degree on a connected curve: no sections
+            counts[n] = 0
+            continue
+        if h1_surface(twist, m) != 0:
+            return UNKNOWN
+        below = twist.sub(C)
+        counts[n] = h0_surface(twist, m) - h0_surface(below, m) + h1_surface(below, m)
+
+    degrees: list[int] = []
+    prev_jump = 0
+    for n in range(lo, hi + 1):
+        jump = counts[n] - counts[n - 1]
+        if jump < prev_jump or jump < 0 or jump > k:
+            return UNKNOWN
+        degrees.extend([-n] * (jump - prev_jump))
+        prev_jump = jump
+    if prev_jump != k or counts[lo] - counts[lo - 1] != 0:
+        return UNKNOWN
+    return tuple(sorted(degrees))
+
+
 def directrix(m: int) -> SurfaceDivisor:
     return SurfaceDivisor(1, -m)
 
@@ -803,6 +902,136 @@ def bareiss_det(M) -> int:
                 a[i][j] = (a[i][j] * a[c][c] - a[i][c] * a[c][j]) // prev
         prev = a[c][c]
     return sign * a[-1][-1] if n else 1
+
+
+def nullspace_vector(mat, p: int) -> Optional[list[int]]:
+    """One nonzero kernel vector over F_p, or None if the kernel is 0.
+
+    Gauss-Jordan elimination on lists of Python ints, sharing no code
+    with hbn.exact.linalg.  The vector is 1 at the first non-pivot column
+    and 0 at the other free columns, which determines it: each pivot
+    column takes minus its reduced row's entry in that first free column.
+    """
+    rows = [[int(x) % p for x in row] for row in mat]
+    cols = np.shape(mat)[1]
+    pivots: list[int] = []
+    for c in range(cols):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[c]:
+                rows[i] = [(x - row[c] * y) % p for x, y in zip(row, rows[rank])]
+        pivots.append(c)
+    free = next((c for c in range(cols) if c not in pivots), None)
+    if free is None:
+        return None
+    v = [0] * cols
+    v[free] = 1
+    for r, c in enumerate(pivots):
+        v[c] = -rows[r][free] % p
+    return v
+
+
+@dataclass(frozen=True, eq=False)
+class TransitionMatrix:
+    """Square matrix of Laurent polynomials over F_p.
+
+    A bundle glued over the two standard charts by a Laurent polynomial
+    matrix T (new frame = T * old frame) splits as a direct sum of line
+    bundles; diag(t^d) corresponds to the degree-d line bundle.
+
+    T is stored densely: one int64 array `coeffs` of shape
+    (n, n, L) with entries in [0, p) and an exponent offset `low`, so entry
+    (i, j) is sum_l coeffs[i, j, l] * t^(low + l).  Construction trims the
+    exponent slots that are zero in every entry.  `det` evaluates T at the
+    nodes 0..n(L-1), takes one `batch_det_mod` over that stack and one
+    `interp_nodes`: det(T) is t^(n * low) times a polynomial of degree at
+    most n(L-1), so it needs p > n(L-1) and raises PrimeTooSmallError
+    otherwise.
+    """
+
+    coeffs: np.ndarray
+    low: int
+    p: int
+
+    def __post_init__(self):
+        c = np.asarray(self.coeffs, dtype=np.int64)
+        if c.ndim != 3 or c.shape[0] != c.shape[1] or 0 in c.shape:
+            raise ValueError(f"coefficients must have shape (n, n, L) with n, L >= 1, got {c.shape}")
+        c = c % self.p
+        used = np.flatnonzero(c.any(axis=(0, 1)))
+        first, last = (int(used[0]), int(used[-1])) if used.size else (0, 0)
+        object.__setattr__(self, "coeffs", c[:, :, first : last + 1])
+        object.__setattr__(self, "low", int(self.low) + first if used.size else 0)
+
+    @property
+    def size(self) -> int:
+        return self.coeffs.shape[0]
+
+    def det(self) -> "TransitionMatrix":
+        """det(T) as a 1x1 matrix; needs p > n(L-1) (class doc)."""
+        n, _, length = self.coeffs.shape
+        nodes = n * (length - 1) + 1
+        if self.p < nodes:
+            raise PrimeTooSmallError(
+                f"prime too small for the determinant: degree up to {nodes - 1} needs p > {nodes - 1}"
+            )
+        vals = _eval_at_nodes(self.coeffs, nodes, self.p)
+        coef = interp_nodes(batch_det_mod(vals, self.p), self.p)
+        return TransitionMatrix(coef[None, None], n * self.low, self.p)
+
+
+def birkhoff_splitting(T: TransitionMatrix) -> tuple[int, ...]:
+    """Weakly increasing degree tuple of the bundle glued by T.
+
+    Raises ValueError when det(T) is not a unit times a power of the
+    variable (the matrix is then not an allowed gluing).
+
+    The multiset of degrees comes from exact column reduction on a copy
+    of the array:
+
+        repeat:
+            m_j   = minimal exponent in column j
+            BC    = matrix of coefficients of t^(m_j), column by column
+            if BC is invertible over F_p: the type is sorted(m)
+            else: a kernel vector of BC combines columns (using only
+                  nonpositive shifts t^(m_j* - m_j)) so that the valuation of
+                  the cheapest involved column strictly increases
+
+    Each combination is a column operation with entries in F_p[1/t] and
+    constant determinant, so it changes neither the bundle nor det(T) up to
+    a scalar.  It shifts columns only down onto m_j* >= low, so the exponent
+    range of T never grows.  The column minima sum is bounded by the t-power
+    of det(T), which forces termination; when BC is invertible, T * (ops)
+    factors as (matrix of t-polynomials with unit determinant) *
+    diag(t^(m_j)).
+    """
+    d = T.det()
+    if not d.coeffs.any():
+        raise ValueError("transition matrix is singular")
+    if d.coeffs.shape[2] != 1:
+        raise ValueError("det must be a unit times a power of the variable")
+    p = T.p
+    a = T.coeffs.copy()
+    n, _, length = a.shape
+    while True:
+        # first[j]: slot of column j's minimal exponent; det(T) != 0, so no column is zero
+        first = a.any(axis=0).argmax(axis=1)
+        kernel = nullspace_vector(a[:, range(n), first], p)
+        if kernel is None:
+            return tuple(sorted(T.low + int(f) for f in first))
+        support = np.flatnonzero(kernel)
+        jstar = support[first[support].argmin()]
+        new = np.zeros((n, length), dtype=np.int64)
+        for j in support:
+            top = first[jstar] + length - first[j]
+            new[:, first[jstar] : top] += kernel[j] * a[:, j, first[j] :] % p
+        a[:, jstar] = new % p
 
 
 def transition_product(a: TransitionMatrix, b: TransitionMatrix) -> TransitionMatrix:

@@ -14,14 +14,17 @@ import numpy as np
 import pytest
 from conftest import record_acceptance
 from oracles import (
+    SurfaceDivisor,
+    birkhoff_splitting,
     cokernel_rank_check,
     discriminant_check,
+    h0_profile_splitting,
     random_unimodular,
     transition_diagonal,
     transition_product,
 )
 
-from hbn.curves import SurfaceDivisor, connectedness, h0_profile_splitting, smoothness
+from hbn.curves import connectedness, smoothness
 from hbn.determinantal import (
     degree_grid,
     forced_reducibility,
@@ -37,7 +40,6 @@ from hbn.differential import (
     product_rule_rank,
     selector_mask,
 )
-from hbn.exact.birkhoff import birkhoff_splitting
 from hbn.exact.linalg import matrix_rank
 from hbn.scrollar import abundance_verdict, general_cover_not_abundant
 from hbn.seeds import derive_seed

@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 
 import hbn.cli
 from hbn.cli import main
-from hbn.determinantal import degree_grid, pair_to_json_dict, sample_pair
+from hbn.curves import connectedness
+from hbn.determinantal import degree_grid, forced_reducibility, pair_to_json_dict, sample_pair
+from hbn.differential import dominance_rank
 from hbn.seeds import derive_seed
 from hbn.splitting import HirzebruchClass, enumerate_strata
 
@@ -203,6 +205,29 @@ def test_dominance_no_companions_exit_two(tmp_path):
     code, doc = run(tmp_path, ["dominance", *TRIG, "--e", "-8,-4,-1", "--window", "0,0"])
     assert code == 2
     assert doc["rows"] == []
+
+
+def test_dominance_empty_sweep_keeps_its_columns(tmp_path, capsys):
+    argv = ["dominance", "--m", "0", "--k", "2", "--delta", "0", "--e=0,0", "--window", "5,6"]
+    assert main(argv + ["--format", "csv"]) == 2
+    assert capsys.readouterr().out == "e,f,target_dim,source_dim,max_rank,trials,verdict\n"
+    code, doc = run(tmp_path, argv)
+    assert code == 2
+    assert doc["rows"] == []
+    assert doc["columns"] == ["e", "f", "target_dim", "source_dim", "max_rank", "trials", "verdict"]
+    assert doc["provenance"]["rows"] == "no companion type passes the stratum conditions"
+
+
+def test_forced_reducible_stratum_can_be_dominant_on_a_disconnected_class(tmp_path):
+    # on F_0 every curve in 3H is three disjoint lines: the determinant map
+    # is onto |3H|, so a forced factorization does not bound its rank
+    cls, e = HirzebruchClass(m=0, k=3, delta=0), (-8, -2, -1)
+    assert forced_reducibility(degree_grid(e, e, cls.m)).verdict == "BLOCK_FACTOR"
+    assert connectedness(cls) == 3
+    assert dominance_rank(e, e, cls)["verdict"] == "DOMINANT"
+    argv = ["--m", "0", "--k", "3", "--delta", "0", "--e=-8,-2,-1", "--f=-8,-2,-1"]
+    assert run(tmp_path, ["dominance", *argv])[0] == 0
+    assert run(tmp_path, ["sample", *argv])[0] == 2
 
 
 def test_dominance_delta_budget_error():

@@ -1,4 +1,5 @@
-"""Surface cohomology, curve certificates, and the pushforward profile.
+"""Surface cohomology (oracles in tests/oracles.py), curve certificates,
+connectedness and the pushforward profile.
 
 h0 on the surface is checked against the direct-sum monomial count, h2
 against Serre duality, and chi against Riemann-Roch.  The smoothness
@@ -13,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     QuotientField,
+    SurfaceDivisor,
+    canonical_divisor,
     chi_surface,
     cokernel_rank_check,
     curve_points,
@@ -21,7 +24,11 @@ from oracles import (
     entry_form,
     four_chart_polys,
     four_charts,
+    h0_profile_splitting,
+    h0_surface,
+    h1_surface,
     h2_surface,
+    intersection,
     pair_rank_at_point,
     point_on_curve,
     sympy_resultant_v,
@@ -29,15 +36,9 @@ from oracles import (
 
 from hbn import curves
 from hbn.curves import (
-    SurfaceDivisor,
     _analyze_chart,
-    canonical_divisor,
     chart_polys,
     connectedness,
-    h0_surface,
-    h1_surface,
-    h0_profile_splitting,
-    intersection,
     smoothness,
 )
 from hbn.determinantal import (
@@ -97,6 +98,15 @@ def test_connectedness_counts_components():
     # k fibers of the other ruling on P1 x P1: k components
     assert connectedness(HirzebruchClass(m=0, k=2, delta=0)) == 2
     assert connectedness(HirzebruchClass(m=0, k=3, delta=0)) == 3
+
+
+def test_connectedness_closed_form_matches_surface_cohomology():
+    # h0(O_C) = 1 + h1(O(-C)) from the restriction sequence
+    for m in range(7):
+        for k in range(1, 9):
+            for delta in range(7):
+                cls = HirzebruchClass(m=m, k=k, delta=delta)
+                assert connectedness(cls) == 1 + h1_surface(SurfaceDivisor(-k, -delta), m), cls
 
 
 def _curve(cls, blocks):

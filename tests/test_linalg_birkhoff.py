@@ -1,12 +1,14 @@
-"""Exact linear algebra and the transition-matrix splitting routine.
+"""Exact linear algebra mod p, and the transition-matrix oracles.
 
-matrix_rank is validated on matrices with rank known by construction
-(products U V with embedded identity blocks).  birkhoff_splitting is
-validated against a section-counting oracle: the degree tuple (d_i)
-must reproduce h0 of every twist, and h0 is computed here directly as
-the nullity of a coefficient-constraint system, independent of the
-column-reduction code under test.
-"""
+The library's elimination kernels are validated independently:
+matrix_rank on matrices with rank known by construction (products U V
+with embedded identity blocks) and against an elimination on Python
+ints, batch_det_mod against permutation expansion and Bareiss over Z.
+The rest checks oracles that other tests lean on (tests/oracles.py):
+nullspace_vector on planted ranks, and birkhoff_splitting against a
+section-counting oracle: the degree tuple (d_i) must reproduce h0 of
+every twist, and h0 is computed here directly as the nullity of a
+coefficient-constraint system, independent of the column reduction."""
 
 import random
 from itertools import permutations
@@ -15,11 +17,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import bareiss_det, fp2_matrix_rank, random_unimodular, transition_diagonal, transition_product
+from oracles import (
+    TransitionMatrix,
+    bareiss_det,
+    birkhoff_splitting,
+    fp2_matrix_rank,
+    nullspace_vector,
+    random_unimodular,
+    transition_diagonal,
+    transition_product,
+)
 
-from hbn.exact.birkhoff import TransitionMatrix, birkhoff_splitting
 from hbn.exact.field import DEFAULT_PRIME, PrimeTooSmallError, quadratic_nonresidue
-from hbn.exact.linalg import batch_det_mod, matrix_rank, nullspace_vector
+from hbn.exact.linalg import batch_det_mod, matrix_rank
 from hbn.exact.poly import _eval_at_nodes, peval
 
 P = DEFAULT_PRIME
@@ -104,7 +114,7 @@ def test_matrix_rank_matches_python_elimination(p, rows, cols, planted, seed):
     st.integers(0, 16),
     st.integers(0, 2**32 - 1),
 )
-@example(rows=16, cols=40, planted=16, seed=0)  # back substitution over 16 pivots
+@example(rows=16, cols=40, planted=16, seed=0)  # 16 pivots
 def test_nullspace_vector_on_planted_rank(p, rows, cols, planted, seed):
     # few zero columns: a zero column before the rank is reached is the
     # first free column, and the kernel vector is then a unit vector
@@ -288,8 +298,8 @@ def test_birkhoff_recovers_diagonal():
 
 
 def test_birkhoff_invariant_under_unimodular_twists():
-    # at 2^31 - 1 a product of two reduced entries nears 2^62, so the
-    # kernel vector's back substitution must reduce each before summing
+    # at 2^31 - 1 a product of two reduced entries nears 2^62, so each
+    # column combination must reduce its products before summing
     rng = random.Random(99)
     for p in (P, 2**31 - 1):
         for trial in range(20):

@@ -1,5 +1,9 @@
-"""Every public function, class, method and UPPER_CASE module constant
-in src/hbn has a reader outside tests.
+"""Every module, public function, class, method and UPPER_CASE module
+constant in src/hbn has a reader outside tests.
+
+A module is read when src/hbn, scripts/ or perfbench/ imports it, by
+`import hbn.x`, `from hbn.x import ...` or `from hbn import x`; the
+`__init__.py` files are exempt.
 
 A read is a Name, an Attribute, an imported name, or a string constant
 equal to the name, anywhere in src/hbn, scripts/ or perfbench/; reads
@@ -32,9 +36,7 @@ ALLOWED = {
     "subsample": "criterion 6 draws its 120 violating strata with it",
     "product_rule_rank": "the product-rule lemma; criterion 8 checks it",
     "structure_sheaf_type": "the paper's type of the pushforward of O_C; criterion 10 checks it",
-    "h0_profile_splitting": "a type from twisted section counts; criterion 10 checks it",
     "witness_f": "the paper's companion type proving non-emptiness; criterion 10 checks it",
-    "birkhoff_splitting": "Birkhoff factorization of a transition matrix; criterion 10 checks it",
     "odelta_type": "the paper's type of the pushforward of O_C(Delta), input of the scrollar bounds",
 }
 
@@ -83,6 +85,29 @@ def unread_public_names() -> set[str]:
         if reads[name] - own <= 0:
             unread.add(name)
     return unread
+
+
+def _module_name(path: Path) -> str:
+    return ".".join(path.relative_to(SOURCE.parent).with_suffix("").parts)
+
+
+def imported_modules() -> set[str]:
+    out = set()
+    for root in READERS:
+        for path in _modules(root):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    out.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                    out.add(node.module)
+                    out.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return out
+
+
+def test_every_module_in_src_is_imported():
+    modules = {_module_name(path) for path in _modules(SOURCE) if path.name != "__init__.py"}
+    unread = modules - imported_modules()
+    assert not unread, f"imported by no code in src/hbn, scripts/ or perfbench/: {sorted(unread)}"
 
 
 def test_every_public_name_in_src_has_a_reader():

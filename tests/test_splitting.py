@@ -9,8 +9,8 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import SurfaceDivisor, canonical_divisor, intersection
 
-from hbn.curves import SurfaceDivisor, canonical_divisor, intersection
 from hbn.splitting import (
     HirzebruchClass,
     check_conditions,
