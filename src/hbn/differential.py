@@ -4,29 +4,47 @@ The differential of (A, B) -> det(Ax + By) at a pair sends a tangent
 direction (A', B') to the coefficient of eps in
 det((A + eps A')x + (B + eps B')y) mod eps^2.  That coefficient equals
 sum_{r,c} C_rc (A'_rc x + B'_rc y) where C_rc is the signed cofactor of
-Ax + By at (r, c), so one cofactor pass per pair yields every column of
+Ax + By at (r, c), so the cofactors of one pair give every column of
 the differential; the test suite keeps a literal dual-number
 determinant per column as a slow cross-check.
 
-A DOMINANT verdict mod p also holds over Q.  The entries of the
-differential are integer polynomials in the pair's coefficients, so at
-the integer lift of a sampled pair every minor is an integer that
-reduces to the minor mod p.  A minor that is nonzero mod p is therefore
-a nonzero integer, d(phi) has full rank over Q at the lift, and phi is
-dominant in characteristic 0.
+Each column is a form F = sum_i P_i(t) x^i y^(k-i) (s = 1) with
+deg P_i <= d_i = delta + (k - i)m, and it is computed by its values at
+a staircase of R = sum_i (d_i + 1) nodes (evaluation and interpolation,
+von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5): the points
+(b : 1) of the x-line for b = 0..k-1, point b at t = 0..d_b, then the
+point (1 : 0) at t = 0..d_k, in the order of the coefficient rows.  At a
+node the column of coordinate (mat, r, c, j) is t^j C_rc times x for A'
+(mat 0) or y for B' (mat 1), with all k^2 cofactors of x A(t) + y B(t)
+at all R nodes from k - 2 batched products of the Faddeev-LeVerrier
+recurrence (`_cofactors`).
 
-Cofactors come by evaluation and interpolation (von zur Gathen and
-Gerhard, Modern Computer Algebra, ch. 5).  With s = y = 1, every entry
-of A and B is evaluated at the nodes t = 0..n-1, the matrices A(t)x + B(t)
-are formed at x = 0..k-1 (`determinantal.pair_values`), and the
-Faddeev-LeVerrier recurrence gives all k^2 signed cofactors at all n*k
-points in k - 1 batched products.
-Each cofactor has x-degree at most k - 1, and an entry with b_rc >= 0
-(the only entries with tangent coordinates) has a cofactor of t-degree
-at most delta + k*m, so exactly n = delta + k*m + 1 nodes interpolate
-it.  This needs p > delta + k*m, and p >= k for the x-nodes and the
-recurrence's divisions by 1..k-1; a smaller prime raises
-PrimeTooSmallError.
+The nodes are unisolvent for the forms F above.  On y = 1, the j-th
+divided difference of F over x = 0..j is a combination of P_j..P_k, so
+its t-degree is at most d_j (m >= 0, so d_i falls with i); points
+0..j all carry the nodes t = 0..d_j, which fix it.  The k-th is the
+leading coefficient in x, P_k, which (1 : 0) reads at t = 0..d_k.  The
+Newton coefficients give F back, so a form that vanishes at every node
+is 0.  This needs the x-nodes and
+the t-nodes distinct and j! invertible for j < k: p >= k and
+p > delta + k*m, the same bounds the recurrence's divisions by 1..k-1
+and the t-nodes need; a smaller prime raises PrimeTooSmallError.
+Taking (1 : 0) in place of a point x = k is what lets p = k work.
+
+dphi_values returns the values, one row per node.  dphi_matrix maps
+them to coefficients with W, the inverse mod p of the node-by-monomial
+table V (V[node, (i, l)] is x^i y^(k-i) t^l there), which is the
+unisolvence argument run on the identity and is cached per class and
+prime.
+
+dominance_rank ranks the values V J directly, J the coefficient
+differential: V is invertible mod p, so the rank is J's.  A DOMINANT
+verdict mod p also holds over Q.  V is an integer matrix and the
+entries of J are integer polynomials in the pair's coefficients, so at
+the integer lift of a sampled pair every minor of V J is an integer
+that reduces to the minor mod p.  A minor that is nonzero mod p is
+therefore a nonzero integer, so V J, and with it J = d(phi), has full
+rank over Q at the lift, and phi is dominant in characteristic 0.
 
 Tangent subspaces are named selectors, each a (2, k, k) entry mask
 (index 0 is A') that dphi_matrix intersects with the pair's pattern
@@ -37,15 +55,17 @@ without the lower-right entry, and its first column of B'.  Each lemma
 harness reads one of these (LEMMA_SELECTORS).  A coordinate is one int
 row (matrix, i, j, t-power) of tangent_basis.
 
-Coefficient conventions: the differential is a list of k + 1 blocks,
-block i holding the coefficient vector of P_i (ascending powers of t,
-length delta + (k - i)m + 1) as rows, one column per coordinate.  The
-dominance rank stacks them all; each lemma reads the blocks it names.
+Coefficient conventions: dphi_matrix is a list of k + 1 blocks, block i
+holding the coefficient vector of P_i (ascending powers of t, length
+delta + (k - i)m + 1) as rows, one column per coordinate.  Each lemma
+reads the blocks it names.
 """
 
 from __future__ import annotations
 
+import functools
 import random
+from math import comb, factorial
 
 import numpy as np
 
@@ -53,14 +73,22 @@ from hbn.determinantal import (
     DegreeGrid,
     MatrixPair,
     degree_grid,
-    pair_values,
     pattern_support,
     sample_is_point,
     sample_pair,
 )
 from hbn.exact.field import DEFAULT_PRIME, PrimeTooSmallError, inv_mod
 from hbn.exact.linalg import matrix_rank
-from hbn.exact.poly import interp_nodes, pdeg, pdivmod, pmul, ptrim
+from hbn.exact.poly import (
+    _eval_at_nodes,
+    _powers,
+    _table_product,
+    interp_nodes,
+    pdeg,
+    pdivmod,
+    pmul,
+    ptrim,
+)
 from hbn.seeds import derive_seed
 from hbn.splitting import HirzebruchClass
 
@@ -104,79 +132,134 @@ def tangent_basis(grid: DegreeGrid, support: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the differential, block by block
+# the differential at a staircase of nodes
 # ---------------------------------------------------------------------------
 
 
+def _block_sizes(k: int, m: int, delta: int) -> list[int]:
+    """d_i + 1 = delta + (k - i)m + 1 coefficients of P_i, for i = 0..k."""
+    return [delta + (k - i) * m + 1 for i in range(k + 1)]
+
+
+def _check_prime(grid: DegreeGrid, p: int) -> None:
+    bound = grid.delta + grid.k * grid.m
+    if p <= bound or p < grid.k:
+        raise PrimeTooSmallError(
+            f"prime too small for the differential's nodes: needs p > delta + k*m = {bound} "
+            f"and p >= k = {grid.k}"
+        )
+
+
+# the node tables depend on the class (and p), never on the stratum
+@functools.lru_cache(maxsize=64)
+def _staircase(k: int, m: int, delta: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes of the module doc, in the order of the coefficient rows:
+    the t of each node, and its point as one row (x, y)."""
+    sizes = _block_sizes(k, m, delta)
+    point = np.repeat(np.arange(k + 1), sizes)
+    t = np.concatenate([np.arange(n) for n in sizes])
+    finite = point < k
+    xy = np.column_stack([np.where(finite, point, 1), finite])
+    t.flags.writeable = xy.flags.writeable = False
+    return t, xy
+
+
 def _cofactors(mats: np.ndarray, p: int) -> np.ndarray:
-    """Signed cofactors C[..., r, c] = C_rc of a stack (..., k, k) mod p.
+    """Signed cofactors C[..., r, c] = C_rc of a stack (..., k, k) of
+    entries in [0, p), mod p.
 
     Faddeev-LeVerrier: M_1 = I and M_{j+1} = A M_j + c_j I with
     c_j = -tr(A M_j) / j give adj A = (-1)^(k-1) M_k, and C = adj^T.
-    The loop carries T_j = M_j^T (T_{j+1} = T_j A^T + c_j I), so both
-    factors are summed over their last axis.  Dividing by j <= k - 1
-    needs p >= k.  Every product is reduced before it is summed.
+    The loop carries T_j = M_j^T (T_{j+1} = T_j A^T + c_j I), and T_1 A^T
+    is A^T itself.  A^T is split into 16-bit halves, so a product of
+    entries is below 2^47 and each sum of k of them is exact in int64.
+    Dividing by j <= k - 1 needs p >= k.
     """
     k = mats.shape[-1]
-    diag = np.arange(k)
-    t = np.zeros_like(mats)
-    t[..., diag, diag] = 1
+    eye = np.eye(k, dtype=np.int64)
+    at = mats.swapaxes(-1, -2)
+    hi, lo = at >> 16, at & 0xFFFF
+    t = np.broadcast_to(eye, mats.shape)
     for j in range(1, k):
-        prod = t[..., :, None, :] * mats[..., None, :, :] % p
-        t = prod[..., 0].copy()  # k - 1 adds beat .sum() over a length-k axis
-        for col in range(1, k):
-            t += prod[..., col]
-        t %= p
-        tr = t.diagonal(axis1=-2, axis2=-1)
-        c = -tr.sum(axis=-1) % p * inv_mod(j, p) % p
-        t[..., diag, diag] = (tr + c[..., None]) % p
+        t = at if j == 1 else (t @ hi % p << 16) + t @ lo
+        c = np.trace(t, axis1=-2, axis2=-1) % p * (p - inv_mod(j, p)) % p
+        t = (t + c[..., None, None] * eye) % p
     return t if k % 2 else (p - t) % p
 
 
-def cofactor_forms(pair: MatrixPair) -> np.ndarray:
-    """Signed cofactors of Ax + By by evaluation and interpolation.
-
-    Returns an int64 array coef[r, c, xpow, tpow] in [0, p): the
-    coefficient of x^xpow t^tpow (s = y = 1) in the signed cofactor C_rc,
-    for tpow = 0..delta + k*m.  Exact for every entry with b_rc >= 0.  The
-    cofactor of an entry with b_rc < 0 may exceed that t-degree and then
-    aliases; such entries carry no tangent coordinates and must never be
-    read.  The cofactors at each node come from the Faddeev-LeVerrier
-    recurrence (`_cofactors`), which needs p >= k.
-    """
+def _node_cofactors(pair: MatrixPair) -> np.ndarray:
+    """C[n, r, c]: the signed cofactors of x A(t) + y B(t) at node n."""
     grid, p, k = pair.grid, pair.p, pair.k
-    bound = grid.delta + k * grid.m
-    if p <= bound or p < k:
-        raise PrimeTooSmallError(
-            f"prime too small for cofactor interpolation: needs p > delta + k*m = {bound} "
-            f"and p >= k = {k}"
-        )
-    cof = _cofactors(pair_values(pair, bound + 1, k), p)  # cof[t, x, r, c] = C_rc
-    coef = interp_nodes(interp_nodes(cof, p, axis=1), p)  # (tpow, xpow, r, c)
-    return coef.transpose(2, 3, 1, 0)
+    t, xy = _staircase(k, grid.m, grid.delta)
+    at = _eval_at_nodes(pair.coeffs, grid.delta + k * grid.m + 1, p)[t]  # (R, 2, k, k)
+    mats = (at[:, 0] * xy[:, 0, None, None] + at[:, 1] * xy[:, 1, None, None]) % p
+    return _cofactors(mats, p)
+
+
+def _node_weights(grid: DegreeGrid, coords: np.ndarray, p: int) -> np.ndarray:
+    """w[n, col] = t^j x (A') or t^j y (B') at node n, for coordinate col."""
+    t, xy = _staircase(grid.k, grid.m, grid.delta)
+    mat, jj = coords[:, 0], coords[:, 3]
+    powers = _powers(grid.delta + grid.k * grid.m + 1, int(jj.max(initial=0)) + 1, p)
+    return powers[jj, t[:, None]] * xy[:, mat] % p
+
+
+def _values(pair: MatrixPair, coords: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """dphi_values for coordinates and their `_node_weights` at hand."""
+    return _node_cofactors(pair)[:, coords[:, 1], coords[:, 2]] * weights % pair.p
+
+
+def dphi_values(pair: MatrixPair, selector: np.ndarray) -> np.ndarray:
+    """The differential's columns at the nodes: an int64 array of shape
+    (R, coordinates) in [0, p), one row per node (module doc) and one
+    column per coordinate of the selector mask and the pair's pattern
+    (tangent_basis).  Needs p > delta + k*m and p >= k."""
+    grid, p = pair.grid, pair.p
+    _check_prime(grid, p)
+    coords = tangent_basis(grid, selector & pattern_support(pair.pattern, pair.k))
+    return _values(pair, coords, _node_weights(grid, coords, p))
+
+
+@functools.lru_cache(maxsize=64)
+def _node_inverse(k: int, m: int, delta: int, p: int) -> np.ndarray:
+    """W, the inverse mod p of the node-by-monomial table, as int32: W
+    times the values at the nodes is the coefficients of P_0..P_k.
+
+    It is the unisolvence argument run on the identity.  The j-th
+    divided difference over x = 0..j, sum_b (-1)^(j-b) binom(j, b) F(b)
+    / j!, is taken at t = 0..d_j and interpolated in t; the one at
+    (1 : 0) is P_k itself.  Then P_i = sum_{j>=i} s(j, i) c_j, with
+    s(j, i) the coefficients of x(x-1)...(x-j+1).
+    """
+    sizes = _block_sizes(k, m, delta)
+    eye = np.eye(sum(sizes), dtype=np.int64)
+    at_point = np.split(eye, np.cumsum(sizes)[:-1])
+    newton = []
+    for j in range(k):
+        diff = sum((-1) ** (j - b) * comb(j, b) % p * at_point[b][: sizes[j]] for b in range(j + 1))
+        newton.append(interp_nodes(diff % p * inv_mod(factorial(j), p) % p, p))
+    newton.append(interp_nodes(at_point[k], p))
+    coef = [np.zeros_like(block) for block in at_point]
+    falling = [1]
+    for j, c_j in enumerate(newton):
+        for i, s in enumerate(falling):
+            coef[i][: sizes[j]] += s * c_j % p
+        falling = pmul(falling, [-j % p, 1], p)
+    inv = (np.vstack(coef) % p).astype(np.int32)
+    inv.flags.writeable = False
+    return inv
 
 
 def dphi_matrix(pair: MatrixPair, selector: np.ndarray) -> list[np.ndarray]:
     """The differential on the tangent coordinates of the selector mask
-    and the pair's pattern, as k + 1 int64 blocks: block i has one row per
-    coefficient of P_i and one column per coordinate (tangent_basis).
-
-    A coordinate t^j in entry (r, c) of A' contributes the cofactor's
-    x-power-i part, shifted by j, to block i + 1; the same coordinate of
-    B' feeds block i.  One gather fills every block:
-    entry[row, col] = coef[r, c, xpow, row_local - j], 0 out of range.
-    """
-    grid, k = pair.grid, pair.k
-    coords = tangent_basis(grid, selector & pattern_support(pair.pattern, k))
-    coef = cofactor_forms(pair)
-    tlen = coef.shape[3]
-    mat, r, c, jj = coords.T
-    sizes = [grid.delta + (k - i) * grid.m + 1 for i in range(k + 1)]
-    xpow = np.repeat(np.arange(k + 1), sizes)[:, None] - 1 + mat  # A' (mat 0) shifts by x
-    tpow = np.concatenate([np.arange(size) for size in sizes])[:, None] - jj
-    inside = (xpow >= 0) & (xpow < k) & (tpow >= 0) & (tpow < tlen)
-    gathered = coef[r, c, np.clip(xpow, 0, k - 1), np.clip(tpow, 0, tlen - 1)]
-    return np.split(np.where(inside, gathered, 0), np.cumsum(sizes)[:-1])
+    and the pair's pattern, as k + 1 int64 blocks in [0, p): block i has
+    one row per coefficient of P_i (ascending powers of t) and one column
+    per coordinate (tangent_basis).  It is W times dphi_values (module
+    doc), one `_table_product`."""
+    grid, p = pair.grid, pair.p
+    values = dphi_values(pair, selector)
+    coef = _table_product(_node_inverse(grid.k, grid.m, grid.delta, p), values, p)
+    return np.split(coef, np.cumsum(_block_sizes(grid.k, grid.m, grid.delta))[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +278,8 @@ def dominance_rank(
     """Empirical rank certificate for the determinant map on a stratum.
 
     Samples FULL pairs and computes the rank of the differential onto the
-    full coefficient space including the P_0 block.  Reaching the target
+    full coefficient space including the P_0 block, as the rank of its
+    values at the nodes (module doc), which is the same.  Reaching the target
     rank at any sample certifies dominance (rank is lower semicontinuous,
     so a general pair does at least as well); otherwise the verdict stays
     NOT_ACHIEVED and the max rank seen is reported as evidence.  No
@@ -210,20 +294,22 @@ def dominance_rank(
         raise ValueError("sum of f minus sum of e must equal delta")
     if rng is None:
         rng = random.Random(derive_seed("dominance", e, f, (cls.m, cls.k, cls.delta), p))
-    target = sum(cls.delta + (cls.k - i) * cls.m + 1 for i in range(cls.k + 1))
+    target = sum(_block_sizes(cls.k, cls.m, cls.delta))
+    _check_prime(grid, p)
+    coords = tangent_basis(grid, selector_mask("FULL_PRIME", cls.k))  # FULL supports all
+    weights = _node_weights(grid, coords, p)
     max_rank = 0
     used = 0
     for _ in range(trials):
         used += 1
-        blocks = dphi_matrix(sample_pair(grid, "FULL", p, rng), selector_mask("FULL_PRIME", cls.k))
-        source = blocks[0].shape[1]  # the same coordinates on every trial
-        max_rank = max(max_rank, matrix_rank(np.vstack(blocks), p))
+        values = _values(sample_pair(grid, "FULL", p, rng), coords, weights)
+        max_rank = max(max_rank, matrix_rank(values, p))
         if max_rank == target:
             break
     verdict = "DOMINANT" if max_rank == target else "NOT_ACHIEVED"
     return {
         "target_dim": target,
-        "source_dim": source,
+        "source_dim": len(coords),
         "max_rank": max_rank,
         "trials": used,
         "verdict": verdict,

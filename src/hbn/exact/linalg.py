@@ -7,16 +7,17 @@ then below 2^62.  Where unreduced products are summed, a bound on the
 entries (below) keeps int64 arithmetic from overflowing between
 reductions.
 
-Ranks have one engine, `matrix_rank`, a Gaussian elimination that keeps
-no pivot rows or columns, only their count.  It reduces mod p only the
-values it reads.  Invariant: every entry of the active block (rows
-not yet used as pivots, columns not yet eliminated) has absolute value
-at most `bound`, a Python int.  A pivot step reduces the pivot column
-and row into [0, p) and subtracts their outer product unreduced, adding
-at most (p - 1)^2 to `bound`; the block is reduced first whenever
-`bound + (p - 1)^2` would reach 2^62.  At p = 10007 that would take over
-10^10 pivots; at p = 2^31 - 1 it happens before every update but the
-first.
+Ranks have one engine, `matrix_rank`, a Gaussian elimination that
+walks the rows of the shorter side, one pivot per row that does not
+reduce to zero, and keeps no pivot rows or columns, only their count.
+It reduces mod p only the values it reads.  Invariant: every entry of
+the rows not yet walked has absolute value at most `bound`, a Python
+int.  A pivot step reduces the pivot row and the multipliers into
+[0, p) and subtracts their outer product unreduced, adding at most
+(p - 1)^2 to `bound`; the rows are reduced first whenever
+`bound + (p - 1)^2` would reach 2^62.  At p = 10007 that would take
+over 10^10 pivots; at p = 2^31 - 1 it happens before every update but
+the first.
 
 Determinants have one engine, `batch_det_mod`: it row-reduces a whole
 stack at once, with the stack's axis last, (r, r, n), so every numpy
@@ -47,38 +48,35 @@ _TABLE_LIMIT = 1 << 16  # batch_det_mod reads an inverse table up to this p
 
 
 def matrix_rank(mat, p: int) -> int:
-    """Rank over F_p by Gaussian elimination, reducing lazily (module doc).
+    """Rank over F_p by Gaussian elimination on rows, reducing lazily
+    (module doc).
 
-    Column c pivots on the largest entry of its reduced active part.  The
-    update also zeroes the pivot row mod p, so instead of a swap the top
-    active row is copied into the pivot row's slot, right of c only.
+    A tall matrix is transposed first, so the loop walks the shorter
+    side.  Row i reduces into [0, p) and pivots on its largest entry, in
+    column c; every row below it then subtracts the multiple that zeroes
+    its column c mod p.  A row that reduces to zero lies in the span of
+    the pivot rows above it.
     """
     a = np.asarray(mat, dtype=np.int64)
     if a.ndim != 2:
         raise ValueError("expected a 2d matrix")
-    a = a % p
-    rows, cols = a.shape
+    a = np.remainder(a.T if a.shape[0] > a.shape[1] else a, p, order="C")
     step = (p - 1) ** 2
     bound = p - 1
     rank = 0
-    for c in range(cols):
-        if rank == rows:
-            break
-        col = a[rank:, c] % p
-        r = int(col.argmax())
-        piv = int(col[r])
+    for i in range(len(a)):
+        row = a[i] % p
+        c = int(row.argmax())
+        piv = int(row[c])
         if not piv:
             continue
-        scaled = col * inv_mod(piv, p) % p
-        prow = a[rank + r, c + 1 :] % p
-        if bound + step >= _LAZY_LIMIT:
-            a[rank:, c + 1 :] %= p
-            bound = p - 1
-        a[rank:, c + 1 :] -= scaled[:, None] * prow
-        bound += step
-        if r:
-            a[rank + r, c + 1 :] = a[rank, c + 1 :]
         rank += 1
+        below = a[i + 1 :]
+        if bound + step >= _LAZY_LIMIT:
+            below %= p
+            bound = p - 1
+        below -= (below[:, c] % p * inv_mod(piv, p) % p)[:, None] * row
+        bound += step
     return rank
 
 

@@ -141,12 +141,12 @@ def pderiv(f: Poly, p: int) -> Poly:
 
 # One interpolation table per node count and prime, one evaluation table
 # (`_powers`) per node count, coefficient count and prime.  At p = 10007,
-# 3,000 items of each benchmark workload read 16 interpolation tables
-# (dominance-desk, lemma-sut) or 29 (sample-certify: n = 2..16 for the
-# determinant and cofactor grids, and resultant_v's multiples of 8 up to
-# 120), and 96, 95 or 142 evaluation tables, which hold 8.4k, 8.4k and
-# 35k int32 entries.  64 and 512 entries hold every table of a workload
-# at two primes at once.
+# 3,000 items of each benchmark workload read no interpolation table
+# (dominance-desk), 16 (lemma-sut, to build the differential's inverse
+# node tables) or 29 (sample-certify: n = 2..16 for the determinant
+# grids, and resultant_v's multiples of 8 up to 120), and 97, 121 or 141
+# evaluation tables, which hold 8.4k, 9.1k and 35k int32 entries.  64
+# and 512 entries hold every table of a workload at two primes at once.
 @functools.lru_cache(maxsize=64)
 def _inverse_vandermonde(n: int, p: int) -> np.ndarray:
     """Inverse mod p of V[i, j] = i^j on the nodes 0..n-1, in closed form.
@@ -184,11 +184,18 @@ def interp_nodes(vals: np.ndarray, p: int, axis: int = 0) -> np.ndarray:
     n = vals.shape[axis]
     if n > 1 << 15:
         raise ValueError(f"interpolation on {n} nodes exceeds 2^15")
-    inv = _inverse_vandermonde(n, p)
     moved = np.moveaxis(vals, axis, 0)
     flat = moved.reshape(n, -1).astype(np.int64, copy=False)
-    out = ((inv >> 16) @ flat % p << 16) + (inv & 0xFFFF) @ flat
-    return np.moveaxis((out % p).reshape(moved.shape), 0, axis)
+    out = _table_product(_inverse_vandermonde(n, p), flat, p)
+    return np.moveaxis(out.reshape(moved.shape), 0, axis)
+
+
+def _table_product(table: np.ndarray, flat: np.ndarray, p: int) -> np.ndarray:
+    """table @ flat mod p, in [0, p), for an int32 table and an int64
+    matrix, both with entries in [0, p): two products, one per 16-bit half
+    of the table, each exact in int64 while the inner size is <= 2^15."""
+    out = ((table >> 16) @ flat % p << 16) + (table & 0xFFFF) @ flat
+    return out % p
 
 
 @functools.lru_cache(maxsize=512)

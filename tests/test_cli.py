@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hbn.cli
@@ -632,8 +632,13 @@ def _cli_cases(draw):
     return argv + (["--trials", "2"] if mode in ("dominance", "companions") else [])
 
 
+P_BELOW_K = ["dominance", "--lemma", "main", "--m", "0", "--k", "5", "--delta", "0",
+             "--e=0,0,0,0,0", "--f=0,0,0,0,0", "--p", "3", "--seed", "0"]  # fmt: skip
+
+
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(_cli_cases())
+@example(P_BELOW_K)
 def test_cli_gives_a_verdict_or_a_usage_error(argv):
     try:
         with contextlib.redirect_stderr(io.StringIO()):
@@ -692,6 +697,15 @@ def test_dominance_prime_below_cofactor_bound_is_usage_error(capsys):
     assert exc.value.code == 2
     assert "needs p > delta + k*m = 11" in capsys.readouterr().err
     assert main(argv + ["--p", "13", "--out", os.devnull]) == 0
+    # p >= k is the other bound: the x-nodes 0..k-1 must be distinct
+    with pytest.raises(SystemExit) as exc:
+        main(P_BELOW_K)
+    assert exc.value.code == 2
+    assert "p >= k = 5" in capsys.readouterr().err
+    # p = k = 3 is enough: the node (1 : 0) stands in for x = 3 = 0 mod 3
+    argv = ["dominance", "--m", "0", "--k", "3", "--delta", "1", "--e=0,0,0", "--f=0,0,1"]
+    assert main(argv + ["--p", "3", "--seed", "1", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "0 0 0,0 0 1,8,24,8,5,DOMINANT"
 
 
 def test_main_twice_leaks_no_parsed_state(tmp_path):

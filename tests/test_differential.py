@@ -3,11 +3,12 @@
 The central invariant: every column of the fast cofactor-assembled
 differential must equal the epsilon part of a literal dual-number
 determinant expansion (dphi_column_dual).  The two routes share no
-code: the oracle has its own form arithmetic.  The cofactors
-themselves, computed by evaluation and interpolation, are checked
-against det_xy permutation expansions of the minors, and the
+code: the oracle has its own form arithmetic.  The cofactors at the
+staircase of nodes are checked against det_xy permutation expansions
+of the minors evaluated at every node, (1 : 0) included; the
 Faddeev-LeVerrier cofactor recurrence against signed minors expanded in
-Python ints.
+Python ints; and the values at the nodes against the Python-int
+evaluation of the reference coefficients, with the same rank.
 """
 
 import random
@@ -20,9 +21,11 @@ from oracles import SELECTORS, det_xy, dphi_column_dual, selector
 from hbn.determinantal import degree_grid, pattern_support, sample_is_point, sample_pair
 from hbn.differential import (
     _cofactors,
-    cofactor_forms,
+    _node_cofactors,
+    _staircase,
     dominance_rank,
     dphi_matrix,
+    dphi_values,
     lemma_is_check,
     lemma_main_check,
     lemma_main_containment,
@@ -239,13 +242,17 @@ def test_bottom_row_scale_semicontinuity():
     assert limit <= generic
 
 
-def test_cofactor_forms_k1():
+def test_node_cofactors_k1():
     pair = _pair((-1,), (0,), 2, "FULL", seed=6)
-    coef = cofactor_forms(pair)
-    # the empty minor: C_11 = 1, with t-coefficients up to delta + k*m = 3
-    assert coef.shape == (1, 1, 1, 4)
-    assert coef.dtype == np.int64
-    assert coef[0, 0, 0].tolist() == [1, 0, 0, 0]
+    cof = _node_cofactors(pair)
+    # the empty minor: C_11 = 1 at all 6 nodes, (0 : 1) at t = 0..3 and
+    # (1 : 0) at t = 0, 1 (delta = 1, m = 2)
+    assert cof.shape == (6, 1, 1)
+    assert cof.dtype == np.int64
+    assert cof.ravel().tolist() == [1] * 6
+    t, xy = _staircase(1, 2, 1)
+    assert t.tolist() == [0, 1, 2, 3, 0, 1]
+    assert xy.tolist() == [[0, 1]] * 4 + [[1, 0]] * 2
 
 
 # k = 1..5 grids with negative a- and b-degrees, and whether each admits
@@ -258,11 +265,12 @@ KERNEL_CONFIGS = [
     ((-5, -3, -2, -1), (-5, -3, -2, 0), 1, False),
     ((-8, -6, -3, -1), (-7, -5, -3, 0), 3, True),
     ((-3, -2, -1, -1, 0), (-3, -2, -1, 0, 0), 1, True),
+    ((-2, -1, 0), (-2, -1, 1), 0, False),  # smallest admissible prime 3 = k
 ]
 
 
 def _smallest_admissible_prime(grid):
-    """The least prime cofactor_forms accepts: p > delta + k*m and p >= k."""
+    """The least prime the differential accepts: p > delta + k*m and p >= k."""
     q = max(grid.delta + grid.k * grid.m + 1, grid.k)
     while not is_prime(q):
         q += 1
@@ -272,7 +280,8 @@ def _smallest_admissible_prime(grid):
 def _kernel_pairs(p):
     """Pairs over every kernel config at p, or at each config's smallest
     admissible prime when p is None (p = 7 for the k = 5 config, where
-    the cofactor recurrence divides by 2, 3 and 4 mod 7)."""
+    the cofactor recurrence divides by 2, 3 and 4 mod 7, and p = k = 3 for
+    the last, where the x-nodes 0, 1, 2 fill F_3)."""
     for idx, (e, f, m, is_point) in enumerate(KERNEL_CONFIGS):
         grid = degree_grid(e, f, m)
         rng = random.Random(100 + idx)
@@ -329,6 +338,12 @@ def test_faddeev_leverrier_cofactors_match_signed_minors(p):
                     assert int(C[r, c]) == (-1) ** (r + c) * _python_det(minor, p) % p
 
 
+def _at_node(forms, x, y, t, p):
+    """sum_i Q_i(1, t) x^i y^(n-i) for x-graded forms [Q_0, ..., Q_n]."""
+    n = len(forms) - 1
+    return sum(q.eval(1, t) * x**i * y ** (n - i) for i, q in enumerate(forms)) % p
+
+
 @pytest.mark.parametrize("p", [P, 2**31 - 1, None], ids=["10007", "2147483647", "smallest"])
 def test_cofactor_kernel_matches_det_xy_minors(p):
     seen_negative = False
@@ -336,20 +351,24 @@ def test_cofactor_kernel_matches_det_xy_minors(p):
     for pair in _kernel_pairs(p):
         primes.add((pair.k, pair.p))
         grid, k = pair.grid, pair.k
-        coef = cofactor_forms(pair)
-        assert coef.shape == (k, k, k, grid.delta + k * grid.m + 1)
-        assert coef.dtype == np.int64
+        cof = _node_cofactors(pair)
+        t, xy = _staircase(k, grid.m, grid.delta)
+        sizes = [grid.delta + (k - i) * grid.m + 1 for i in range(k + 1)]
+        assert cof.shape == (sum(sizes), k, k)
+        assert cof.dtype == np.int64
+        # point b = 0..k-1 at t = 0..d_b, then (1 : 0) at t = 0..d_k
+        points = [(b, 1) if b < k else (1, 0) for b in range(k + 1) for _ in range(sizes[b])]
+        assert [tuple(row) for row in xy.tolist()] == points
+        assert t.tolist() == [tt for size in sizes for tt in range(size)]
         for r in range(k):
             for c in range(k):
-                if grid.b[r][c] < 0:
-                    seen_negative = True
-                    continue  # no tangent coordinates; may alias
-                want = np.zeros(coef.shape[2:], dtype=np.int64)
-                for xpow, form in enumerate(_signed_cofactor(pair, r, c)):
-                    want[xpow, : len(form.coeffs)] = form.coeffs
-                assert np.array_equal(coef[r, c], want), (pair.pattern, grid.a, r, c)
+                # a node value is exact even where b_rc < 0
+                seen_negative |= grid.b[r][c] < 0
+                forms = _signed_cofactor(pair, r, c)
+                want = [_at_node(forms, x, y, tt, pair.p) for tt, (x, y) in zip(t.tolist(), points)]
+                assert cof[:, r, c].tolist() == want, (pair.pattern, grid.a, r, c)
     assert seen_negative
-    assert p is not None or (5, 7) in primes
+    assert p is not None or {(5, 7), (3, 3)} <= primes
 
 
 def _reference_dphi(pair, mask, include_p0):
@@ -360,8 +379,11 @@ def _reference_dphi(pair, mask, include_p0):
     offsets = np.cumsum([0] + [len(b) for b in blocks[:-1]])
     got = np.vstack(blocks)
     ref = np.zeros_like(got)
+    cofactors = {}
     for col, (mat, r, c, jj) in enumerate(_pair_coords(pair, mask).tolist()):
-        for xpow, form in enumerate(_signed_cofactor(pair, r, c)):
+        if (r, c) not in cofactors:
+            cofactors[r, c] = _signed_cofactor(pair, r, c)
+        for xpow, form in enumerate(cofactors[r, c]):
             blk = xpow + 1 - mat - first  # A' (matrix 0) raises the x-power by one
             if blk < 0:
                 continue
@@ -378,6 +400,44 @@ def test_dphi_matrix_matches_det_xy_reference_fill(include_p0):
             blocks, got, ref = _reference_dphi(pair, selector(name, pair.k), include_p0)
             assert all(b.dtype == np.int64 for b in blocks)
             assert np.array_equal(got, ref), (pair.pattern, name, pair.grid.a)
+
+
+def _value_basis_cases():
+    """(pair, selector name): every kernel pair at 10007, 2^31 - 1 and its
+    smallest admissible prime, then FULL pairs on 300 passing desk strata
+    at their smallest admissible prime.  The strata are all 15 whose
+    prime is p = k (m = 0, k = 2 or 3) and 285 drawn from the others."""
+    for p in (P, 2**31 - 1, None):
+        for pair in _kernel_pairs(p):
+            for name in ("FULL_PRIME",) if pair.pattern == "FULL" else SELECTORS:
+                yield pair, name
+    grids = [degree_grid(e, f, cls.m) for cls, e, f in unique_strata(desk_classes())]
+    at_k = [grid for grid in grids if _smallest_admissible_prime(grid) == grid.k]
+    rest = [grid for grid in grids if _smallest_admissible_prime(grid) != grid.k]
+    for idx, grid in enumerate(at_k + random.Random(24).sample(rest, 300 - len(at_k))):
+        q = _smallest_admissible_prime(grid)
+        yield sample_pair(grid, "FULL", q, random.Random(idx)), "FULL_PRIME"
+
+
+def test_values_at_the_nodes_keep_the_rank():
+    # dphi_values is V times the reference coefficients, V the table of
+    # monomials at the nodes, evaluated here in Python ints; V is
+    # invertible mod p, so the values have the coefficients' rank
+    at_p_equals_k = 0
+    for pair, name in _value_basis_cases():
+        grid, k, p = pair.grid, pair.k, pair.p
+        mask = selector(name, k)
+        ref = _reference_dphi(pair, mask, include_p0=True)[2]
+        t, xy = _staircase(k, grid.m, grid.delta)
+        monomials = [(i, l) for i in range(k + 1) for l in range(grid.delta + (k - i) * grid.m + 1)]
+        nodes = zip(t.tolist(), xy.tolist())
+        V = [[x**i * y ** (k - i) * tt**l for i, l in monomials] for tt, (x, y) in nodes]
+        V = np.array(V, dtype=object)
+        values = dphi_values(pair, mask)
+        assert values.tolist() == (V.dot(ref.astype(object)) % p).tolist(), (grid.a, p, name)
+        assert matrix_rank(values, p) == matrix_rank(ref, p), (grid.a, p, name)
+        at_p_equals_k += p == k
+    assert at_p_equals_k == 15 + 6  # the desk strata and the p = k kernel pairs
 
 
 def _desk_shift_classes():
@@ -427,12 +487,19 @@ def test_triangular_coordinates_are_subsequences_of_full_prime_over_sut():
             assert all(row in remaining for row in rows), (name, grid.a)
 
 
-def test_cofactor_forms_rejects_small_primes():
+def test_dphi_values_rejects_small_primes():
     # delta + k*m = 2 + 3*3 = 11: p = 11 cannot interpolate, p = 13 can
     grid = degree_grid((-8, -4, -1), (-7, -4, 0), 3)
+    full = selector_mask("FULL_PRIME", 3)
     with pytest.raises(PrimeTooSmallError, match="p > delta \\+ k\\*m = 11"):
-        cofactor_forms(sample_pair(grid, "FULL", 11, random.Random(0)))
-    assert cofactor_forms(sample_pair(grid, "FULL", 13, random.Random(0))).shape[3] == 12
+        dphi_values(sample_pair(grid, "FULL", 11, random.Random(0)), full)
+    assert dphi_values(sample_pair(grid, "FULL", 13, random.Random(0)), full).shape[0] == 30
+    # k = 5 needs p >= 5 for the x-nodes 0..4, though delta + k*m = 0
+    grid = degree_grid((0,) * 5, (0,) * 5, 0)
+    full = selector_mask("FULL_PRIME", 5)
+    with pytest.raises(PrimeTooSmallError, match="p >= k = 5"):
+        dphi_values(sample_pair(grid, "FULL", 3, random.Random(0)), full)
+    assert dphi_values(sample_pair(grid, "FULL", 5, random.Random(0)), full).shape[0] == 6
 
 
 @pytest.mark.parametrize(

@@ -99,6 +99,8 @@ def _planted_rank(p, rows, cols, planted, seed, zero_share=0.2):
     st.integers(0, 16),
     st.integers(0, 2**32 - 1),
 )
+@example(rows=40, cols=12, planted=9, seed=1)  # tall: its 12-row transpose is walked
+@example(rows=50, cols=110, planted=50, seed=2)  # full row rank at 2^31 - 1, dominance-sized
 def test_matrix_rank_matches_python_elimination(p, rows, cols, planted, seed):
     M, planted = _planted_rank(p, rows, cols, planted, seed)
     want = len(_python_pivots(M, p))
