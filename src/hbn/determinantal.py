@@ -18,29 +18,44 @@ SUT pattern, A is supported on and below it (i + j >= k + 1) and B
 strictly above it (i + j <= k).  Indices in comments are 1-based to
 match the formulas; storage is 0-based.
 
-Determinants of Ax + By come by evaluation and interpolation.  The x^i
-y^(k-i) coefficient P_i of det(Ax + By) is a form of degree
-delta + (k - i)m: every transversal of the grid has a-degrees summing to
-delta, and each of its k - i entries taken from B adds m.  So with
-s = y = 1, det is a polynomial of degree at most k in x and at most
-delta + k*m in t, and its values at the nodes t = 0..delta + k*m,
-x = 0..k determine it.  One batched determinant kernel takes all of
-them, and two interpolations along the node axes recover the P_i.  The
-nodes are distinct mod p only when p > delta + k*m and p > k, so a
-smaller prime raises PrimeTooSmallError.
+Forms in |kH + delta*F| come by evaluation and interpolation (von zur
+Gathen and Gerhard, Modern Computer Algebra, ch. 5).  Such a form is
+F = sum_i P_i(t) x^i y^(k-i) (s = 1) with deg P_i <= d_i =
+delta + (k - i)m.  det(Ax + By) is one: every transversal of the grid
+has a-degrees summing to delta, and each of its k - i entries taken from
+B adds m.  So is every column of its differential (hbn.differential).
+One staircase of R = sum_i (d_i + 1) nodes serves them all: the points
+(b : 1) of the x-line for b = 0..k-1, point b at t = 0..d_b, then the
+point (1 : 0) at t = 0..d_k, in the order of the coefficient rows.  One
+evaluation gives x A(t) + y B(t) at every node (`_node_matrices`), one
+batched determinant kernel takes them all, and W, the inverse mod p of
+the node-by-monomial table, maps the values to P_0..P_k.
+
+The nodes are unisolvent for these forms.  On y = 1, the j-th divided
+difference of F over x = 0..j is a combination of P_j..P_k, so its
+t-degree is at most d_j (m >= 0, so d_i falls with i); points 0..j all
+carry the nodes t = 0..d_j, which fix it.  The k-th is the leading
+coefficient in x, P_k, which (1 : 0) reads at t = 0..d_k.  The Newton
+coefficients give F back, so a form that vanishes at every node is 0.
+This needs the x-nodes and the t-nodes distinct and j! invertible for
+j < k: p >= k and p > delta + k*m; a smaller prime raises
+PrimeTooSmallError.  Taking (1 : 0) in place of a point x = k is what
+lets p = k work.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
+from math import comb, factorial
 from typing import Optional
 
 import numpy as np
 
-from hbn.exact.field import PrimeTooSmallError
+from hbn.exact.field import PrimeTooSmallError, inv_mod
 from hbn.exact.linalg import batch_det_mod
-from hbn.exact.poly import _eval_at_nodes, interp_nodes, pmul
+from hbn.exact.poly import _eval_at_nodes, _table_product, interp_nodes, pmul
 from hbn.splitting import HirzebruchClass
 
 PATTERNS = ("FULL", "SUT")
@@ -235,59 +250,105 @@ class BinaryFormCurve:
     p: int
 
     def __post_init__(self):
-        k, m, d = self.cls.k, self.cls.m, self.cls.delta
-        if len(self.P) != k + 1:
+        sizes = _block_sizes(self.cls.k, self.cls.m, self.cls.delta)
+        if len(self.P) != len(sizes):
             raise ValueError("need k+1 coefficient forms")
-        for i, c in enumerate(self.P):
-            if len(c) != d + (k - i) * m + 1:
-                raise ValueError(f"P_{i} has {len(c)} coefficients, not {d + (k - i) * m + 1}")
+        for i, (c, size) in enumerate(zip(self.P, sizes)):
+            if len(c) != size:
+                raise ValueError(f"P_{i} has {len(c)} coefficients, not {size}")
             if not all(0 <= x < self.p for x in c):
                 raise ValueError(f"P_{i} coefficients must lie in [0, {self.p})")
         if not any(map(any, self.P)):
             raise DegenerateCurveError("identically zero curve rejected")
 
 
-def pair_values(pair: MatrixPair, n_t: int, n_x: int) -> np.ndarray:
-    """A(t)x + B(t) mod p (s = y = 1) at t = 0..n_t-1 and x = 0..n_x-1.
-
-    Returns an int64 array of shape (n_t, n_x, k, k).
-    """
-    at_t = _eval_at_nodes(pair.coeffs, n_t, pair.p)  # (n_t, 2, k, k)
-    xs = np.arange(n_x, dtype=np.int64)[None, :, None, None]
-    return (at_t[:, 0, None] * xs + at_t[:, 1, None]) % pair.p
+def _block_sizes(k: int, m: int, delta: int) -> list[int]:
+    """d_i + 1 = delta + (k - i)m + 1 coefficients of P_i, for i = 0..k."""
+    return [delta + (k - i) * m + 1 for i in range(k + 1)]
 
 
-def _node_values(pair: MatrixPair) -> np.ndarray:
-    """A(t)x + B(t) on the grid t = 0..delta + k*m, x = 0..k (module doc)."""
-    grid, p, k = pair.grid, pair.p, pair.k
-    bound = grid.delta + k * grid.m
-    if p <= bound or p <= k:
+def _check_prime(grid: DegreeGrid, p: int) -> None:
+    bound = grid.delta + grid.k * grid.m
+    if p <= bound or p < grid.k:
         raise PrimeTooSmallError(
             f"prime too small for the determinant map: needs p > delta + k*m = {bound} "
-            f"and p > k = {k}"
+            f"and p >= k = {grid.k}"
         )
-    return pair_values(pair, max(bound, 0) + 1, k + 1)
 
 
-def _dets(mats: np.ndarray, p: int) -> np.ndarray:
-    """Determinants of the trailing square blocks of an array of matrices."""
-    r = mats.shape[-1]
-    return batch_det_mod(mats.reshape(-1, r, r), p).reshape(mats.shape[:-2])
+# the node tables depend on the class (and p), never on the stratum.  At
+# one prime a benchmark workload reads them for at most the 64 desk
+# classes: dominance-desk 64 staircases and no W, sample-certify 61 of
+# each, lemma-sut 32 of each, so 64 entries hold them all.
+@functools.lru_cache(maxsize=64)
+def _staircase(k: int, m: int, delta: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes of the module doc, in the order of the coefficient rows:
+    the t of each node, and its point as one row (x, y)."""
+    sizes = _block_sizes(k, m, delta)
+    point = np.repeat(np.arange(k + 1), sizes)
+    t = np.concatenate([np.arange(n) for n in sizes])
+    finite = point < k
+    xy = np.column_stack([np.where(finite, point, 1), finite])
+    t.flags.writeable = xy.flags.writeable = False
+    return t, xy
+
+
+def _node_matrices(pair: MatrixPair) -> np.ndarray:
+    """x A(t) + y B(t) mod p at the R nodes, shape (R, k, k).  Needs
+    p > delta + k*m and p >= k (module doc)."""
+    grid, p, k = pair.grid, pair.p, pair.k
+    _check_prime(grid, p)
+    t, xy = _staircase(k, grid.m, grid.delta)
+    at = _eval_at_nodes(pair.coeffs, grid.delta + k * grid.m + 1, p)[t]  # (R, 2, k, k)
+    return (at[:, 0] * xy[:, 0, None, None] + at[:, 1] * xy[:, 1, None, None]) % p
+
+
+@functools.lru_cache(maxsize=64)
+def _node_inverse(k: int, m: int, delta: int, p: int) -> np.ndarray:
+    """W, the inverse mod p of the node-by-monomial table, as int32: W
+    times the values at the nodes is the coefficients of P_0..P_k.
+
+    It is the unisolvence argument run on the identity.  The j-th
+    divided difference over x = 0..j, sum_b (-1)^(j-b) binom(j, b) F(b)
+    / j!, is taken at t = 0..d_j and interpolated in t; the one at
+    (1 : 0) is P_k itself.  Then P_i = sum_{j>=i} s(j, i) c_j, with
+    s(j, i) the coefficients of x(x-1)...(x-j+1).  Callers check the
+    prime first (`_node_matrices`): below its bounds j! or the t-nodes
+    are not invertible, and the build fails without naming them.
+    """
+    sizes = _block_sizes(k, m, delta)
+    eye = np.eye(sum(sizes), dtype=np.int64)
+    at_point = np.split(eye, np.cumsum(sizes)[:-1])
+    newton = []
+    for j in range(k):
+        diff = sum((-1) ** (j - b) * comb(j, b) % p * at_point[b][: sizes[j]] for b in range(j + 1))
+        newton.append(interp_nodes(diff % p * inv_mod(factorial(j), p) % p, p))
+    newton.append(interp_nodes(at_point[k], p))
+    coef = [np.zeros_like(block) for block in at_point]
+    falling = [1]
+    for j, c_j in enumerate(newton):
+        for i, s in enumerate(falling):
+            coef[i][: sizes[j]] += s * c_j % p
+        falling = pmul(falling, [-j % p, 1], p)
+    inv = (np.vstack(coef) % p).astype(np.int32)
+    inv.flags.writeable = False
+    return inv
 
 
 def phi(pair: MatrixPair) -> BinaryFormCurve:
     """The determinant map: (A, B) -> det(Ax + By) as a curve.
 
-    Evaluation and interpolation on the node grid of the module doc, so
-    p > delta + k*m and p > k are needed; a smaller prime raises
-    PrimeTooSmallError.  A pair whose determinant vanishes identically
-    raises DegenerateCurveError.
+    W times the determinants at the staircase of the module doc, split
+    into P_0..P_k, so p > delta + k*m and p >= k are needed; a smaller
+    prime raises PrimeTooSmallError.  A pair whose determinant vanishes
+    identically raises DegenerateCurveError.
     """
     grid, p, k = pair.grid, pair.p, pair.k
-    dets = _dets(_node_values(pair), p)
-    coef = interp_nodes(interp_nodes(dets, p, axis=1), p)  # coef[tpow, xpow]
-    P = tuple(tuple(coef[: grid.delta + (k - i) * grid.m + 1, i].tolist()) for i in range(k + 1))
-    return BinaryFormCurve(cls=HirzebruchClass(m=grid.m, k=k, delta=grid.delta), P=P, p=p)
+    dets = batch_det_mod(_node_matrices(pair), p)
+    coef = _table_product(_node_inverse(k, grid.m, grid.delta, p), dets, p)
+    blocks = np.split(coef, np.cumsum(_block_sizes(k, grid.m, grid.delta))[:-1])
+    cls = HirzebruchClass(m=grid.m, k=k, delta=grid.delta)
+    return BinaryFormCurve(cls=cls, P=tuple(tuple(b.tolist()) for b in blocks), p=p)
 
 
 @dataclass(frozen=True)
@@ -326,30 +387,31 @@ def forced_reducibility(grid: DegreeGrid) -> ReducibilityVerdict:
 def reducibility_witness(pair: MatrixPair) -> bool:
     """Exact check that the forced factorization really happens.
 
-    DIVISIBLE_BY_Y: the x^k coefficient of det vanishes identically, so
-    y divides the output polynomial.  BLOCK_FACTOR: det equals
+    DIVISIBLE_BY_Y: the x^k coefficient P_k of det vanishes identically,
+    so y divides the output polynomial.  BLOCK_FACTOR: det equals
     +/- det(top-right block) * det(complement), hence the block minor
     divides it.  Works directly on determinants so that even degenerate
-    pairs (det identically zero) are handled.  Both identities are
-    checked at every node of the grid of the module doc, which is exact
-    for forms of these degrees; like phi, that needs p > delta + k*m and
-    p > k, and a smaller prime raises PrimeTooSmallError.
+    pairs (det identically zero) are handled.  Both are checked at the
+    staircase of the module doc: P_k at its (1 : 0) nodes, and the block
+    identity at every node, which is exact because each side is a form
+    with deg P_i <= d_i (the product's terms are transversals of the
+    grid).  Like phi, that needs p > delta + k*m and p >= k, and a
+    smaller prime raises PrimeTooSmallError.
     """
     verdict = forced_reducibility(pair.grid)
     k, p = pair.k, pair.p
     if verdict.verdict == "NONE":
         return False
-    mats = _node_values(pair)
-    dets = _dets(mats, p)
+    mats = _node_matrices(pair)
     if verdict.verdict == "DIVISIBLE_BY_Y":
-        # P_k at every t node, from the x-coefficients of det
-        return not interp_nodes(dets, p, axis=1)[:, k].any()
+        # the last delta + 1 nodes are (1 : 0), where det is P_k
+        return not batch_det_mod(mats[-(pair.grid.delta + 1) :], p).any()
     i0 = min(verdict.block, key=lambda iv: iv[1])[0]
-    top = _dets(mats[..., :i0, k - i0 :], p)
-    bottom = _dets(mats[..., i0:, : k - i0], p)
+    top = batch_det_mod(mats[:, :i0, k - i0 :], p)
+    bottom = batch_det_mod(mats[:, i0:, : k - i0], p)
     # det M = (-1)^(i0 * (k - i0)) * det(top-right) * det(bottom-left)
     sign = -1 if (i0 * (k - i0)) % 2 else 1
-    return bool(np.array_equal(dets, sign * top * bottom % p))
+    return bool(np.array_equal(batch_det_mod(mats, p), sign * top * bottom % p))
 
 
 def pair_to_json_dict(pair: MatrixPair) -> dict:
@@ -401,8 +463,6 @@ def curve_from_json_dict(doc: dict) -> BinaryFormCurve:
     class, and coefficients are reduced mod p."""
     p = doc["p"]
     cls = HirzebruchClass(m=doc["m"], k=doc["k"], delta=doc["delta"])
-    P = tuple(
-        tuple(x % p for x in c) or (0,) * (cls.delta + (cls.k - i) * cls.m + 1)
-        for i, c in enumerate(doc["P"])
-    )
+    sizes = _block_sizes(cls.k, cls.m, cls.delta)
+    P = tuple(tuple(x % p for x in c) or (0,) * n for c, n in zip(doc["P"], sizes, strict=True))
     return BinaryFormCurve(cls=cls, P=P, p=p)

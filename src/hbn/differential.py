@@ -9,36 +9,21 @@ the differential; the test suite keeps a literal dual-number
 determinant per column as a slow cross-check.
 
 Each column is a form F = sum_i P_i(t) x^i y^(k-i) (s = 1) with
-deg P_i <= d_i = delta + (k - i)m, and it is computed by its values at
-a staircase of R = sum_i (d_i + 1) nodes (evaluation and interpolation,
-von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5): the points
-(b : 1) of the x-line for b = 0..k-1, point b at t = 0..d_b, then the
-point (1 : 0) at t = 0..d_k, in the order of the coefficient rows.  At a
-node the column of coordinate (mat, r, c, j) is t^j C_rc times x for A'
-(mat 0) or y for B' (mat 1), with all k^2 cofactors of x A(t) + y B(t)
-at all R nodes from k - 2 batched products of the Faddeev-LeVerrier
-recurrence (`_cofactors`).
-
-The nodes are unisolvent for the forms F above.  On y = 1, the j-th
-divided difference of F over x = 0..j is a combination of P_j..P_k, so
-its t-degree is at most d_j (m >= 0, so d_i falls with i); points
-0..j all carry the nodes t = 0..d_j, which fix it.  The k-th is the
-leading coefficient in x, P_k, which (1 : 0) reads at t = 0..d_k.  The
-Newton coefficients give F back, so a form that vanishes at every node
-is 0.  This needs the x-nodes and
-the t-nodes distinct and j! invertible for j < k: p >= k and
-p > delta + k*m, the same bounds the recurrence's divisions by 1..k-1
-and the t-nodes need; a smaller prime raises PrimeTooSmallError.
-Taking (1 : 0) in place of a point x = k is what lets p = k work.
+deg P_i <= d_i = delta + (k - i)m, so it is computed by its values at
+the staircase of R = sum_i (d_i + 1) nodes that hbn.determinantal
+defines for every form in |kH + delta*F|, with its unisolvence argument
+and its bounds p > delta + k*m and p >= k.  At a node the column of coordinate
+(mat, r, c, j) is t^j C_rc times x for A' (mat 0) or y for B' (mat 1),
+with all k^2 cofactors of x A(t) + y B(t) at all R nodes from k - 2
+batched products of the Faddeev-LeVerrier recurrence (`_cofactors`),
+whose divisions by 1..k-1 need the same p >= k.
 
 dphi_values returns the values, one row per node.  dphi_matrix maps
-them to coefficients with W, the inverse mod p of the node-by-monomial
-table V (V[node, (i, l)] is x^i y^(k-i) t^l there), which is the
-unisolvence argument run on the identity and is cached per class and
-prime.
+them to coefficients with W (`_node_inverse`), as phi does.
 
-dominance_rank ranks the values V J directly, J the coefficient
-differential: V is invertible mod p, so the rank is J's.  A DOMINANT
+dominance_rank ranks the values V J directly, V the staircase's
+node-by-monomial table and J the coefficient differential: V is
+invertible mod p, so the rank is J's.  A DOMINANT
 verdict mod p also holds over Q.  V is an integer matrix and the
 entries of J are integer polynomials in the pair's coefficients, so at
 the integer lift of a sampled pair every minor of V J is an integer
@@ -63,32 +48,26 @@ reads the blocks it names.
 
 from __future__ import annotations
 
-import functools
 import random
-from math import comb, factorial
 
 import numpy as np
 
 from hbn.determinantal import (
     DegreeGrid,
     MatrixPair,
+    _block_sizes,
+    _check_prime,
+    _node_inverse,
+    _node_matrices,
+    _staircase,
     degree_grid,
     pattern_support,
     sample_is_point,
     sample_pair,
 )
-from hbn.exact.field import DEFAULT_PRIME, PrimeTooSmallError, inv_mod
+from hbn.exact.field import DEFAULT_PRIME, inv_mod
 from hbn.exact.linalg import matrix_rank
-from hbn.exact.poly import (
-    _eval_at_nodes,
-    _powers,
-    _table_product,
-    interp_nodes,
-    pdeg,
-    pdivmod,
-    pmul,
-    ptrim,
-)
+from hbn.exact.poly import _powers, _table_product, pdeg, pdivmod, pmul, ptrim
 from hbn.seeds import derive_seed
 from hbn.splitting import HirzebruchClass
 
@@ -136,34 +115,6 @@ def tangent_basis(grid: DegreeGrid, support: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _block_sizes(k: int, m: int, delta: int) -> list[int]:
-    """d_i + 1 = delta + (k - i)m + 1 coefficients of P_i, for i = 0..k."""
-    return [delta + (k - i) * m + 1 for i in range(k + 1)]
-
-
-def _check_prime(grid: DegreeGrid, p: int) -> None:
-    bound = grid.delta + grid.k * grid.m
-    if p <= bound or p < grid.k:
-        raise PrimeTooSmallError(
-            f"prime too small for the differential's nodes: needs p > delta + k*m = {bound} "
-            f"and p >= k = {grid.k}"
-        )
-
-
-# the node tables depend on the class (and p), never on the stratum
-@functools.lru_cache(maxsize=64)
-def _staircase(k: int, m: int, delta: int) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes of the module doc, in the order of the coefficient rows:
-    the t of each node, and its point as one row (x, y)."""
-    sizes = _block_sizes(k, m, delta)
-    point = np.repeat(np.arange(k + 1), sizes)
-    t = np.concatenate([np.arange(n) for n in sizes])
-    finite = point < k
-    xy = np.column_stack([np.where(finite, point, 1), finite])
-    t.flags.writeable = xy.flags.writeable = False
-    return t, xy
-
-
 def _cofactors(mats: np.ndarray, p: int) -> np.ndarray:
     """Signed cofactors C[..., r, c] = C_rc of a stack (..., k, k) of
     entries in [0, p), mod p.
@@ -189,11 +140,7 @@ def _cofactors(mats: np.ndarray, p: int) -> np.ndarray:
 
 def _node_cofactors(pair: MatrixPair) -> np.ndarray:
     """C[n, r, c]: the signed cofactors of x A(t) + y B(t) at node n."""
-    grid, p, k = pair.grid, pair.p, pair.k
-    t, xy = _staircase(k, grid.m, grid.delta)
-    at = _eval_at_nodes(pair.coeffs, grid.delta + k * grid.m + 1, p)[t]  # (R, 2, k, k)
-    mats = (at[:, 0] * xy[:, 0, None, None] + at[:, 1] * xy[:, 1, None, None]) % p
-    return _cofactors(mats, p)
+    return _cofactors(_node_matrices(pair), pair.p)
 
 
 def _node_weights(grid: DegreeGrid, coords: np.ndarray, p: int) -> np.ndarray:
@@ -215,39 +162,8 @@ def dphi_values(pair: MatrixPair, selector: np.ndarray) -> np.ndarray:
     column per coordinate of the selector mask and the pair's pattern
     (tangent_basis).  Needs p > delta + k*m and p >= k."""
     grid, p = pair.grid, pair.p
-    _check_prime(grid, p)
     coords = tangent_basis(grid, selector & pattern_support(pair.pattern, pair.k))
     return _values(pair, coords, _node_weights(grid, coords, p))
-
-
-@functools.lru_cache(maxsize=64)
-def _node_inverse(k: int, m: int, delta: int, p: int) -> np.ndarray:
-    """W, the inverse mod p of the node-by-monomial table, as int32: W
-    times the values at the nodes is the coefficients of P_0..P_k.
-
-    It is the unisolvence argument run on the identity.  The j-th
-    divided difference over x = 0..j, sum_b (-1)^(j-b) binom(j, b) F(b)
-    / j!, is taken at t = 0..d_j and interpolated in t; the one at
-    (1 : 0) is P_k itself.  Then P_i = sum_{j>=i} s(j, i) c_j, with
-    s(j, i) the coefficients of x(x-1)...(x-j+1).
-    """
-    sizes = _block_sizes(k, m, delta)
-    eye = np.eye(sum(sizes), dtype=np.int64)
-    at_point = np.split(eye, np.cumsum(sizes)[:-1])
-    newton = []
-    for j in range(k):
-        diff = sum((-1) ** (j - b) * comb(j, b) % p * at_point[b][: sizes[j]] for b in range(j + 1))
-        newton.append(interp_nodes(diff % p * inv_mod(factorial(j), p) % p, p))
-    newton.append(interp_nodes(at_point[k], p))
-    coef = [np.zeros_like(block) for block in at_point]
-    falling = [1]
-    for j, c_j in enumerate(newton):
-        for i, s in enumerate(falling):
-            coef[i][: sizes[j]] += s * c_j % p
-        falling = pmul(falling, [-j % p, 1], p)
-    inv = (np.vstack(coef) % p).astype(np.int32)
-    inv.flags.writeable = False
-    return inv
 
 
 def dphi_matrix(pair: MatrixPair, selector: np.ndarray) -> list[np.ndarray]:
@@ -295,7 +211,7 @@ def dominance_rank(
     if rng is None:
         rng = random.Random(derive_seed("dominance", e, f, (cls.m, cls.k, cls.delta), p))
     target = sum(_block_sizes(cls.k, cls.m, cls.delta))
-    _check_prime(grid, p)
+    _check_prime(grid, p)  # before any draw
     coords = tangent_basis(grid, selector_mask("FULL_PRIME", cls.k))  # FULL supports all
     weights = _node_weights(grid, coords, p)
     max_rank = 0
@@ -386,8 +302,8 @@ def lemma_sq_check(pair: MatrixPair) -> bool:
     grid = pair.grid
     k = grid.k
     outer = np.vstack([blocks[1], blocks[k]])
-    want = (grid.delta + (k - 1) * grid.m + 1) + (grid.delta + 1)
-    return matrix_rank(outer, pair.p) == want
+    sizes = _block_sizes(k, grid.m, grid.delta)
+    return matrix_rank(outer, pair.p) == sizes[1] + sizes[k]
 
 
 def lemma_main_containment(pair: MatrixPair, blocks: list[np.ndarray]) -> bool:
@@ -424,8 +340,7 @@ def lemma_main_check(pair: MatrixPair) -> bool:
     k = grid.k
     if not lemma_main_containment(pair, blocks):
         return False
-    dim_w = grid.a[k - 1][k - 1] + 1
-    dim_w += sum(grid.delta + (k - i) * grid.m + 1 for i in range(2, k))
+    dim_w = grid.a[k - 1][k - 1] + 1 + sum(_block_sizes(k, grid.m, grid.delta)[2:k])
     return matrix_rank(np.vstack(blocks[1:]), pair.p) == dim_w
 
 

@@ -8,7 +8,7 @@ the sum cannot reach 2^63 and falls back to a reduced Python loop
 otherwise.  Evaluation at the nodes 0..n-1 and interpolation from them
 are mirror images: `_eval_at_nodes` is one product of the coefficients
 with a cached table of powers V[j, i] = i^j, and `interp_nodes`, along
-one axis of an array of values at the nodes, one product with an
+the first axis of an array of values at the nodes, one product with an
 inverse Vandermonde table built in closed form and cached per node
 count.  Both split their int32 table into 16-bit halves, so every int64
 sum is exact for p < 2^31.
@@ -142,11 +142,11 @@ def pderiv(f: Poly, p: int) -> Poly:
 # One interpolation table per node count and prime, one evaluation table
 # (`_powers`) per node count, coefficient count and prime.  At p = 10007,
 # 3,000 items of each benchmark workload read no interpolation table
-# (dominance-desk), 16 (lemma-sut, to build the differential's inverse
-# node tables) or 29 (sample-certify: n = 2..16 for the determinant
-# grids, and resultant_v's multiples of 8 up to 120), and 97, 121 or 141
-# evaluation tables, which hold 8.4k, 9.1k and 35k int32 entries.  64
-# and 512 entries hold every table of a workload at two primes at once.
+# (dominance-desk), 16 (lemma-sut: n = 1..16, to build the staircase
+# tables W of `hbn.determinantal._node_inverse`) or 29 (sample-certify:
+# the same 16, and resultant_v's multiples of 8 up to 120), and 97, 121
+# or 141 evaluation tables, which hold 8.4k, 9.1k and 35k int32 entries.
+# 64 and 512 entries hold every table of a workload at two primes at once.
 @functools.lru_cache(maxsize=64)
 def _inverse_vandermonde(n: int, p: int) -> np.ndarray:
     """Inverse mod p of V[i, j] = i^j on the nodes 0..n-1, in closed form.
@@ -171,9 +171,9 @@ def _inverse_vandermonde(n: int, p: int) -> np.ndarray:
     return inv
 
 
-def interp_nodes(vals: np.ndarray, p: int, axis: int = 0) -> np.ndarray:
-    """Interpolate along one axis of values in [0, p) taken at the nodes
-    0..n-1.
+def interp_nodes(vals: np.ndarray, p: int) -> np.ndarray:
+    """Interpolate along the first axis of values in [0, p) taken at the
+    nodes 0..n-1.
 
     Index j of that axis holds the values at node j on input and the
     coefficients of u^j on output; every other axis is a separate
@@ -181,13 +181,11 @@ def interp_nodes(vals: np.ndarray, p: int, axis: int = 0) -> np.ndarray:
     table (int32, as p < 2^31), split into its high and low 16 bits: each
     product is below 2^47, so n <= 2^15 nodes keep every int64 sum exact.
     """
-    n = vals.shape[axis]
+    n = vals.shape[0]
     if n > 1 << 15:
         raise ValueError(f"interpolation on {n} nodes exceeds 2^15")
-    moved = np.moveaxis(vals, axis, 0)
-    flat = moved.reshape(n, -1).astype(np.int64, copy=False)
-    out = _table_product(_inverse_vandermonde(n, p), flat, p)
-    return np.moveaxis(out.reshape(moved.shape), 0, axis)
+    flat = vals.reshape(n, -1).astype(np.int64, copy=False)
+    return _table_product(_inverse_vandermonde(n, p), flat, p).reshape(vals.shape)
 
 
 def _table_product(table: np.ndarray, flat: np.ndarray, p: int) -> np.ndarray:

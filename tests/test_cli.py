@@ -483,13 +483,13 @@ def test_dominance_sweep_rejects_trials_below_one():
 
 def test_sample_prime_below_resultant_bound_is_usage_error(capsys):
     argv = ["sample", "--m", "1", "--k", "2", "--delta", "1", "--e=0,0", "--f=0,1"]
-    # p = 3 stops at the determinant map's node grid (delta + k*m = 3)
+    # p = 3 stops at the determinant map's nodes (delta + k*m = 3)
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--p", "3"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--p 3: prime too small for the determinant map" in err
-    assert "needs p > delta + k*m = 3 and p > k = 2" in err
+    assert "needs p > delta + k*m = 3 and p >= k = 2" in err
     # p = 5 passes it and stops at the smoothness resultants
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--p", "5"])
@@ -497,6 +497,14 @@ def test_sample_prime_below_resultant_bound_is_usage_error(capsys):
     err = capsys.readouterr().err
     assert "--p 5: prime too small for interpolation" in err
     assert "degree up to 7 needs p > 7" in err
+    # p = k = 3 passes the determinant map and stops at smoothness
+    argv = ["sample", "--m", "0", "--k", "3", "--delta", "1", "--e=0,0,0", "--f=0,0,1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--p", "3", "--seed", "1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert "smoothness needs p > k = 3" in err
+    assert out == ""
 
 
 def test_sample_smooth_curve_without_quadratic_points(tmp_path):

@@ -28,6 +28,7 @@ from hbn.determinantal import (
     BinaryFormCurve,
     DegenerateCurveError,
     MatrixPair,
+    _node_matrices,
     curve_from_json_dict,
     curve_to_json_dict,
     degree_grid,
@@ -35,7 +36,6 @@ from hbn.determinantal import (
     is_point_obstruction,
     pair_from_json_dict,
     pair_to_json_dict,
-    pair_values,
     pattern_support,
     phi,
     reducibility_witness,
@@ -293,7 +293,7 @@ def test_pair_codec_round_trip_keeps_coefficients_and_values(pair):
     back = pair_from_json_dict(json.loads(json.dumps(pair_to_json_dict(pair))))
     width = max(pair.coeffs.shape[-1], back.coeffs.shape[-1])
     assert np.array_equal(_padded(pair.coeffs, width), _padded(back.coeffs, width))
-    assert np.array_equal(pair_values(pair, 9, 4), pair_values(back, 9, 4))
+    assert np.array_equal(_node_matrices(pair), _node_matrices(back))
     assert pair_to_json_dict(back) == pair_to_json_dict(pair)
 
 
@@ -351,6 +351,14 @@ def _prime_above(n):
     return q
 
 
+def _least_admissible_prime(delta, k, m):
+    """The least prime with p > delta + k*m and p >= k, p = k included."""
+    q = max(delta + k * m + 1, k, 2)
+    while not is_prime(q):
+        q += 1
+    return q
+
+
 @st.composite
 def _pairs(draw):
     """Pairs on small grids, types not necessarily sorted, so that the
@@ -362,7 +370,8 @@ def _pairs(draw):
     f = draw(st.lists(st.integers(-3, 2), min_size=k - 1, max_size=k - 1))
     f.append(sum(e) + delta - sum(f))
     grid = degree_grid(e, f, m)
-    p = draw(st.sampled_from([_prime_above(max(delta + k * m, k)), 101, P]))
+    least = _least_admissible_prime(delta, k, m)
+    p = draw(st.sampled_from([least, _prime_above(max(delta + k * m, k)), 101, P]))
     pattern = draw(st.sampled_from(["FULL", "SUT"]))
     return sample_pair(grid, pattern, p, random.Random(draw(st.integers(0, 2**32))))
 
@@ -383,11 +392,15 @@ def test_phi_and_witness_match_permutation_oracle(pair):
 def test_phi_rejects_primes_at_the_degree_bound():
     # delta + k*m = 2 + 3*3 = 11: the t nodes 0..11 collide mod 11
     grid = degree_grid((-8, -4, -1), (-7, -4, 0), 3)
-    with pytest.raises(PrimeTooSmallError, match="needs p > delta \\+ k\\*m = 11 and p > k = 3"):
+    with pytest.raises(PrimeTooSmallError, match="needs p > delta \\+ k\\*m = 11 and p >= k = 3"):
         phi(sample_pair(grid, "FULL", 11, random.Random(0)))
     pair = sample_pair(grid, "FULL", 13, random.Random(0))
     assert phi(pair) == phi_by_permutations(pair)
-    # k = 3 x nodes 0..3 collide mod 3 even where delta + k*m < 3
+    # p = k = 3 is enough: the x nodes are 0..2 and (1 : 0)
     flat = degree_grid((0, 0, 0), (0, 0, 0), 0)
-    with pytest.raises(PrimeTooSmallError, match="p > k = 3"):
+    pair = sample_pair(flat, "FULL", 3, random.Random(0))
+    assert phi(pair) == phi_by_permutations(pair)
+    # k = 5 needs p >= 5 for the x nodes 0..4, though delta + k*m = 0
+    flat = degree_grid((0,) * 5, (0,) * 5, 0)
+    with pytest.raises(PrimeTooSmallError, match="p >= k = 5"):
         phi(sample_pair(flat, "FULL", 3, random.Random(0)))
