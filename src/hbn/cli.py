@@ -47,7 +47,7 @@ import re
 import sys
 from typing import Optional
 
-from hbn.curves import connectedness, smoothness
+from hbn.curves import check_smoothness_prime, connectedness, smoothness
 from hbn.determinantal import (
     PATTERNS,
     DegenerateCurveError,
@@ -355,6 +355,7 @@ def cmd_sample(args, parser) -> int:
         emit(doc, args, parser)
         return EXIT_EMPTY
 
+    check_smoothness_prime(args.p, cls.k)  # before any draw
     rng = _rng(args, "sample", args.e, args.f, cls.m, cls.k, cls.delta, args.p)
     pair = curve = cert = None
     success = False

@@ -35,17 +35,38 @@ smoothness test, and it is the only one `smoothness` runs: the other
 three charts are never analysed, so a resultant of theirs too large for
 p raises nothing.
 
-Chart t_x reads r1 = Res_v(h, h_v) and r2 = Res_v(h, h_u) of its
-residual h.  r1 = 0 means a multiple component, whose point is found on
-the first fiber u = 0, 1, 2, ... that keeps it; r2 = 0 alone means a
-section x = c*y (every SUT curve has one), the content of the chart with
-u and v exchanged, which is analysed instead.  Nothing is random or
+Chart t_x reads one resultant, r1 = Res_v(h, h_v) of its residual h
+(the content in u divided out; n = deg_v h < p).  r1 = 0 means a
+multiple component, whose point is found on the first fiber
+u = 0, 1, 2, ... that keeps it.  Otherwise, by the lemma below, a
+singular point of h lies over a root of gcd(r1, r1'), and an irreducible
+factor q of that gcd holds one exactly when h, h_v and h_u have a common
+factor over F_p[u]/(q).  r1' != 0 unless r1 is constant, as deg r1 < p
+(`resultant_v` refuses larger bounds).  A point on a vertical component
+is singular when the component is repeated or meets the residual; any
+other singular point of the chart is one of h.  Nothing is random or
 budgeted: the certificate is SMOOTH or SINGULAR, a function of the curve.
+
+Lemma (ord_u0 Res_v(h, h_v) >= I_P(h, h_v) >= m_P(h) m_P(h_v) >= 2 in
+Fulton, Algebraic Curves): if h = h_u = h_v = 0 at P = (u0, v0), then
+(u - u0)^2 divides r1.  With u = u0 + t, r1 = det S(t) for the Sylvester
+matrix S of h and h_v at v-degrees n and n - 1, of size N = 2n - 1.
+S(0) maps binary forms (A, B) in (v : w) of degrees (n - 2, n - 1) to
+AF + BG, for the forms F = h(u0, v) and G = h_v(u0, v) of degrees n and
+n - 1; F != 0 as h has no factor free of v, so ker S(0) has dimension
+d = deg gcd(F, G).  F and G vanish at (v0 : 1), and if h_n(u0) = 0 also
+at (1 : 0), as G leads with n*h_n: the point at infinity only adds to d.
+If d >= 2, rank S(0) <= N - 2, so adj S(0) = 0 and the t-coefficient
+tr(adj S(0) S'(0)) of r1 vanishes.  If d = 1, adj S(0) is a multiple of
+the kernel vector (G/D, -F/D), for D = v - v0*w, times evaluation at v0
+(the image is D's multiples), so the t-coefficient is a multiple of
+(G/D)(v0) h_u(P) - (F/D)(v0) h_uv(P), which is 0: h_u(P) = 0, and v0 is
+a double root of F.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from hbn.determinantal import BinaryFormCurve
@@ -58,11 +79,9 @@ from hbn.exact.poly import (
     pdivmod,
     peval,
     pgcd,
-    pmonic,
     pscale,
     ptrim,
     quadratic_roots,
-    squarefree_part,
 )
 from hbn.exact.poly2 import gcd_mod, restrict, resultant_v
 from hbn.splitting import HirzebruchClass
@@ -111,12 +130,7 @@ class SmoothnessCertificate:
     method = "RESULTANT"
 
     def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "chart": self.chart,
-            "witness": self.witness,
-            "method": self.method,
-        }
+        return {**asdict(self), "method": self.method}
 
 
 def _vtrim(fv: list[Poly]) -> list[Poly]:
@@ -124,10 +138,6 @@ def _vtrim(fv: list[Poly]) -> list[Poly]:
     while fv and not fv[-1]:
         fv.pop()
     return fv
-
-
-def _deriv_u(fv: list[Poly], p: int) -> list[Poly]:
-    return [pderiv(c, p) for c in fv]
 
 
 def _deriv_v(fv: list[Poly], p: int) -> list[Poly]:
@@ -156,10 +166,10 @@ def _axis_point(g: Poly, p: int, nr: int) -> dict:
 def _content(fv: list[Poly], p: int) -> Poly:
     g: Poly = []
     for c in fv:
-        g = pgcd(g, c, p) if g else ptrim(list(c))
-        if pdeg(g) == 0:
-            return [1]
-    return pmonic(g, p) if g else []
+        g = pgcd(g, c, p)  # monic; gcd with [] is the other argument
+        if g == [1]:
+            break
+    return g
 
 
 def _fiber_point(u0: int, g: Poly, p: int, nr: int) -> dict:
@@ -184,12 +194,6 @@ def _multiple_component_point(h: list[Poly], hu: list[Poly], hv: list[Poly], p: 
     raise AssertionError("a multiple component meets no fiber u <= deg_u h")
 
 
-def _transpose(fv: list[Poly]) -> list[Poly]:
-    """The chart polynomial with u and v exchanged."""
-    width = max(map(len, fv))
-    return [[c[j] if j < len(c) else 0 for c in fv] for j in range(width)]
-
-
 def _analyze_chart(fv: list[Poly], p: int):
     """Returns (status, witness) with status in {'clean', 'singular'} for
     one chart polynomial fv (`chart_polys`).
@@ -197,8 +201,8 @@ def _analyze_chart(fv: list[Poly], p: int):
     'clean' certifies that no point of the chart, over the algebraic
     closure, is a common zero of the polynomial and its two partials.
     The content of fv in the base variable (its vertical components) is
-    divided out first, and the two resultants are taken of the residual
-    h.  Needs p above k and above every resultant's degree bound.
+    divided out first, and the one resultant Res_v(h, h_v) is taken of the
+    residual h.  Needs p above k and above that resultant's degree bound.
     """
     nr = quadratic_nonresidue(p)
     fv = _vtrim(fv)
@@ -221,24 +225,14 @@ def _analyze_chart(fv: list[Poly], p: int):
         # no fiber variable: a reduced union of fibers, or no point at all
         return ("clean", None)
 
-    hu = _deriv_u(h, p)
+    hu = [pderiv(c, p) for c in h]
     hv = _deriv_v(h, p)
     r1 = resultant_v(h, hv, p)
     if not ptrim(r1):
         # a repeated factor of positive fiber degree: a multiple component
         return ("singular", _multiple_component_point(h, hu, hv, p, nr))
-    r2 = resultant_v(h, hu, p)
-    if not ptrim(r2):
-        # a factor free of u (a section x = c*y here) is the content of the
-        # transposed chart, which divides it out; the transposed residual
-        # has no factor free of v, so this recursion is one level deep
-        status, wit = _analyze_chart(_transpose(h), p)
-        flip = {"u": "v", "v": "u"}  # every witness key names its coordinate first
-        return status, wit and {flip.get(key[0], key[0]) + key[1:]: x for key, x in wit.items()}
-    cand = squarefree_part(pgcd(r1, r2, p), p)
-    if pdeg(cand) < 1:
-        return ("clean", None)
-    for q, _ in irreducible_factors(cand, p):
+    # a singular point over u0 makes u0 a repeated root of r1 (module docstring)
+    for q, _ in irreducible_factors(pgcd(r1, pderiv(r1, p), p), p):
         g = gcd_mod([h, hv, hu], q, p)
         if len(g) >= 2:
             return ("singular", _base_root_point(q, g, p, nr, factor=True))
@@ -303,6 +297,12 @@ def _boundary_point(polys: dict[str, list[Poly]], p: int):
     return None
 
 
+def check_smoothness_prime(p: int, k: int) -> None:
+    """Raise PrimeTooSmallError unless p > k: then d/dx lowers each fiber degree by one."""
+    if p <= k:
+        raise PrimeTooSmallError(f"smoothness needs p > k = {k}")
+
+
 def smoothness(curve: BinaryFormCurve) -> SmoothnessCertificate:
     """Jacobian certificate over the algebraic closure: SMOOTH or
     SINGULAR, a function of the curve alone.
@@ -315,14 +315,12 @@ def smoothness(curve: BinaryFormCurve) -> SmoothnessCertificate:
     SMOOTH is exact: chart t_x clean (resultant + gcd degree checks) and
     no boundary piece singular.  SINGULAR carries a witnessing chart and
     point.  The other three charts are never analysed, so
-    PrimeTooSmallError comes only from p <= k, from a resultant of chart
-    t_x (or of its transpose, when a section x = c*y is a component)
-    with a degree bound of p or more, or from factoring a polynomial of
-    degree p or more.
+    PrimeTooSmallError comes only from p <= k, from chart t_x's one
+    resultant with a degree bound of p or more, or from factoring a
+    polynomial of degree p or more.
     """
-    p, k = curve.p, curve.cls.k
-    if p <= k:
-        raise PrimeTooSmallError(f"smoothness needs p > k = {k}")
+    p = curve.p
+    check_smoothness_prime(p, curve.cls.k)
     polys = chart_polys(curve)
     status, wit = _analyze_chart(polys["t_x"], p)
     if status == "singular":

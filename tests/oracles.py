@@ -25,10 +25,11 @@ Four charts.  `four_charts` certifies smoothness by the Jacobian
 analysis of all four torus charts (`four_chart_polys` derives t_y and
 s_y from the two charts `chart_polys` gives), the reference for
 `hbn.curves`' one chart plus three boundary gcds.  It shares
-`_analyze_chart` with src/ (its multiple-component scan and its
-transposed pass included), so it checks the boundary reduction, not the
-chart analysis.  Like
-`smoothness` it draws nothing random and answers SMOOTH or SINGULAR.
+`_analyze_chart` with src/ (its multiple-component scan and its one
+resultant included), so it checks the boundary reduction, not the chart
+analysis; `groebner_chart_is_clean` checks that, by a reduced Groebner
+basis in sympy.  Like `smoothness` it draws nothing random and answers
+SMOOTH or SINGULAR.
 
 Quotient fields.  `QuotientField` is the field F_p[x]/(q) as a class,
 and `qgcd` (with `qtrim` and `qdivmod`) runs Euclid over any object with
@@ -572,6 +573,22 @@ def four_charts(curve: BinaryFormCurve) -> SmoothnessCertificate:
 # ---------------------------------------------------------------------------
 
 
+def _sympy_uv(fv: list[list[int]], u, v):
+    """A coefficient list in v over Z[u] as a sympy expression."""
+    return sum(sum(c * u**i for i, c in enumerate(cf)) * v**j for j, cf in enumerate(fv))
+
+
+def groebner_chart_is_clean(fv: list[Poly], p: int) -> bool:
+    """True when the chart polynomial fv (`chart_polys`) and its two
+    partials have no common zero over F_p-bar: by the Nullstellensatz,
+    when their reduced Groebner basis over F_p (sympy.groebner) is [1].
+    The reference for `_analyze_chart`'s clean/singular status, with
+    which it shares no code."""
+    u, v = sympy.symbols("u v")
+    f = _sympy_uv(fv, u, v)
+    return list(sympy.groebner([f, f.diff(u), f.diff(v)], u, v, modulus=p)) == [1]
+
+
 def sympy_resultant_v(f: list[list[int]], g: list[list[int]], p: int) -> list[int]:
     """sympy.resultant in v of coefficient lists over Z[u], reduced mod p.
 
@@ -583,8 +600,7 @@ def sympy_resultant_v(f: list[list[int]], g: list[list[int]], p: int) -> list[in
     sign is restored by hand.
     """
     u, v = sympy.symbols("u v")
-    fs = sum(sum(c * u**i for i, c in enumerate(cf)) * v**j for j, cf in enumerate(f))
-    gs = sum(sum(c * u**i for i, c in enumerate(cg)) * v**j for j, cg in enumerate(g))
+    fs, gs = _sympy_uv(f, u, v), _sympy_uv(g, u, v)
     n, m = len(f) - 1, len(g) - 1
     if n >= m:
         res = sympy.resultant(fs, gs, v)

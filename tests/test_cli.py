@@ -481,7 +481,7 @@ def test_dominance_sweep_rejects_trials_below_one():
     assert proc.stdout == ""
 
 
-def test_sample_prime_below_resultant_bound_is_usage_error(capsys):
+def test_sample_prime_below_resultant_bound_is_usage_error(capsys, monkeypatch):
     argv = ["sample", "--m", "1", "--k", "2", "--delta", "1", "--e=0,0", "--f=0,1"]
     # p = 3 stops at the determinant map's nodes (delta + k*m = 3)
     with pytest.raises(SystemExit) as exc:
@@ -497,7 +497,10 @@ def test_sample_prime_below_resultant_bound_is_usage_error(capsys):
     err = capsys.readouterr().err
     assert "--p 5: prime too small for interpolation" in err
     assert "degree up to 7 needs p > 7" in err
-    # p = k = 3 passes the determinant map and stops at smoothness
+    # p = k = 3 would pass the determinant map; smoothness refuses it
+    # before the first draw
+    draws = []
+    monkeypatch.setattr(hbn.cli, "sample_pair", lambda *a: draws.append(a))
     argv = ["sample", "--m", "0", "--k", "3", "--delta", "1", "--e=0,0,0", "--f=0,0,1"]
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--p", "3", "--seed", "1"])
@@ -505,6 +508,11 @@ def test_sample_prime_below_resultant_bound_is_usage_error(capsys):
     out, err = capsys.readouterr()
     assert "smoothness needs p > k = 3" in err
     assert out == ""
+    # a forced-reducible class at p = k still gets its document first
+    argv = ["sample", "--m", "0", "--k", "3", "--delta", "0", "--e=-8,-2,-1", "--f=-8,-2,-1"]
+    assert main(argv + ["--p", "3"]) == 2
+    assert json.loads(capsys.readouterr().out)["forced_reducibility"]["verdict"] == "BLOCK_FACTOR"
+    assert draws == []
 
 
 def test_sample_smooth_curve_without_quadratic_points(tmp_path):

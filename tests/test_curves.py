@@ -10,7 +10,7 @@ and a cusp) where the verdict is forced.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     QuotientField,
@@ -24,6 +24,7 @@ from oracles import (
     entry_form,
     four_chart_polys,
     four_charts,
+    groebner_chart_is_clean,
     h0_profile_splitting,
     h0_surface,
     h1_surface,
@@ -31,6 +32,7 @@ from oracles import (
     intersection,
     pair_rank_at_point,
     point_on_curve,
+    qgcd,
     sympy_resultant_v,
 )
 
@@ -175,15 +177,16 @@ def _spy_resultants(monkeypatch) -> list:
 def test_chart_content_keeps_verdicts_and_its_own_resultants(monkeypatch):
     # t (s + 2t) y^2 + 3 t^2 x y + 5 t^2 x^2: the fiber t = 0 is a
     # component.  In chart t_x the residual h = (1 + 2u) + 3u v + 5u v^2 is
-    # constant in v over u = 0, so the chart reaches its resultants with h,
-    # not with the raw chart polynomial the discriminant uses; the fiber
-    # meets the residual at y = 0, the origin of chart t_y.
+    # constant in v over u = 0, so the chart reaches its one resultant,
+    # Res_v(h, h_v), with h, not with the raw chart polynomial the
+    # discriminant uses; the fiber meets the residual at y = 0, the origin
+    # of chart t_y.
     curve = _forms_curve(HirzebruchClass(m=0, k=2, delta=2), [[0, 1, 2], [0, 0, 3], [0, 0, 5]], P)
     calls = _spy_resultants(monkeypatch)
     cert = smoothness(curve)
     assert (cert.verdict, cert.chart, cert.witness) == ("SINGULAR", "t_y", {"u": 0, "v": 0, "ext": 1})
     h = [[1, 2], [0, 3], [0, 5]]
-    assert calls == [(h, [[0, 3], [0, 10]]), (h, [[2], [3], [5]])]
+    assert calls == [(h, [[0, 3], [0, 10]])]
     assert cert == four_charts(curve)
     raw = chart_polys(curve)["t_x"]
     assert resultant_v(*calls[0], P) != resultant_v(raw, [pscale(raw[j], j, P) for j in (1, 2)], P)
@@ -219,12 +222,12 @@ def test_prime_below_a_resultant_bound_raises_only_where_read(monkeypatch):
 
 def test_smooth_where_a_chart_the_one_path_never_reads_raises():
     # found by a seeded search over 6,000 draws like `_small_curves`: the
-    # chart t_x polynomial has base degree 3, so its resultants stay below
-    # p = 11, while chart s_x's has base degree 4 and a resultant of degree
-    # bound 14, so the four-chart analysis raises here.
+    # chart t_x polynomial has base degree 3, so its resultant stays below
+    # p = 11, while chart s_y's Res_v(h, h_v) has degree bound 12, so the
+    # four-chart analysis, which shares `_analyze_chart`, raises there.
     curve = phi(sample_pair(degree_grid((0, 1), (1, 2), 1), "FULL", 11, random.Random(1404279109)))
     assert smoothness(curve).verdict == "SMOOTH"
-    with pytest.raises(PrimeTooSmallError, match="degree up to 14 needs p > 14"):
+    with pytest.raises(PrimeTooSmallError, match="degree up to 12 needs p > 12"):
         four_charts(curve)
 
 
@@ -242,15 +245,17 @@ def test_smooth_curve_whose_interpolated_discriminant_needs_a_larger_prime():
 
 def test_section_component_meets_the_rest_over_f_p2():
     # (x - y)(s^2 x + t^2 y) = s^2 x^2 + (t^2 - s^2) x y - t^2 y^2: in chart
-    # t_x, h = (v - 1)(v + u^2) and h_u = 2u (v - 1) share the section
-    # v = 1, so Res_v(h, h_u) vanishes identically.  The section meets
-    # v + u^2 where u^2 = -1, which has no root in F_p at p = 3 mod 4.
+    # t_x, h = (v - 1)(v + u^2), a section v = 1 times the rest, and
+    # Res_v(h, h_v) = -(1 + u^2)^2.  The section meets v + u^2 where
+    # u^2 = -1, which has no root in F_p at p = 3 mod 4: the witness names
+    # u^2 + 1 and the common factor v - 1 over its root.
     assert P % 4 == 3
     curve = _forms_curve(HirzebruchClass(m=0, k=2, delta=2), [[0, 0, P - 1], [P - 1, 0, 1], [1, 0, 0]], P)
     cert = smoothness(curve)
-    assert (cert.verdict, cert.chart, cert.witness["v"], cert.witness["ext"]) == ("SINGULAR", "t_x", 1, 2)
-    F = QuotientField([-quadratic_nonresidue(P) % P, 0, 1], P)
-    u = tuple(cert.witness["u"])
+    assert (cert.verdict, cert.chart) == ("SINGULAR", "t_x")
+    assert cert.witness == {"symbolic": True, "u_minpoly": [1, 0, 1], "v_factor_over_extension": [[P - 1, 0], [1, 0]]}
+    F = QuotientField(cert.witness["u_minpoly"], P)
+    u = (0, 1)  # the class of u, a root of u^2 + 1
     assert F.mul(u, u) == (P - 1, 0)
     assert all(F.is_zero(x) for x in _chart_values_at(chart_polys(curve)["t_x"], u, (1, 0), F))
 
@@ -516,24 +521,31 @@ def test_smoothness_agrees_with_the_four_chart_path(pair):
         assert (got.verdict, got.chart, got.witness) == (want.verdict, want.chart, want.witness)
 
 
-def _chart_values_at(fv, u, v, F):
-    """f, f_u and f_v of the chart polynomial fv (index = power of v,
-    entries polys in u) at (u, v) in the field F."""
-    def ev(coeffs, x):  # Horner over F, F_p coefficients
-        acc = F.zero
-        for c in reversed(coeffs):
-            acc = F.add(F.mul(acc, x), (c % F.p, 0))
-        return acc
+def _with_partials(fv):
+    """The chart polynomial fv (index = power of v, entries polys in u)
+    and its partials f_u and f_v, in the same layout."""
+    fu = [[i * a for i, a in enumerate(c)][1:] for c in fv]
+    fvv = [[j * a for a in fv[j]] for j in range(1, len(fv))]
+    return fv, fu, fvv
 
+
+def _at_u(coeffs, u, F):
+    """A poly in u with F_p coefficients at u in the field F (Horner)."""
+    acc = F.zero
+    for c in reversed(coeffs):
+        acc = F.add(F.mul(acc, u), (c % F.p,) + F.zero[1:])
+    return acc
+
+
+def _chart_values_at(fv, u, v, F):
+    """f, f_u and f_v of the chart polynomial fv at (u, v) in the field F."""
     def at(rows):
         acc = F.zero
         for c in reversed(rows):
-            acc = F.add(F.mul(acc, v), ev(c, u))
+            acc = F.add(F.mul(acc, v), _at_u(c, u, F))
         return acc
 
-    fu = [[i * a for i, a in enumerate(c)][1:] for c in fv]
-    fvv = [[j * a for a in fv[j]] for j in range(1, len(fv))]
-    return at(fv), at(fu), at(fvv)
+    return tuple(map(at, _with_partials(fv)))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -553,3 +565,65 @@ def test_concrete_singular_witness_is_a_singular_point(pair):
     u, v = ((x, 0) if isinstance(x, int) else tuple(x) for x in (wit["u"], wit["v"]))
     fv = four_chart_polys(curve)[cert.chart]
     assert all(F.is_zero(x) for x in _chart_values_at(fv, u, v, F)), (cert, pair)
+
+
+def _small_draw(m, e, f, p, pattern, seed):
+    return sample_pair(degree_grid(e, f, m), pattern, p, random.Random(seed))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_small_curves())
+def test_chart_analysis_matches_the_groebner_basis(pair):
+    # chart t_x is clean exactly when f, f_u and f_v generate the unit
+    # ideal, a check that shares no code with `_analyze_chart`
+    try:
+        fv = chart_polys(phi(pair))["t_x"]
+        status = _analyze_chart(fv, pair.p)[0]
+    except (DegenerateCurveError, PrimeTooSmallError):
+        return
+    assert (status == "clean") == groebner_chart_is_clean(fv, pair.p), pair
+
+
+# curves whose chart t_x raised PrimeTooSmallError while the chart was
+# also read through Res_v(h, h_u), of degree bound 14 at p = 11
+ONCE_TOO_LARGE_FOR_P = {
+    "(1, 2, 2) SMOOTH": ((1, (2, 2), (2, 4), 11, "FULL", 3174207115), ("SMOOTH", None, None)),
+    "(2, 2, 0) SINGULAR": (
+        (2, (-3, 0), (-3, 0), 11, "FULL", 464838894),
+        ("SINGULAR", "t_x", {"u": 0, "v": 10, "ext": 1}),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ONCE_TOO_LARGE_FOR_P)
+def test_chart_that_once_raised_is_certified_and_matches_the_groebner_basis(name):
+    draw, want = ONCE_TOO_LARGE_FOR_P[name]
+    curve = phi(_small_draw(*draw))
+    cert = smoothness(curve)
+    assert (cert.verdict, cert.chart, cert.witness) == want
+    fv = chart_polys(curve)["t_x"]
+    assert (_analyze_chart(fv, 11)[0] == "clean") == groebner_chart_is_clean(fv, 11) == (want[1] is None)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_small_curves())
+# two draws whose witness factor lives over a cubic and a quintic base root
+@example(_small_draw(0, (-3, -3, -1), (-3, -2, 0), 11, "FULL", 250714246))
+@example(_small_draw(2, (-3, -2, 1), (-2, -2, 1), 31, "FULL", 3475108193))
+def test_symbolic_singular_witness_factor_divides_the_chart_and_its_partials(pair):
+    # a witness over a base root u of degree >= 2 names u's minimal
+    # polynomial and a factor in v over F_p(u) that f, f_u and f_v share
+    try:
+        curve = phi(pair)
+        cert = smoothness(curve)
+    except (DegenerateCurveError, PrimeTooSmallError):
+        return
+    wit = cert.witness
+    if cert.verdict != "SINGULAR" or "v_factor_over_extension" not in wit:
+        return
+    F = QuotientField(wit["u_minpoly"], pair.p)
+    u = (0, 1) + F.zero[2:]  # the class of u
+    factor = [tuple(c) for c in wit["v_factor_over_extension"]]
+    assert len(factor) >= 2 and factor[-1] == (1,) + F.zero[1:]
+    for g in _with_partials(four_chart_polys(curve)[cert.chart]):
+        assert qgcd([_at_u(c, u, F) for c in g], factor, F) == factor, (cert, pair)

@@ -1,5 +1,6 @@
-"""Every module, public function, class, method and UPPER_CASE module
-constant in src/hbn has a reader outside tests.
+"""Every module, public function, class, method, UPPER_CASE module
+constant and private top-level function in src/hbn has a reader outside
+tests.
 
 A module is read when src/hbn, scripts/ or perfbench/ imports it, by
 `import hbn.x`, `from hbn.x import ...` or `from hbn import x`; the
@@ -8,7 +9,9 @@ A module is read when src/hbn, scripts/ or perfbench/ imports it, by
 A read is a Name, an Attribute, an imported name, or a string constant
 equal to the name, anywhere in src/hbn, scripts/ or perfbench/; reads
 inside the definition's own body do not count.  Methods are the public
-ones of public top-level classes.  The check matches on the bare name,
+ones of public top-level classes.  A private top-level function must be
+read too: one left behind when its last caller went is dead code that
+no test of the public names sees.  The check matches on the bare name,
 not on the object it is read from, so a method whose name other objects
 also carry (`add` of a set, `diagonal` of a numpy array) counts as read
 wherever that name is read, and an unread one goes uncaught.  Code that
@@ -74,17 +77,30 @@ def _public_defs() -> dict[str, list[ast.AST]]:
     return defs
 
 
-def unread_public_names() -> set[str]:
+def _private_functions() -> dict[str, list[ast.AST]]:
+    defs: dict[str, list[ast.AST]] = {}
+    for path in _modules(SOURCE):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                defs.setdefault(node.name, []).append(node)
+    return defs
+
+
+def _unread(defs: dict[str, list[ast.AST]]) -> set[str]:
     reads: Counter = Counter()
     for root in READERS:
         for path in _modules(root):
             reads += _reads(ast.parse(path.read_text()))
     unread = set()
-    for name, nodes in _public_defs().items():
+    for name, nodes in defs.items():
         own = sum(_reads(node)[name] for node in nodes)
         if reads[name] - own <= 0:
             unread.add(name)
     return unread
+
+
+def unread_public_names() -> set[str]:
+    return _unread(_public_defs())
 
 
 def _module_name(path: Path) -> str:
@@ -113,6 +129,13 @@ def test_every_module_in_src_is_imported():
 def test_every_public_name_in_src_has_a_reader():
     unread = unread_public_names() - set(ALLOWED)
     assert not unread, f"read by no code in src/hbn, scripts/ or perfbench/: {sorted(unread)}"
+
+
+def test_every_private_function_in_src_has_a_reader():
+    defs = _private_functions()
+    assert len(defs) > 40  # the walk finds them
+    unread = _unread(defs)
+    assert not unread, f"private functions read by no code in src/hbn, scripts/ or perfbench/: {sorted(unread)}"
 
 
 def test_allowed_names_are_defined_and_still_unread():
